@@ -113,8 +113,7 @@ class SessionContext:
     config: Optional[SamplingConfig] = None
     sampling: Optional[SamplingTimeReport] = None
     emulator: Optional[STATBenchEmulator] = None
-    #: a StreamResult when ``stream`` is on, else a ReduceResult —
-    #: field-compatible where later phases read it
+    #: a StreamResult (a ReduceResult subclass) when ``stream`` is on
     merge: Optional[ReduceResult] = None
     #: the bound injector when a non-empty fault plan ran the merge
     fault_injector: Optional[FaultInjector] = None
@@ -341,7 +340,7 @@ class MergePhase(Phase):
         if ctx.stream:
             # Event-driven variant: asynchronous emissions, incremental
             # folds, missing-ranklist degradation.  Bit-identical final
-            # tree; StreamResult is field-compatible downstream.
+            # tree.
             network = StreamingTBON(ctx.topology, ctx.machine)
             ctx.merge = network.reduce(
                 leaf_payload_fn=leaf_payload,

@@ -133,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(fails on >2x regression)")
     bench.add_argument("--build", action="store_true",
                        help="also benchmark tree construction (forest "
-                            "vs per-daemon) and write BENCH_build.json")
+                            "kernel vs per-object oracle) and write "
+                            "BENCH_build.json")
     bench.add_argument("--build-out", metavar="FILE",
                        default="BENCH_build.json",
                        help="where to write the construction report")
@@ -152,14 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "against (fails on divergence from batch, "
                             "ttft >= 20%% of ttfinal, simulated-time "
                             "drift, or >2x wall-ratio regression)")
-    bench.add_argument("--chaos", action="store_true",
-                       help="also run a quick chaos sweep (randomized "
-                            "seeded fault plans) and write its report")
-    bench.add_argument("--chaos-plans", type=int, default=50,
-                       help="plans for the bench-attached chaos sweep")
-    bench.add_argument("--chaos-out", metavar="FILE",
-                       default="BENCH_chaos.json",
-                       help="where to write the chaos report")
     bench.add_argument("--seed", type=int, default=208_000)
 
     chaos = sub.add_parser(
@@ -422,7 +415,7 @@ def _run_bench(args: argparse.Namespace) -> int:
         if not report.build.ok:
             status = 1
             print("FAIL: forest construction diverged from the "
-                  "per-daemon kernels")
+                  "per-object oracle")
         if args.build_baseline:
             ok, messages = check_baseline(report.build,
                                           args.build_baseline)
@@ -458,18 +451,6 @@ def _run_bench(args: argparse.Namespace) -> int:
                 print(f"stream-baseline: {message}")
             if not ok:
                 status = 1
-    if args.chaos:
-        from repro.faults.chaos import run_chaos
-
-        print()
-        chaos_report = run_chaos(plans=args.chaos_plans, seed=args.seed,
-                                 progress=print)
-        print(chaos_report.table())
-        chaos_report.write(args.chaos_out)
-        print(f"chaos report written to {args.chaos_out}")
-        if not chaos_report.ok:
-            status = 1
-            print("FAIL: chaos sweep violated a robustness invariant")
     return status
 
 

@@ -21,23 +21,14 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.buildarrays import TreeStructure, build_structure
 from repro.core.frames import StackTrace
 from repro.core.merge import DenseLabelScheme, LabelScheme
-from repro.core.prefix_tree import PrefixTree, PrefixTreeNode
-from repro.core.sampling import BatchWalkSampler
+from repro.core.prefix_tree import PrefixTree
 from repro.core.stackwalk import StackWalker
-from repro.core.taskset import DaemonLayout, TaskMap, _pack_indices
+from repro.core.taskset import DaemonLayout, TaskMap
 from repro.core.treearrays import KIND_DENSE, KIND_HIER, TreeArrays
 from repro.mpi.runtime import RankState
 from repro.mpi.stacks import StackModel
-from repro.perf.counters import (
-    BUILD_DAEMONS,
-    BUILD_STRUCT_HITS,
-    BUILD_STRUCT_MISSES,
-    BUILD_TRACES,
-    PERF,
-)
 
 __all__ = ["STATDaemon"]
 
@@ -54,28 +45,6 @@ def _slot_tree() -> PrefixTree:
         label_union=_slot_union,
         label_copy=set,
     )
-
-
-class _BuildPlan:
-    """Everything about one element-array tree except its label bytes.
-
-    The structure, the distinct slot sets, and the node->row mapping
-    depend only on the ``(trace id, slot)`` elements — not on which
-    daemon sampled them — so the plan is separated from the per-daemon
-    label materialization (:meth:`STATDaemon._tree_from_plan`), which
-    resolves slot sets to this daemon's ranks/layout.
-    """
-
-    __slots__ = ("struct", "slot_sets", "row_keys", "label_refs",
-                 "hier_labels")
-
-    def __init__(self, struct: TreeStructure, slot_sets: List[np.ndarray],
-                 row_keys: List[bytes], label_refs: np.ndarray) -> None:
-        self.struct = struct
-        self.slot_sets = slot_sets
-        self.row_keys = row_keys
-        self.label_refs = label_refs
-        self.hier_labels: Optional[np.ndarray] = None
 
 
 class STATDaemon:
@@ -156,32 +125,14 @@ class STATDaemon:
                 self.daemon_id, self.width, sorted(slots), self.task_map)
         return label
 
-    def _materialize(self, slot_tree: PrefixTree,
-                     cache: Optional[Dict[frozenset, Any]] = None) -> PrefixTree:
-        """Convert a slot-set tree into the scheme's label representation."""
-        out = self.scheme.make_empty_tree()
-        if cache is None:
-            cache = {}
-
-        def rec(src: PrefixTreeNode, dst: PrefixTreeNode) -> None:
-            for frame, child in src.children.items():
-                node = PrefixTreeNode(frame,
-                                      self._label_for(child.tasks, cache))
-                dst.children[frame] = node
-                rec(child, node)
-
-        rec(slot_tree.root, out.root)
-        return out
-
     def _materialize_arrays(self, slot_tree: PrefixTree,
                             cache: Dict[frozenset, Any]) -> TreeArrays:
-        """Convert a slot-set tree straight into an array-backed tree.
+        """Convert a slot-set tree into the scheme's array-backed tree.
 
-        The hot-path twin of :meth:`_materialize`: nodes flatten to BFS
-        arrays, labels deduplicate by slot set into one packed matrix,
-        and (for the dense scheme) each distinct row records the byte
-        span that actually carries bits, so the k-way merge kernels can
-        skip the job-width zero fringe.
+        Nodes flatten to BFS arrays, labels deduplicate by slot set into
+        one packed matrix, and (for the dense scheme) each distinct row
+        records the byte span that actually carries bits, so the k-way
+        merge kernels can skip the job-width zero fringe.
         """
         scheme = self.scheme
         dense = isinstance(scheme, DenseLabelScheme)
@@ -241,195 +192,24 @@ class STATDaemon:
             width=width, layout=layout)
 
     def trees_arrays(self) -> Tuple[TreeArrays, TreeArrays]:
-        """Array-backed ``(2D, 3D)`` trees — the emulator/TBO̅N hot path."""
+        """Array-backed ``(2D, 3D)`` trees, sharing one label cache."""
         if self._tree_2d is None:
             raise RuntimeError("no samples taken yet")
         cache: Dict[frozenset, Any] = {}
         return (self._materialize_arrays(self._tree_2d, cache),
                 self._materialize_arrays(self._tree_3d, cache))
 
-    # -- vectorized build path ------------------------------------------------
-    def sample_many_arrays(self, states_array: Callable[[np.ndarray],
-                                                        np.ndarray],
-                           num_samples: int
-                           ) -> Tuple[TreeArrays, TreeArrays]:
-        """Array-path twin of ``collect_samples`` + ``trees_arrays``.
-
-        ``states_array(ranks) -> int64[n]`` returns interned state ids
-        (:data:`repro.mpi.runtime.STATES`) for the daemon's local ranks;
-        it is queried once per sampling instant, like the scalar
-        ``state_of``.  No per-task ``StackTrace`` or tree-node objects
-        are created: each instant becomes a trace-id array
-        (:class:`~repro.core.sampling.BatchWalkSampler`, RNG-exact with
-        the scalar walker), trees come from the shared BFS structure
-        cache (:mod:`repro.core.buildarrays`), and only label rows are
-        computed per daemon.  Output is bit-identical to the per-object
-        path for the same seed (pinned by
-        ``tests/test_build_equivalence.py``).
-        """
-        if num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
-        parts: List[np.ndarray] = []
-        for _ in range(num_samples):
-            sids = np.asarray(states_array(self.local_ranks),
-                              dtype=np.int64)
-            if sids.size != self.width:
-                raise ValueError(
-                    f"states_array returned {sids.size} ids for "
-                    f"{self.width} local ranks")
-            parts.append(sids)
-        all_sids = np.concatenate(parts) if num_samples > 1 else parts[0]
-        sampler = BatchWalkSampler(self.stack_model, self.walker.rng,
-                                   self.threads_per_process)
-        # One batched call over every instant: the RNG draws land in
-        # (sample, slot, thread) element order, exactly as num_samples
-        # sequential scalar sweeps would consume them.
-        elems_3d = sampler.trace_ids(all_sids)
-        elems_2d = elems_3d[-(self.width * self.threads_per_process):] \
-            if num_samples > 1 else elems_3d
-        self.samples_taken += num_samples
-        self.walker.walks_performed += int(elems_3d.size)
-        PERF.add(BUILD_DAEMONS)
-        PERF.add(BUILD_TRACES, float(elems_3d.size))
-        row_cache: Dict[bytes, Tuple[np.ndarray, Tuple[int, int]]] = {}
-        return (self._build_tree_arrays(elems_2d, row_cache),
-                self._build_tree_arrays(elems_3d, row_cache))
-
-    def _build_tree_arrays(self, trace_ids: np.ndarray,
-                           row_cache: Dict[bytes, Tuple[np.ndarray,
-                                                        Tuple[int, int]]]
-                           ) -> TreeArrays:
-        """One tree from a slot-major trace-id element array.
-
-        The element analysis (:meth:`_build_plan`) yields the structure,
-        the distinct slot sets, and the node->row mapping; label rows
-        are then materialized in the same first-use BFS order as
-        :meth:`_materialize_arrays`.
-        """
-        return self._tree_from_plan(self._build_plan(trace_ids), row_cache)
-
-    def _build_plan(self, trace_ids: np.ndarray) -> _BuildPlan:
-        """Analyse one element array into a reusable :class:`_BuildPlan`."""
-        model = self.stack_model
-        uniq, first, inverse = np.unique(trace_ids, return_index=True,
-                                         return_inverse=True)
-        seen_order = np.argsort(first, kind="stable")
-        rank = np.empty(uniq.size, dtype=np.int64)
-        rank[seen_order] = np.arange(uniq.size)
-        pos = rank[inverse.reshape(-1)]
-        ordered = uniq[seen_order]
-        skey = tuple(ordered.tolist())
-        struct: Optional[TreeStructure] = model.struct_cache.get(skey)
-        if struct is None:
-            paths, depths = model.trace_paths()
-            struct = model.struct_cache[skey] = build_structure(
-                paths[ordered], depths[ordered])
-            PERF.add(BUILD_STRUCT_MISSES)
-        else:
-            PERF.add(BUILD_STRUCT_HITS)
-        # Slot segments per trace position (ascending within a segment):
-        # elements are slot-major per instant, so each segment's slots
-        # sort ascending and instants concatenate in order.
-        order = np.argsort(pos, kind="stable")
-        bounds = np.searchsorted(pos[order], np.arange(ordered.size + 1))
-        slots = np.arange(self.width, dtype=np.int64)
-        if self.threads_per_process > 1:
-            slots = np.repeat(slots, self.threads_per_process)
-        instants = trace_ids.size // slots.size
-        if instants > 1:
-            slots = np.tile(slots, instants)
-        slots_sorted = slots[order]
-
-        slot_sets: List[np.ndarray] = []
-        row_keys: List[bytes] = []
-        combo_rows = np.empty(len(struct.combos), dtype=np.int64)
-        row_of: Dict[bytes, int] = {}
-        for g, combo in enumerate(struct.combos):
-            if combo.size == 1:
-                p = int(combo[0])
-                combo_slots = slots_sorted[bounds[p]:bounds[p + 1]]
-            else:
-                combo_slots = np.concatenate(
-                    [slots_sorted[bounds[p]:bounds[p + 1]] for p in combo])
-            # Canonical sorted-unique form: multi-sample trees revisit
-            # slots, and distinct combinations can union to one set.
-            combo_slots = np.unique(combo_slots)
-            rkey = combo_slots.tobytes()
-            row = row_of.get(rkey)
-            if row is None:
-                row = row_of[rkey] = len(slot_sets)
-                slot_sets.append(combo_slots)
-                row_keys.append(rkey)
-            combo_rows[g] = row
-        label_refs = combo_rows[struct.combo_refs] \
-            if struct.combo_refs.size else np.zeros(0, dtype=np.int64)
-        return _BuildPlan(struct, slot_sets, row_keys, label_refs)
-
-    def _tree_from_plan(self, plan: _BuildPlan,
-                        row_cache: Dict[bytes, Tuple[np.ndarray,
-                                                     Tuple[int, int]]]
-                        ) -> TreeArrays:
-        """Materialize this daemon's labels onto a (possibly shared) plan."""
-        scheme = self.scheme
-        struct = plan.struct
-        if isinstance(scheme, DenseLabelScheme):
-            width = scheme.total_tasks
-            rows: List[np.ndarray] = []
-            spans: List[Tuple[int, int]] = []
-            for rkey, slot_ids in zip(plan.row_keys, plan.slot_sets):
-                data, span = self._label_row(slot_ids, rkey, row_cache)
-                rows.append(data)
-                spans.append(span)
-            labels = np.stack(rows) if rows \
-                else np.zeros((0, (width + 7) // 8), dtype=np.uint8)
-            return TreeArrays._trusted(
-                KIND_DENSE, struct.frame_ids, struct.parents,
-                plan.label_refs, struct.level_offsets, labels,
-                spans=np.asarray(spans, dtype=np.int64).reshape(-1, 2),
-                width=width)
-        layout = DaemonLayout.shared(self.daemon_id, self.width)
-        labels = plan.hier_labels
-        if labels is None:
-            # Daemon-width packed rows: identical for every daemon that
-            # shares the plan (same width), so cached on it.
-            labels = plan.hier_labels = np.stack(
-                [_pack_indices(s, self.width) for s in plan.slot_sets]) \
-                if plan.slot_sets \
-                else np.zeros((0, layout.nbytes), dtype=np.uint8)
-        return TreeArrays._trusted(
-            KIND_HIER, struct.frame_ids, struct.parents, plan.label_refs,
-            struct.level_offsets, labels, layout=layout)
-
-    def _label_row(self, slot_ids: np.ndarray, key: bytes,
-                   row_cache: Dict[bytes, Tuple[np.ndarray,
-                                                Tuple[int, int]]]
-                   ) -> Tuple[np.ndarray, Tuple[int, int]]:
-        """Packed dense label row + span for one sorted-unique slot set.
-
-        Byte-identical to ``scheme.daemon_label(...).data`` /
-        ``scheme.leaf_span(...)``; cached per daemon across the 2D/3D
-        pair like the object path's label cache.
-        """
-        hit = row_cache.get(key)
-        if hit is None:
-            ranks = np.sort(self.local_ranks[slot_ids])
-            data = _pack_indices(ranks, self.scheme.total_tasks)
-            span = (0, 0) if ranks.size == 0 \
-                else (int(ranks[0]) >> 3, (int(ranks[-1]) >> 3) + 1)
-            hit = row_cache[key] = (data, span)
-        return hit
-
     @property
     def tree_2d(self) -> PrefixTree:
         """The most recent sampling instant's labelled 2D tree."""
         if self._tree_2d is None:
             raise RuntimeError("no samples taken yet")
-        return self._materialize(self._tree_2d)
+        return self._materialize_arrays(self._tree_2d, {}).to_prefix_tree()
 
     @property
     def tree_3d(self) -> PrefixTree:
         """The labelled 3D trace-space-time tree over all samples."""
-        return self._materialize(self._tree_3d)
+        return self._materialize_arrays(self._tree_3d, {}).to_prefix_tree()
 
     def reset(self) -> None:
         """Drop accumulated trees (a fresh STAT session)."""

@@ -1,15 +1,15 @@
 """Whole-forest vectorized tree construction.
 
 :func:`build_forest` builds *every* daemon's locally merged ``(2D, 3D)``
-:class:`~repro.core.treearrays.TreeArrays` pair in one pass.  The
-per-daemon array path (:meth:`~repro.core.daemon.STATDaemon.
-sample_many_arrays`) already avoids per-task objects, but at 8,192
-daemons its cost is dominated by *fixed per-NumPy-call overhead* — each
-daemon's element analysis is a dozen kernel launches over a few hundred
-elements.  This module hoists those launches to forest scope:
+:class:`~repro.core.treearrays.TreeArrays` pair in one pass — the only
+production build kernel.  Building daemon by daemon, even without
+per-task objects, is dominated at 8,192 daemons by *fixed
+per-NumPy-call overhead*: each daemon's element analysis is a dozen
+kernel launches over a few hundred elements.  This module hoists those
+launches to forest scope:
 
 * rank states are fetched with **one** provider call per sampling
-  instant for the whole job;
+  instant, over exactly the requested daemons' ranks;
 * progress-engine depth draws still come from each daemon's own RNG
   (bit-exactness demands it) but land in one ``(daemons, elements)``
   matrix, and state+draw tuples resolve to interned trace ids through a
@@ -28,13 +28,15 @@ elements.  This module hoists those launches to forest scope:
 
 What remains per daemon is a few array views, an optional RNG draw, and
 one ``TreeArrays`` allocation.  Output is bit-identical to the
-per-daemon paths (pinned by ``tests/test_build_equivalence.py``).
+per-object oracle (:func:`repro.perf.reference.reference_daemon_trees`,
+pinned by ``tests/test_build_equivalence.py``).
 
-Rows whose states draw interleaved depth+time-of-day coins
-(``SIG_DEPTH_TOD``) or mix drawing and non-drawing states replay the
-exact scalar draw sequence through the batch sampler;
-multi-threaded populations and ragged task maps fall back to the
-per-daemon kernel — never approximated.
+Every population shape takes this pipeline, never an approximation:
+ragged task maps run it once per distinct daemon width (zero-width
+daemons get empty trees); rows whose states draw interleaved
+depth+time-of-day coins (``SIG_DEPTH_TOD``) or mix drawing and
+non-drawing states, and every row of a multi-threaded population,
+replay the exact scalar draw sequence through the batch sampler.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _lut_resolve(model: StackModel, ukeys: np.ndarray) -> np.ndarray:
 
 @contract("elems:(r,n):int64 -> seg_ptr:(q):int64, first:(s):int64, "
           "vals:(s):int64, packed:(s,p):uint8")
-def _segment_rows(elems: np.ndarray, width: int
+def _segment_rows(elems: np.ndarray, width: int, threads: int
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                              np.ndarray]:
     """Row-wise grouping of elements by trace id, forest-wide.
@@ -107,9 +109,10 @@ def _segment_rows(elems: np.ndarray, width: int
     For each row (daemon) of ``elems``, elements with equal trace ids
     form a segment; the stable sort keeps original element order within
     a segment, so a segment's first element is the trace's first
-    occurrence and its slots (column mod width — elements are slot-major
-    per instant) ascend within each instant.  Returns flat arrays over
-    all segments of all rows:
+    occurrence and its slots ascend within each instant (elements are
+    ``(slot, thread)``-major per instant, so a column's slot is
+    ``(column mod width*threads) // threads``).  Returns flat arrays
+    over all segments of all rows:
 
     * ``seg_ptr`` — ``seg_ptr[i]:seg_ptr[i+1]`` are row ``i``'s segments;
     * ``first``   — column of each segment's first element in its row
@@ -121,7 +124,9 @@ def _segment_rows(elems: np.ndarray, width: int
     num_rows, n = elems.shape
     order = np.argsort(elems, axis=1, kind="stable")
     flat = np.take_along_axis(elems, order, axis=1).ravel()
-    sorted_slots = (order % width).ravel()
+    sorted_slots = (order % (width * threads)).ravel()
+    if threads > 1:
+        sorted_slots //= threads
     is_start = np.empty(flat.size, dtype=bool)
     is_start[0] = True
     np.not_equal(flat[1:], flat[:-1], out=is_start[1:])
@@ -179,7 +184,8 @@ class _ForestScheme:
 
 @contract("elems:(r,n):int64, ranks_matrix:(r,w):int64 -> *")
 def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
-                    model: StackModel, fscheme: _ForestScheme,
+                    threads: int, model: StackModel,
+                    fscheme: _ForestScheme,
                     ranks_matrix: np.ndarray,
                     row_caches: Optional[List[dict]],
                     ) -> List[TreeArrays]:
@@ -193,7 +199,7 @@ def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
     group's daemons in a fixed number of array ops.
     """
     rows = len(chunk)
-    seg_ptr, first, vals, packed = _segment_rows(elems, width)
+    seg_ptr, first, vals, packed = _segment_rows(elems, width, threads)
     seg_counts = np.diff(seg_ptr)
     kmax = int(seg_counts.max())
     nseg = vals.size
@@ -308,6 +314,59 @@ def _dense_tree(struct: TreeStructure, daemon_bits: np.ndarray,
         width=fscheme.total_tasks)
 
 
+@contract("sids_matrix:(r,m):int64 -> elems:(r,n):int64")
+def _sample_elements(chunk: List[int], sids_matrix: np.ndarray,
+                     threads: int, model: StackModel,
+                     rng_of: Callable[[int],
+                                      Optional[np.random.Generator]],
+                     ) -> np.ndarray:
+    """Interned trace ids for every walk of one chunk of daemons.
+
+    Row ``i`` holds daemon ``chunk[i]``'s walks in ``(instant, slot,
+    thread)`` order, drawn from that daemon's own generator exactly as
+    the scalar walker would.  Rows that draw nothing, or progress-engine
+    depths only, resolve through the dense ``(state, depth)`` table in
+    one gather.  Mixed-signature and time-of-day rows replay the scalar
+    draw sequence through the batch sampler instead, and so does every
+    row of a threaded population — there the trace id depends on the
+    thread id even for non-drawing states, which the table cannot key.
+    """
+    rows, n = sids_matrix.shape
+    if threads > 1:
+        replay = np.ones(rows, dtype=bool)
+        elems = np.empty((rows, n * threads), dtype=np.int64)
+    else:
+        low, high = model.DEPTH_RANGE
+        sigs = model.state_signatures()[sids_matrix]
+        draws = sigs.any(axis=1)
+        replay = draws & ~(sigs == SIG_DEPTH).all(axis=1)
+        depths = np.zeros((rows, n), dtype=np.int64)
+        for i in np.flatnonzero(draws & ~replay).tolist():  # repro-lint: disable=hot-path-loop (per drawing daemon: RNG draws must come from each daemon's own generator)
+            rng = rng_of(chunk[i])
+            if rng is not None and high > low:
+                depths[i] = rng.integers(low, high + 1, size=n)
+            else:
+                depths[i] = low
+        ukeys = (sids_matrix * (high + 1) + depths) * 2
+        if not replay.any():
+            return _lut_resolve(model, ukeys.ravel()).reshape(rows, n)
+        elems = np.empty((rows, n), dtype=np.int64)
+        elems[~replay] = _lut_resolve(
+            model, ukeys[~replay].ravel()).reshape(-1, n)
+    for i in np.flatnonzero(replay).tolist():  # repro-lint: disable=hot-path-loop (per exact-replay row: rare single-threaded, every row when threaded)
+        elems[i] = BatchWalkSampler(
+            model, rng_of(chunk[i]), threads).trace_ids(sids_matrix[i])
+    return elems
+
+
+def _empty_tree(daemon_id: int, fscheme: _ForestScheme) -> TreeArrays:
+    """The tree of a daemon with no local tasks."""
+    if fscheme.dense:
+        return TreeArrays.empty(KIND_DENSE, width=fscheme.total_tasks)
+    return TreeArrays.empty(KIND_HIER,
+                            layout=DaemonLayout.shared(daemon_id, 0))
+
+
 def build_forest(task_map: TaskMap, scheme: LabelScheme,
                  stack_model: StackModel,
                  states_array: Callable[[np.ndarray], np.ndarray],
@@ -318,13 +377,13 @@ def build_forest(task_map: TaskMap, scheme: LabelScheme,
                  ) -> List[Tuple[TreeArrays, TreeArrays]]:
     """Build ``(2D, 3D)`` tree pairs for a whole daemon population.
 
-    ``states_array`` is queried **once per sampling instant for the
-    entire job** (it is rank-wise by contract, so the values equal the
-    per-daemon queries of the scalar paths); ``rng_of`` must return the
-    generator the per-daemon path would use for that daemon (the
-    emulator's ``SeedStream(seed).rng(f"daemon-{id}")``) — it is only
-    invoked for daemons whose states draw from the RNG, and draw order
-    within a daemon matches the scalar walk order exactly.
+    ``states_array`` is queried **once per sampling instant** with the
+    requested daemons' ranks, concatenated in ``daemon_ids`` order (it
+    is rank-wise by contract, so the values equal the per-rank queries
+    of the scalar oracle); ``rng_of`` must return the generator the
+    oracle would use for that daemon (the emulator's
+    ``SeedStream(seed).rng(f"daemon-{id}")``), and draw order within a
+    daemon matches the scalar walk order exactly.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
@@ -332,96 +391,52 @@ def build_forest(task_map: TaskMap, scheme: LabelScheme,
         else [int(d) for d in daemon_ids]
     if not ids:
         return []
-    widths = [task_map.tasks_of(d) for d in ids]
-    width = widths[0]
-    if threads_per_process != 1 or width == 0 \
-            or any(w != width for w in widths):
-        return _forest_fallback(task_map, scheme, stack_model,
-                                states_array, num_samples, rng_of, ids,
-                                threads_per_process)
-
-    total = task_map.total_tasks
-    all_ranks = np.arange(total, dtype=np.int64)
-    sid_of_rank: List[np.ndarray] = []
+    threads = threads_per_process
+    local_ranks = [task_map.ranks_of(d) for d in ids]
+    widths = np.asarray([r.size for r in local_ranks], dtype=np.int64)
+    starts = np.cumsum(widths) - widths  # each daemon's offset in `ranks`
+    ranks = np.concatenate(local_ranks)
+    sid_of_pos: List[np.ndarray] = []
     for _ in range(num_samples):  # repro-lint: disable=hot-path-loop (one provider query per sampling instant)
-        sids = np.asarray(states_array(all_ranks), dtype=np.int64)
-        if sids.size != total:
-            raise ValueError(
-                f"states_array returned {sids.size} ids for {total} ranks")
-        sid_of_rank.append(sids)
+        sids = np.asarray(states_array(ranks), dtype=np.int64)
+        if sids.size != ranks.size:
+            raise ValueError(f"states_array returned {sids.size} ids for "
+                             f"{ranks.size} ranks")
+        sid_of_pos.append(sids)
 
-    n = width * num_samples
-    low, high = stack_model.DEPTH_RANGE
-    depth_base = high + 1
-    sig_of_state = stack_model.state_signatures()
-    fscheme = _ForestScheme(scheme, width)
-    out: List[Tuple[TreeArrays, TreeArrays]] = []
+    out: List[Optional[Tuple[TreeArrays, TreeArrays]]] = [None] * len(ids)
     PERF.add(BUILD_DAEMONS, len(ids))
-    PERF.add(BUILD_TRACES, float(len(ids)) * n)
+    PERF.add(BUILD_TRACES, float(ranks.size) * threads * num_samples)
 
-    for lo in range(0, len(ids), FOREST_CHUNK):  # repro-lint: disable=hot-path-loop (per bounded-memory daemon block)
-        chunk = ids[lo:lo + FOREST_CHUNK]
-        ranks_matrix = np.vstack([task_map.ranks_of(d) for d in chunk])
-        sids_matrix = np.concatenate(
-            [s[ranks_matrix] for s in sid_of_rank], axis=1)
-        sigs = sig_of_state[sids_matrix]
-        draws_row = sigs.any(axis=1)
-        depth_row = (sigs == SIG_DEPTH).all(axis=1)
-        depths = np.zeros((len(chunk), n), dtype=np.int64)
-        general: List[Tuple[int, np.ndarray]] = []
-        for i in np.flatnonzero(draws_row).tolist():  # repro-lint: disable=hot-path-loop (per drawing daemon: RNG draws must come from each daemon's own generator)
-            if depth_row[i]:
-                rng = rng_of(chunk[i])
-                if rng is not None and high > low:
-                    depths[i] = rng.integers(low, high + 1, size=n)
-                else:
-                    depths[i] = low
-            else:
-                # Exact slow path: mixed-signature / time-of-day rows
-                # replay the scalar draw sequence through the batch
-                # sampler and bypass the composite-key table.
-                general.append((i, BatchWalkSampler(
-                    stack_model, rng_of(chunk[i])).trace_ids(
-                        sids_matrix[i])))
-        ukeys = (sids_matrix * depth_base + depths) * 2
-        if general:
-            elems = np.empty_like(ukeys)
-            ok_rows = np.ones(len(chunk), dtype=bool)
-            ok_rows[[i for i, _ in general]] = False
-            elems[ok_rows] = _lut_resolve(
-                stack_model, ukeys[ok_rows].ravel()
-            ).reshape(-1, n)
-            for i, row_ids in general:  # repro-lint: disable=hot-path-loop (per fallback row, rare by construction)
-                elems[i] = row_ids
-        else:
-            elems = _lut_resolve(
-                stack_model, ukeys.ravel()).reshape(ukeys.shape)
+    # The matrix pipeline needs equal-width rows: run it once per
+    # distinct daemon width (one pass for every regular task map).
+    for width in np.unique(widths).tolist():  # repro-lint: disable=hot-path-loop (per distinct daemon width; one for regular maps)
+        members = np.flatnonzero(widths == width)
+        fscheme = _ForestScheme(scheme, width)
+        if width == 0:
+            for p in members.tolist():  # repro-lint: disable=hot-path-loop (per zero-width daemon: two empty-tree allocations)
+                out[p] = (_empty_tree(ids[p], fscheme),
+                          _empty_tree(ids[p], fscheme))
+            continue
+        per_instant = width * threads
+        n = per_instant * num_samples
+        for lo in range(0, members.size, FOREST_CHUNK):  # repro-lint: disable=hot-path-loop (per bounded-memory daemon block)
+            rows = members[lo:lo + FOREST_CHUNK]
+            chunk = [ids[p] for p in rows.tolist()]
+            cols = starts[rows][:, None] + np.arange(width)
+            ranks_matrix = ranks[cols]
+            sids_matrix = np.concatenate(
+                [s[cols] for s in sid_of_pos], axis=1)
+            elems = _sample_elements(chunk, sids_matrix, threads,
+                                     stack_model, rng_of)
 
-        row_caches = [{} for _ in chunk] if fscheme.dense else None
-        trees_2d = _assemble_chunk(chunk, elems[:, n - width:], width,
-                                   stack_model, fscheme, ranks_matrix,
-                                   row_caches)
-        trees_3d = _assemble_chunk(chunk, elems, width, stack_model,
-                                   fscheme, ranks_matrix, row_caches)
-        out.extend(zip(trees_2d, trees_3d))
-    return out
-
-
-def _forest_fallback(task_map: TaskMap, scheme: LabelScheme,
-                     stack_model: StackModel,
-                     states_array: Callable[[np.ndarray], np.ndarray],
-                     num_samples: int,
-                     rng_of: Callable[[int],
-                                      Optional[np.random.Generator]],
-                     ids: List[int], threads_per_process: int,
-                     ) -> List[Tuple[TreeArrays, TreeArrays]]:
-    """Exact per-daemon path for shapes the matrix pipeline skips."""
-    from repro.core.daemon import STATDaemon
-
-    out = []
-    for d in ids:  # repro-lint: disable=hot-path-loop (fallback delegates to the per-daemon batch kernel)
-        daemon = STATDaemon(d, task_map, scheme, stack_model,
-                            rng=rng_of(d),
-                            threads_per_process=threads_per_process)
-        out.append(daemon.sample_many_arrays(states_array, num_samples))
+            row_caches = [{} for _ in chunk] if fscheme.dense else None
+            trees_2d = _assemble_chunk(
+                chunk, elems[:, n - per_instant:], width, threads,
+                stack_model, fscheme, ranks_matrix, row_caches)
+            trees_3d = _assemble_chunk(
+                chunk, elems, width, threads, stack_model, fscheme,
+                ranks_matrix, row_caches)
+            for p, pair in zip(rows.tolist(), zip(trees_2d, trees_3d)):  # repro-lint: disable=hot-path-loop (per daemon: places the pair at its requested position)
+                out[p] = pair
     return out

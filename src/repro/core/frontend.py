@@ -245,10 +245,6 @@ class STATFrontEnd:
                 f"state_of(rank) callable, got {type(workload).__name__}")
         return self.attach_and_analyze(state_of, **kwargs)
 
-    def _remap_seconds(self, pair: DaemonTrees, task_map: TaskMap) -> float:
-        """Back-compat shim over :func:`remap_seconds`."""
-        return remap_seconds(self.scheme, pair, task_map)
-
     def debug_hung_application(self, program: Callable,
                                **kwargs) -> STATResult:
         """Convenience: run the app, detect the hang, attach, analyze."""

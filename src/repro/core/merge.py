@@ -131,26 +131,21 @@ class LabelScheme:
         Array-backed inputs merge on the vectorized fast path and return
         :class:`TreeArrays`; :class:`PrefixTree` inputs are converted in
         and out, preserving the historical object API.
+
+        Associative down to the arrays: folding arrivals one at a time
+        (``merge([partial, arriving])``, the streaming TBO̅N step) in
+        canonical child order yields a tree ``arrays_equal`` to the
+        one-shot k-way merge of the same inputs — the structure
+        kernel's first-seen ordering, the contributor-combination label
+        dedup, and the per-row span metadata all compose
+        (``tests/test_tbon_streaming.py`` pins this on randomized
+        forests).
         """
         raise NotImplementedError
 
     def merge_arrays(self, trees: Sequence[TreeArrays]) -> TreeArrays:
         """The vectorized k-way kernel proper (arrays in, arrays out)."""
         raise NotImplementedError
-
-    def merge_incremental(self, partial: MergeableTree,
-                          arriving: MergeableTree) -> MergeableTree:
-        """Fold one arriving tree into an already-held partial merge.
-
-        The streaming TBO̅N entry point (see
-        :meth:`~repro.core.treearrays.TreeArrays.merge_with`): chaining
-        ``merge_incremental`` over arrivals in canonical child order
-        yields a tree ``arrays_equal`` to the one-shot k-way
-        :meth:`merge` of the same inputs — the structure kernel's
-        first-seen ordering, the contributor-combination label dedup,
-        and the per-row span metadata all compose associatively.
-        """
-        return self.merge([partial, arriving])
 
     def finalize(self, root_tree: MergeableTree,
                  task_map: TaskMap) -> PrefixTree:

@@ -4,8 +4,8 @@ Two things live here.  :class:`BatchWalkSampler` is the *data* side's
 array kernel — it turns one daemon's interned state ids into interned
 trace ids for a whole sampling instant at once, consuming the daemon's
 RNG bit-for-bit like the scalar :class:`~repro.core.stackwalk.StackWalker`
-loop it replaces (``STATDaemon.sample_many_arrays`` builds trees from its
-output without instantiating a single ``StackTrace``).  The rest of the
+loop it replaces (:mod:`repro.core.forest` builds trees from its output
+without instantiating a single ``StackTrace``).  The rest of the
 module computes how long the phase takes on the simulated platform.  Per
 daemon the cost has three parts:
 

@@ -109,10 +109,10 @@ class TreeArrays:
                  layout: Optional[DaemonLayout] = None) -> "TreeArrays":
         """Construct from already-validated, correctly-typed arrays.
 
-        The per-daemon array build path assembles thousands of trees from
-        cached plan arrays that were validated once when the plan was
-        built; re-running ``np.asarray`` + shape checks per tree is pure
-        overhead there.  Callers own the invariants ``__init__`` checks.
+        The forest build kernel assembles thousands of trees from
+        cached structure arrays that were validated once when the
+        structure was built; re-running ``np.asarray`` + shape checks
+        per tree is pure overhead there.  Callers own the invariants ``__init__`` checks.
         """
         self = object.__new__(cls)
         self.kind = kind
@@ -133,15 +133,21 @@ class TreeArrays:
     @classmethod
     def empty(cls, kind: str, width: Optional[int] = None,
               layout: Optional[DaemonLayout] = None) -> "TreeArrays":
-        """A zero-node tree (nbytes derived from width/layout)."""
+        """A zero-node tree (nbytes derived from width/layout).
+
+        A dense one carries zero span rows, like every daemon-built
+        dense tree, so it is ``arrays_equal`` to a daemon's empty tree.
+        """
         if kind == KIND_HIER:
             nbytes = layout.nbytes if layout is not None else 0
+            spans = None
         else:
             nbytes = 0 if width is None else (width + 7) // 8
+            spans = np.zeros((0, 2), dtype=np.int64)
         return cls(kind, _EMPTY_I64, _EMPTY_I64, _EMPTY_I64,
                    np.zeros(1, dtype=np.int64),
                    np.zeros((0, nbytes), dtype=np.uint8),
-                   width=width, layout=layout)
+                   spans=spans, width=width, layout=layout)
 
     @classmethod
     def from_prefix_tree(cls, tree: PrefixTree,
@@ -287,22 +293,6 @@ class TreeArrays:
                 and np.array_equal(self.level_offsets, other.level_offsets)
                 and np.array_equal(self.labels, other.labels)
                 and spans_equal)
-
-    # -- incremental merge -------------------------------------------------
-    def merge_with(self, other: "TreeArrays", scheme) -> "TreeArrays":
-        """Fold one arriving tree into this one — the streaming TBO̅N step.
-
-        ``scheme`` is a :class:`~repro.core.merge.LabelScheme` (duck-typed
-        here to avoid a circular import).  Folding arrivals one at a time
-        through this entry point, in canonical child order, produces a
-        tree ``arrays_equal`` to the one-shot k-way merge of the same
-        inputs: the structure kernel's first-seen ordering, the label
-        dedup's contributor-combination keys, and (dense) the per-row
-        span metadata all compose associatively.
-        ``tests/test_tbon_streaming.py`` pins this property on randomized
-        forests.
-        """
-        return scheme.merge_incremental(self, other)
 
     # -- statistics (array-native: no object tree required) ---------------
     def node_count(self) -> int:

@@ -70,7 +70,7 @@ class RankState:
 class StateInterner:
     """Process-wide dense ids for sampler-visible ``(kind, where)`` pairs.
 
-    The array build path (``STATDaemon.sample_many_arrays``) moves rank
+    The forest build kernel (:mod:`repro.core.forest`) moves rank
     states around as small integers the way :data:`repro.core.interning.FRAMES`
     moves frames; ``since`` is sampling-irrelevant (stack models never read
     it), so two states sharing ``(kind, where)`` share an id.  Ids are

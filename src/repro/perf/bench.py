@@ -38,7 +38,7 @@ from repro.core.taskset import TaskMap
 from repro.core.treearrays import TreeArrays
 from repro.mpi.stacks import BGLStackModel
 from repro.perf.counters import PERF
-from repro.perf.reference import reference_merge
+from repro.perf.reference import reference_daemon_trees, reference_merge
 from repro.statbench import ring_hang_states
 from repro.statbench.emulator import STATBenchEmulator
 
@@ -70,8 +70,10 @@ class BenchEntry:
     tasks: int
     samples: int
     repeats: int
-    nodes_out_2d: int = 0
-    nodes_out_3d: int = 0
+    #: merged-tree node counts; ``None`` on build entries, which merge
+    #: nothing (and omitted from their JSON).
+    nodes_out_2d: Optional[int] = None
+    nodes_out_3d: Optional[int] = None
     build_seconds: float = 0.0
     reference_seconds: float = 0.0
     vectorized_seconds: float = 0.0
@@ -104,7 +106,8 @@ class BenchReport:
     def to_dict(self) -> Dict:
         return {"version": self.version, "workload": self.workload,
                 "seed": self.seed, "wall_seconds": self.wall_seconds,
-                "entries": [asdict(e) for e in self.entries]}
+                "entries": [{k: v for k, v in asdict(e).items()
+                             if v is not None} for e in self.entries]}
 
     def write(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -118,9 +121,10 @@ class BenchReport:
                   f"{'equal':>6}")
         lines = [header, "-" * len(header)]
         for e in self.entries:
+            nodes = "-" if e.nodes_out_2d is None \
+                else e.nodes_out_2d + e.nodes_out_3d
             lines.append(
-                f"{e.name:<24} {e.tasks:>9} "
-                f"{e.nodes_out_2d + e.nodes_out_3d:>6} "
+                f"{e.name:<24} {e.tasks:>9} {nodes:>6} "
                 f"{e.reference_seconds * 1e3:>9.1f}ms "
                 f"{e.vectorized_seconds * 1e3:>9.1f}ms "
                 f"{e.speedup:>7.1f}x {str(e.equal):>6}")
@@ -199,40 +203,40 @@ def _bench_scheme(scheme: LabelScheme, daemons: int, samples: int,
 def _bench_build(scheme: LabelScheme, daemons: int, samples: int,
                  repeats: int, seed: int,
                  sample_reference: bool = False) -> BenchEntry:
-    """Time forest-scope vs per-daemon tree construction for one scale.
+    """Time the forest kernel against the per-object oracle for one scale.
 
-    Both paths are bit-exact reproductions of the same population, so
+    Both are bit-exact reproductions of the same population, so
     ``equal`` asserts ``arrays_equal`` on every daemon's 2D and 3D tree
     (on a :data:`BUILD_REFERENCE_SAMPLE`-daemon spot check when
     ``sample_reference`` extrapolates the reference timing instead of
-    running all daemons through the per-daemon kernel).
+    running all daemons through
+    :func:`~repro.perf.reference.reference_daemon_trees`).
     """
     tasks = daemons * VN_TASKS_PER_DAEMON
     task_map = TaskMap.block(daemons, VN_TASKS_PER_DAEMON)
     model = BGLStackModel()
     states = ring_hang_states(tasks)
 
-    def fresh() -> STATBenchEmulator:
-        return STATBenchEmulator(task_map, scheme, model, states,
-                                 num_samples=samples, seed=seed)
-
     vectorized_seconds, pairs = _best(
-        lambda: fresh().build_forest(), repeats)
+        lambda: STATBenchEmulator(
+            task_map, scheme, model, states, num_samples=samples,
+            seed=seed).build_forest(), repeats)
 
     ref_ids = list(range(daemons)) if not sample_reference else \
         list(range(0, daemons, max(1, daemons // BUILD_REFERENCE_SAMPLE))
              )[:BUILD_REFERENCE_SAMPLE]
-    reference = fresh()
     start = time.perf_counter()
-    ref_pairs = [reference.daemon_trees(d) for d in ref_ids]
+    ref_pairs = [reference_daemon_trees(d, task_map, scheme, model, states,
+                                        num_samples=samples, seed=seed)
+                 for d in ref_ids]
     reference_seconds = time.perf_counter() - start
     if sample_reference:
         reference_seconds *= daemons / len(ref_ids)
 
     equal = all(
-        got.tree_2d.arrays_equal(want.tree_2d)
-        and got.tree_3d.arrays_equal(want.tree_3d)
-        for got, want in zip((pairs[d] for d in ref_ids), ref_pairs))
+        pairs[d].tree_2d.arrays_equal(ref_2d)
+        and pairs[d].tree_3d.arrays_equal(ref_3d)
+        for d, (ref_2d, ref_3d) in zip(ref_ids, ref_pairs))
     return BenchEntry(
         name=f"build-{scheme.name}-vn-{daemons}",
         scheme=scheme.name,
@@ -265,11 +269,11 @@ def run_bench(daemons: Optional[int] = None,
     (64 daemons, 4 samples, 3 repeats); explicitly passed values always
     win.  ``million`` appends the 1,048,576-task hierarchical sweep
     point.  ``build`` additionally benchmarks tree *construction*
-    (forest-scope vs per-daemon) and attaches the result as
+    (forest kernel vs per-object oracle) and attaches the result as
     ``report.build`` — a second :class:`BenchReport` the CLI writes to
     ``BENCH_build.json``.  ``ten_million`` (implies ``build``) appends
-    the 10,485,760-task construction point, whose per-daemon reference
-    timing is extrapolated from a daemon sample.
+    the 10,485,760-task construction point, whose oracle timing is
+    extrapolated from a daemon sample.
     """
     daemons = daemons if daemons is not None else (64 if quick
                                                    else FULL_DAEMONS)

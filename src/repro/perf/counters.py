@@ -57,9 +57,9 @@ MERGE_NODES_OUT = "merge.nodes_out"
 MERGE_LABEL_GROUPS = "merge.label_groups"
 #: bytes of label matrix in merged outputs
 MERGE_LABEL_BYTES_OUT = "merge.label_bytes_out"
-#: daemons built through the vectorized array path (``core/daemon.py``)
+#: daemons built by the forest kernel (``core/forest.py``)
 BUILD_DAEMONS = "build.daemons"
-#: sampled (slot x thread x sample) elements on the array build path
+#: sampled (slot x thread x sample) elements the forest kernel analysed
 BUILD_TRACES = "build.traces"
 #: per-daemon trees served from the shared structure cache
 BUILD_STRUCT_HITS = "build.struct_cache_hits"

@@ -126,8 +126,9 @@ def reference_daemon_trees(daemon_id: int, task_map, scheme, stack_model,
     then object-level label materialization.  The per-daemon RNG is
     derived exactly as :class:`~repro.statbench.emulator.STATBenchEmulator`
     derives it (``SeedStream(seed).rng(f"daemon-{id}")``), so for any
-    state provider the result must be bit-identical to the array path's
-    for the same arguments.  ``state_of`` is always consumed through its
+    state provider the forest kernel's result
+    (:func:`repro.core.forest.build_forest`) must be bit-identical to
+    this one for the same arguments.  ``state_of`` is always consumed through its
     scalar ``__call__`` — a provider's batch API is deliberately ignored.
     """
     from repro.core.daemon import STATDaemon

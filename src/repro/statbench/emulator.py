@@ -1,24 +1,24 @@
 """Daemon-tree emulation at scale.
 
 The emulator stands in for a fleet of live daemons: given a rank-state
-provider it constructs each daemon's locally merged trees on demand.  Used
-as the ``leaf_payload_fn`` of a TBO̅N reduction, trees are created lazily
-and released as soon as their parent filter consumes them, so the
-full-machine runs (1,664 daemons, 212,992 tasks) never materialize more
-than one tree level at a time.
+provider it constructs the daemons' locally merged trees.  The session
+pipeline builds every live daemon's pair up front with one
+:meth:`STATBenchEmulator.build_forest` call and serves them to the
+TBO̅N reduction as leaf payloads; :meth:`STATBenchEmulator.daemon_trees`
+is the same kernel for a single daemon.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
+from typing import Callable, List, Optional
 
-from typing import List, Optional
+import numpy as np
 
-from repro.core.daemon import STATDaemon
 from repro.core.forest import build_forest as _build_forest_arrays
 from repro.core.merge import LabelScheme
 from repro.core.taskset import TaskMap
-from repro.mpi.runtime import RankState
+from repro.mpi.runtime import STATES, RankState
 from repro.mpi.stacks import StackModel
 from repro.sim.random import SeedStream
 
@@ -54,6 +54,19 @@ class DaemonTrees:
         return self.tree_2d.node_count() + self.tree_3d.node_count()
 
 
+def _interned_states(state_of: Callable[[int], RankState],
+                     ranks: np.ndarray) -> np.ndarray:
+    """Rank-wise ``states_array`` over a scalar provider.
+
+    One ``state_of`` call per rank, in the order given; ``since`` is
+    dropped, which sampling never reads (see ``StateInterner``).
+    """
+    return np.fromiter(
+        (STATES.intern(s.kind, s.where)
+         for s in map(state_of, ranks.tolist())),
+        dtype=np.int64, count=ranks.size)
+
+
 class STATBenchEmulator:
     """Factory of per-daemon locally merged trees."""
 
@@ -78,47 +91,27 @@ class STATBenchEmulator:
         """Build daemon ``daemon_id``'s locally merged 2D+3D trees.
 
         Deterministic per (seed, daemon): the same daemon always samples
-        the same traces regardless of emulation order.  Providers
-        exposing the batch ``states_array`` API (all statbench
-        generators) build through the vectorized array path
-        (:meth:`~repro.core.daemon.STATDaemon.sample_many_arrays`);
-        plain callables — e.g. a live runtime's ``state_of`` — keep the
-        per-object path.  Both yield bit-identical trees for the same
-        seed.
+        the same traces regardless of emulation order or of which other
+        daemons are built with it.
         """
-        rng = self._seeds.rng(f"daemon-{daemon_id}")
-        daemon = STATDaemon(
-            daemon_id, self.task_map, self.scheme, self.stack_model,
-            rng=rng, threads_per_process=self.threads_per_process)
-        batch = getattr(self.state_of, "states_array", None)
-        if batch is not None:
-            tree_2d, tree_3d = daemon.sample_many_arrays(
-                batch, self.num_samples)
-        else:
-            daemon.collect_samples(self.state_of, self.num_samples)
-            tree_2d, tree_3d = daemon.trees_arrays()
-        self.daemons_emulated += 1
-        return DaemonTrees(tree_2d, tree_3d)
+        return self.build_forest([daemon_id])[0]
 
     def build_forest(self, daemon_ids: Optional[List[int]] = None
                      ) -> List[DaemonTrees]:
         """Build many daemons' trees in one forest-scope pass.
 
-        Semantically ``[self.daemon_trees(d) for d in daemon_ids]`` (all
-        daemons when ``daemon_ids`` is ``None``) and bit-identical to
-        it, but element analysis runs over the whole population at once
+        All daemons when ``daemon_ids`` is ``None``.  Element analysis
+        runs over the whole requested population at once
         (:func:`repro.core.forest.build_forest`), which is what makes
-        million-task sweep points build in under a second.  Providers
-        without the batch ``states_array`` API fall back to the
-        per-daemon path.
+        million-task sweep points build in under a second.  A provider
+        without the batch ``states_array`` API — e.g. a live runtime's
+        ``state_of`` — is queried once per rank and instant and its
+        states interned, then takes the same kernel.
         """
-        batch = getattr(self.state_of, "states_array", None)
-        if batch is None:
-            ids = range(len(self.task_map)) if daemon_ids is None \
-                else daemon_ids
-            return [self.daemon_trees(d) for d in ids]
+        states_array = getattr(self.state_of, "states_array", None) \
+            or partial(_interned_states, self.state_of)
         pairs = _build_forest_arrays(
-            self.task_map, self.scheme, self.stack_model, batch,
+            self.task_map, self.scheme, self.stack_model, states_array,
             self.num_samples,
             lambda d: self._seeds.rng(f"daemon-{d}"),
             daemon_ids=daemon_ids,

@@ -6,11 +6,11 @@ whether an application actually ran.
 
 Every provider additionally implements the **batch API**
 ``states_array(ranks) -> int64[n]`` returning interned state ids
-(:data:`repro.mpi.runtime.STATES`) for a whole rank array at once.  The
-emulator dispatches on its presence: providers with ``states_array`` take
-the vectorized build path (``STATDaemon.sample_many_arrays``), anything
-else — e.g. a live runtime's ``state_of`` bound method — falls back to
-the per-object path.  The two APIs must describe the same population:
+(:data:`repro.mpi.runtime.STATES`) for a whole rank array at once,
+which is what the forest build kernel (:mod:`repro.core.forest`)
+consumes; for anything else — e.g. a live runtime's ``state_of`` bound
+method — the emulator interns the scalar answers rank by rank and feeds
+the same kernel.  The two APIs must describe the same population:
 ``STATES.key_of(states_array([r])[0]) == (state_of(r).kind,
 state_of(r).where)`` for every rank (pinned by
 ``tests/test_build_equivalence.py``).  State ids are process-local, so

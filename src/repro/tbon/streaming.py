@@ -27,7 +27,7 @@ Arrival order at a node depends on jitter, but folds are applied in
 ``0..i-1`` are resolved (folded or declared dead), buffering
 out-of-order arrivals.  Because the array merge kernels are associative
 in first-seen structure order, contributor grouping, and label bytes
-(see :meth:`repro.core.treearrays.TreeArrays.merge_with`), the final
+(see :meth:`repro.core.merge.LabelScheme.merge`), the final
 streamed tree is ``arrays_equal`` to the batch merge for every arrival
 order — the property tests in ``tests/test_tbon_streaming.py`` pin this
 across randomized topologies × schemes × seeds.
@@ -66,7 +66,7 @@ from repro.perf.counters import (
     TBON_STREAM_WALL_SECONDS,
 )
 from repro.sim import Engine, Process, Resource, SeedStream
-from repro.tbon.network import DaemonFailure, TBONCostBase
+from repro.tbon.network import DaemonFailure, ReduceResult, TBONCostBase
 from repro.tbon.topology import TopologyNode
 
 __all__ = [
@@ -124,36 +124,19 @@ class Snapshot:
 
 
 @dataclass
-class StreamResult:
+class StreamResult(ReduceResult):
     """Outcome of one full streamed reduction to the front end.
 
-    Field-compatible with the batch
-    :class:`~repro.tbon.network.ReduceResult` where the pipeline needs
-    it (``payload``, ``sim_time``, ``missing_daemons``).
+    A :class:`~repro.tbon.network.ReduceResult` (``sim_time`` is the
+    time-to-final; ``missing_daemons`` are the daemons that died
+    in-flight and were degraded to missing ranklists) plus what only an
+    event-driven reduction can report.
     """
 
-    payload: Any
-    #: simulated completion time at the front end (time-to-final)
-    sim_time: float
     #: earliest instant a best-effort snapshot is non-empty
     first_tree_time: float = 0.0
-    bytes_total: int = 0
-    messages: int = 0
     #: incremental folds performed across all interior nodes
     partial_merges: int = 0
-    max_node_ingress_bytes: int = 0
-    filter_seconds: float = 0.0
-    per_level_bytes: Dict[int, int] = field(default_factory=dict)
-    #: daemons that died in-flight and were degraded to missing ranklists
-    missing_daemons: List[int] = field(default_factory=list)
-    #: bounded retry attempts spent absorbing injected faults
-    retries: int = 0
-    #: transmissions lost in flight on faulted links
-    dropped_messages: int = 0
-    #: corrupted payloads caught by the receiver-side checksum
-    corrupt_detected: int = 0
-    #: degradation events (leaf deaths + exhausted-uplink subtree losses)
-    missing_subtrees: int = 0
 
 
 # -- per-node simulation state ------------------------------------------------

@@ -1,19 +1,16 @@
-"""Randomized property tests pinning the vectorized build paths.
+"""Randomized property tests pinning the forest build kernel.
 
-Three layers must agree bit for bit for any (seed, provider, map,
-scheme, model) combination:
-
-* the frozen per-object reference path
-  (:func:`repro.perf.reference.reference_daemon_trees`);
-* the per-daemon array path
-  (:meth:`repro.core.daemon.STATDaemon.sample_many_arrays`, reached via
-  :meth:`STATBenchEmulator.daemon_trees`);
-* the forest-scope path (:func:`repro.core.forest.build_forest`,
-  reached via :meth:`STATBenchEmulator.build_forest`).
+:func:`repro.core.forest.build_forest` (reached via
+:meth:`STATBenchEmulator.build_forest`) is the only production build
+path; the frozen per-object oracle
+(:func:`repro.perf.reference.reference_daemon_trees`) walks one
+``StackWalker.walk`` per slot and thread.  The two must agree bit for
+bit for any (seed, provider, map, scheme, model, thread count, daemon
+selection) combination.
 
 ``TreeArrays.arrays_equal`` asserts *every* array including row order —
 stronger than structural equality — so these tests pin the vectorized
-kernels to the exact construction the per-object code performs.
+kernel to the exact construction the per-object code performs.
 """
 
 import numpy as np
@@ -32,6 +29,18 @@ from repro.statbench.generator import (
     ring_hang_states,
     uniform_class_states,
 )
+
+
+class _ScalarOnly:
+    """A provider without ``states_array`` that counts its queries."""
+
+    def __init__(self, provider):
+        self.provider = provider
+        self.calls = 0
+
+    def __call__(self, rank):
+        self.calls += 1
+        return self.provider(rank)
 
 
 def _providers(total, prov_seed):
@@ -53,6 +62,16 @@ def _maps(rng):
     return TaskMap.shuffled(daemons, width, rng)
 
 
+def _ragged_map(rng):
+    """Shuffled ranks over daemons of unequal widths, one of them empty."""
+    widths = rng.integers(2, 9, size=int(rng.integers(3, 7)))
+    widths[int(rng.integers(widths.size))] = 0
+    bounds = np.concatenate(([0], np.cumsum(widths)))
+    perm = rng.permutation(int(bounds[-1]))
+    return TaskMap({d: np.sort(perm[bounds[d]:bounds[d + 1]])
+                    for d in range(widths.size)})
+
+
 def _schemes(total):
     return [HierarchicalLabelScheme(), DenseLabelScheme(total)]
 
@@ -62,35 +81,54 @@ def _assert_pairs_equal(got, want, context):
     assert got.tree_3d.arrays_equal(want.tree_3d), f"3D diverged: {context}"
 
 
+def _assert_matches_oracle(task_map, scheme, model_cls, provider, samples,
+                           threads, seed, daemon_ids, context):
+    emulator = STATBenchEmulator(
+        task_map, scheme, model_cls(), provider, num_samples=samples,
+        threads_per_process=threads, seed=seed)
+    got = emulator.build_forest(daemon_ids)
+    ids = range(len(task_map)) if daemon_ids is None else daemon_ids
+    assert len(got) == len(ids)
+    if isinstance(provider, _ScalarOnly):
+        assert provider.calls == samples * sum(
+            task_map.tasks_of(d) for d in ids), context
+    for pair, d in zip(got, ids):
+        ref_2d, ref_3d = reference_daemon_trees(
+            d, task_map, scheme, model_cls(), provider,
+            num_samples=samples, threads_per_process=threads, seed=seed)
+        assert pair.tree_2d.arrays_equal(ref_2d), f"2D: {context} d={d}"
+        assert pair.tree_3d.arrays_equal(ref_3d), f"3D: {context} d={d}"
+
+
 class TestForestVsPerDaemon:
-    """build_forest must be bit-identical to daemon_trees everywhere."""
+    """build_forest must be bit-identical to the per-daemon oracle."""
 
     @pytest.mark.parametrize("trial", range(6))
     def test_randomized_populations(self, trial):
+        """Ragged maps x threads x daemon selections x providers, each
+        provider through its batch API and as a scalar-only callable."""
         rng = np.random.default_rng(9200 + trial)
-        task_map = _maps(rng)
+        task_map = _ragged_map(rng)
         total = task_map.total_tasks
-        seed = int(rng.integers(1, 1 << 20))
-        samples = int(rng.integers(1, 4))
         model_cls = BGLStackModel if trial % 2 == 0 else LinuxStackModel
-        for pname, provider in _providers(total, prov_seed=trial):
-            for scheme in _schemes(total):
-                per_daemon = STATBenchEmulator(
-                    task_map, scheme, model_cls(), provider,
-                    num_samples=samples, seed=seed)
-                forest = STATBenchEmulator(
-                    task_map, scheme, model_cls(), provider,
-                    num_samples=samples, seed=seed)
-                want = [per_daemon.daemon_trees(d)
-                        for d in range(len(task_map))]
-                got = forest.build_forest()
-                assert len(got) == len(want)
-                for d, (g, w) in enumerate(zip(got, want)):
-                    _assert_pairs_equal(
-                        g, w, f"trial={trial} provider={pname} "
-                              f"scheme={scheme.name} daemon={d}")
+        for threads in (1, 2, 3):
+            samples = int(rng.integers(1, 4))
+            seed = int(rng.integers(1, 1 << 20))
+            # a permuted subset of the daemons, in that order
+            ids = rng.permutation(len(task_map))[
+                :int(rng.integers(1, len(task_map) + 1))].tolist()
+            for pname, provider in _providers(total, prov_seed=trial):
+                for scheme in _schemes(total):
+                    for wrap in (lambda p: p, _ScalarOnly):
+                        _assert_matches_oracle(
+                            task_map, scheme, model_cls, wrap(provider),
+                            samples, threads, seed, ids,
+                            f"trial={trial} threads={threads} ids={ids} "
+                            f"provider={pname} scalar={wrap is _ScalarOnly} "
+                            f"scheme={scheme.name}")
 
     def test_matches_per_object_reference(self):
+        """Regular maps, every daemon (the shape the benchmarks run)."""
         rng = np.random.default_rng(417)
         for trial in range(3):
             task_map = _maps(rng)
@@ -98,18 +136,11 @@ class TestForestVsPerDaemon:
             seed = int(rng.integers(1, 1 << 20))
             for pname, provider in _providers(total, prov_seed=trial):
                 for scheme in _schemes(total):
-                    emulator = STATBenchEmulator(
-                        task_map, scheme, BGLStackModel(), provider,
-                        num_samples=2, seed=seed)
-                    got = emulator.build_forest()
-                    for d in range(len(task_map)):
-                        ref_2d, ref_3d = reference_daemon_trees(
-                            d, task_map, scheme, BGLStackModel(),
-                            provider, num_samples=2, seed=seed)
-                        context = (f"trial={trial} provider={pname} "
-                                   f"scheme={scheme.name} daemon={d}")
-                        assert got[d].tree_2d.arrays_equal(ref_2d), context
-                        assert got[d].tree_3d.arrays_equal(ref_3d), context
+                    _assert_matches_oracle(
+                        task_map, scheme, BGLStackModel, provider, 2, 1,
+                        seed, None,
+                        f"trial={trial} provider={pname} "
+                        f"scheme={scheme.name}")
 
     def test_daemon_ids_subset_matches_full_population(self):
         task_map = TaskMap.cyclic(6, 5)
@@ -124,52 +155,6 @@ class TestForestVsPerDaemon:
         assert len(got) == 2
         _assert_pairs_equal(got[0], want[1], "daemon 1")
         _assert_pairs_equal(got[1], want[4], "daemon 4")
-
-    def test_threads_fall_back_to_exact_per_daemon_kernel(self):
-        task_map = TaskMap.block(3, 4)
-        provider = uniform_class_states(task_map.total_tasks, 3, seed=5)
-        scheme = HierarchicalLabelScheme()
-        threaded = STATBenchEmulator(
-            task_map, scheme, BGLStackModel(), provider,
-            num_samples=2, threads_per_process=3, seed=77)
-        per_daemon = STATBenchEmulator(
-            task_map, scheme, BGLStackModel(), provider,
-            num_samples=2, threads_per_process=3, seed=77)
-        got = threaded.build_forest()
-        want = [per_daemon.daemon_trees(d) for d in range(3)]
-        for g, w in zip(got, want):
-            _assert_pairs_equal(g, w, "threads=3 fallback")
-
-    def test_ragged_task_map_falls_back(self):
-        task_map = TaskMap({0: np.array([0, 1, 2]),
-                            1: np.array([3, 4]),
-                            2: np.array([5, 6, 7])})
-        provider = ring_hang_states(8)
-        scheme = DenseLabelScheme(8)
-        forest = STATBenchEmulator(task_map, scheme, BGLStackModel(),
-                                   provider, num_samples=2, seed=3)
-        per_daemon = STATBenchEmulator(task_map, scheme, BGLStackModel(),
-                                       provider, num_samples=2, seed=3)
-        got = forest.build_forest()
-        want = [per_daemon.daemon_trees(d) for d in range(3)]
-        for g, w in zip(got, want):
-            _assert_pairs_equal(g, w, "ragged fallback")
-
-    def test_scalar_provider_falls_back_to_daemon_trees(self):
-        task_map = TaskMap.block(3, 4)
-        scheme = HierarchicalLabelScheme()
-
-        def scalar_only(rank):
-            return ring_hang_states(12)(rank)
-
-        forest = STATBenchEmulator(task_map, scheme, BGLStackModel(),
-                                   scalar_only, num_samples=2, seed=4)
-        per_daemon = STATBenchEmulator(task_map, scheme, BGLStackModel(),
-                                       scalar_only, num_samples=2, seed=4)
-        got = forest.build_forest()
-        want = [per_daemon.daemon_trees(d) for d in range(3)]
-        for g, w in zip(got, want):
-            _assert_pairs_equal(g, w, "scalar provider fallback")
 
     def test_build_forest_validates_and_handles_empty(self):
         task_map = TaskMap.block(2, 3)
