@@ -31,8 +31,8 @@ Commands
     discipline, plus the whole-program passes (call-graph determinism
     taint, pickle reachability, kernel shape/dtype contracts).
     ``--format json`` for CI, ``--update-baseline`` to grandfather
-    findings, ``--graph-out`` to export the call graph, ``--why ID``
-    to replay a dataflow finding's propagation chain.
+    findings, ``--why ID`` to replay a dataflow finding's propagation
+    chain.
 ``list``
     List available figure/claim ids.
 """

@@ -92,21 +92,12 @@ class STATDaemon:
 
     def collect_samples(self, state_of: Callable[[int], RankState],
                         num_samples: int) -> None:
-        """Gather ``num_samples`` instants without materializing labels."""
+        """Gather ``num_samples`` instants (the paper's runs use ten)
+        without materializing labels."""
         if num_samples < 1:
             raise ValueError("num_samples must be >= 1")
         for _ in range(num_samples):
             self.sample_once(state_of)
-
-    def sample_many(self, state_of: Callable[[int], RankState],
-                    num_samples: int) -> Tuple[PrefixTree, PrefixTree]:
-        """Gather ``num_samples`` instants (the paper's runs use ten).
-
-        Returns ``(last 2D tree, accumulated 3D tree)`` with this daemon's
-        configured leaf labels.
-        """
-        self.collect_samples(state_of, num_samples)
-        return self.tree_2d, self.tree_3d
 
     # -- label materialization ------------------------------------------------
     def _label_for(self, slots: Set[int], cache: Dict[frozenset, Any]) -> Any:
@@ -192,24 +183,13 @@ class STATDaemon:
             width=width, layout=layout)
 
     def trees_arrays(self) -> Tuple[TreeArrays, TreeArrays]:
-        """Array-backed ``(2D, 3D)`` trees, sharing one label cache."""
+        """The labelled ``(last instant's 2D, accumulated 3D)`` trees,
+        sharing one label cache."""
         if self._tree_2d is None:
             raise RuntimeError("no samples taken yet")
         cache: Dict[frozenset, Any] = {}
         return (self._materialize_arrays(self._tree_2d, cache),
                 self._materialize_arrays(self._tree_3d, cache))
-
-    @property
-    def tree_2d(self) -> PrefixTree:
-        """The most recent sampling instant's labelled 2D tree."""
-        if self._tree_2d is None:
-            raise RuntimeError("no samples taken yet")
-        return self._materialize_arrays(self._tree_2d, {}).to_prefix_tree()
-
-    @property
-    def tree_3d(self) -> PrefixTree:
-        """The labelled 3D trace-space-time tree over all samples."""
-        return self._materialize_arrays(self._tree_3d, {}).to_prefix_tree()
 
     def reset(self) -> None:
         """Drop accumulated trees (a fresh STAT session)."""

@@ -14,7 +14,7 @@ Both cases are handled by :func:`equivalence_classes`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -58,20 +58,14 @@ class EquivalenceClass:
         return "\n".join(lines)
 
 
-def equivalence_classes(
-        tree: PrefixTree,
-        rank_resolver: Optional[Callable[[object], np.ndarray]] = None,
-) -> List[EquivalenceClass]:
+def equivalence_classes(tree: PrefixTree) -> List[EquivalenceClass]:
     """Extract equivalence classes from a merged, finalized prefix tree.
 
     Parameters
     ----------
     tree:
-        A prefix tree whose edge labels resolve to global ranks.  Normally
-        the front end's finalized (dense-labelled) tree.
-    rank_resolver:
-        Converts an edge label to an array of global ranks; defaults to
-        ``label.to_ranks()``.
+        The front end's finalized tree: its (dense) edge labels resolve
+        to global ranks with ``label.to_ranks()``.
 
     Returns
     -------
@@ -85,14 +79,12 @@ def equivalence_classes(
     **terminal ranks** — a node's ranks minus the union of its children's
     ranks — not from leaf paths alone.
     """
-    resolve = rank_resolver or (lambda label: label.to_ranks())
     membership: Dict[int, List[StackTrace]] = {}
     for path, node in tree.walk():
-        ranks = np.asarray(resolve(node.tasks))
+        ranks = node.tasks.to_ranks()
         if node.children:
             child_ranks = np.unique(np.concatenate(
-                [np.asarray(resolve(c.tasks))
-                 for c in node.children.values()]))
+                [c.tasks.to_ranks() for c in node.children.values()]))
             terminal = np.setdiff1d(ranks, child_ranks)
         else:
             terminal = ranks
@@ -124,12 +116,9 @@ def mpi_api_boundary(path: StackTrace, frame) -> bool:
     return frame.function.startswith(("PMPI_", "MPI_"))
 
 
-def triage_classes(tree: PrefixTree,
-                   rank_resolver: Optional[Callable[[object], np.ndarray]] = None,
-                   ) -> List[EquivalenceClass]:
+def triage_classes(tree: PrefixTree) -> List[EquivalenceClass]:
     """Equivalence classes at the MPI API boundary (the triage view)."""
-    return equivalence_classes(tree.truncated(mpi_api_boundary),
-                               rank_resolver)
+    return equivalence_classes(tree.truncated(mpi_api_boundary))
 
 
 def representatives(classes: Sequence[EquivalenceClass],

@@ -62,11 +62,14 @@ from repro.perf.counters import (
     PERF,
 )
 
-__all__ = ["build_forest", "FOREST_CHUNK"]
+__all__ = ["build_forest", "FOREST_CHUNK_ELEMS"]
 
-#: daemons per pipeline block — bounds the working-set matrices so the
-#: ten-million-task point streams instead of allocating O(job) at once.
-FOREST_CHUNK = 8192
+#: walks (matrix elements) per pipeline block.  The block's element-sized
+#: int64 matrices stay at 2 MiB, so the allocator recycles them block
+#: after block: one block over a 1,664-daemon forest mapped, faulted in
+#: and unmapped ~130 MB of fresh pages on every build, and what those
+#: faults cost is the host's to decide — it made identical sessions differ.
+FOREST_CHUNK_ELEMS = 1 << 18
 
 #: cap on the transient segment-bitmask block (bools) in :func:`_pack_segments`
 _MASK_BLOCK_BOOLS = 1 << 26
@@ -420,8 +423,9 @@ def build_forest(task_map: TaskMap, scheme: LabelScheme,
             continue
         per_instant = width * threads
         n = per_instant * num_samples
-        for lo in range(0, members.size, FOREST_CHUNK):  # repro-lint: disable=hot-path-loop (per bounded-memory daemon block)
-            rows = members[lo:lo + FOREST_CHUNK]
+        step = max(1, FOREST_CHUNK_ELEMS // n)
+        for lo in range(0, members.size, step):  # repro-lint: disable=hot-path-loop (per bounded-memory daemon block)
+            rows = members[lo:lo + step]
             chunk = [ids[p] for p in rows.tolist()]
             cols = starts[rows][:, None] + np.arange(width)
             ranks_matrix = ranks[cols]

@@ -24,22 +24,30 @@ integer ``(parent, frame)`` keys — no Python recursion), then one batched
 label kernel per *distinct contributor combination* — a single span-limited
 ``|=`` pass per source tree (dense) or one zero-filled slice-assignment
 pass per source tree (hierarchical), k-way instead of pairwise, with no
-per-node allocation.  Legacy :class:`~repro.core.prefix_tree.PrefixTree`
-inputs are converted at the boundary and converted back on return, so the
-object API is unchanged.  The pre-vectorization recursive kernels are
-retained in :mod:`repro.perf.reference` and the equivalence property tests
-assert bit-identical trees between old and new on randomized inputs.
+per-node allocation.
+
+**Tree model.**  :class:`~repro.core.treearrays.TreeArrays` is the only
+tree type this module merges: daemons build arrays, every TBO̅N level
+merges arrays into arrays, and a scheme's :meth:`~LabelScheme.finalize`
+is the single place a :class:`~repro.core.prefix_tree.PrefixTree` is
+built — the finalized, dense-labelled presentation object the front end
+hands to equivalence classes, queries, rendering and the archive codec.
+Callers holding an object tree (tests, the frozen oracles) convert with
+:meth:`TreeArrays.from_prefix_tree` before they call in.  The
+pre-vectorization recursive kernels are retained in
+:mod:`repro.perf.reference` and the equivalence property tests assert
+bit-identical trees between old and new on randomized inputs.
 """
 
 from __future__ import annotations
 
 # repro-lint: hot-path — merge kernels must stay per-array, not per-node.
 
-from typing import Any, Sequence, Tuple, Union
+from typing import Any, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.prefix_tree import PrefixTree, PrefixTreeNode
+from repro.core.prefix_tree import PrefixTree
 from repro.lint.contracts import contract
 from repro.core.taskset import (
     DaemonLayout,
@@ -68,28 +76,7 @@ __all__ = [
     "LabelScheme",
     "DenseLabelScheme",
     "HierarchicalLabelScheme",
-    "tree_layout",
-    "merge_trees",
 ]
-
-MergeableTree = Union[PrefixTree, TreeArrays]
-
-
-def tree_layout(tree: MergeableTree) -> DaemonLayout:
-    """The (shared) layout of a hierarchical-labelled tree's edge labels.
-
-    By construction every label in a daemon's or CP's tree shares one
-    layout; we read it off the first edge (or the arrays' metadata).
-    """
-    if isinstance(tree, TreeArrays):
-        if tree.kind != KIND_HIER or tree.layout is None:
-            raise TypeError("tree does not carry hierarchical labels")
-        return tree.layout
-    for _, label in tree.edges():  # repro-lint: disable=hot-path-loop (first edge only: returns immediately)
-        if not isinstance(label, HierarchicalTaskSet):
-            raise TypeError("tree does not carry hierarchical labels")
-        return label.layout
-    raise ValueError("cannot determine layout of an empty tree")
 
 
 @contract("groups:* -> grp:(p):int64, tre:(p):int64, row:(p):int64")
@@ -125,12 +112,10 @@ class LabelScheme:
         """Byte range of a leaf label's set bits (dense kernels only)."""
         raise NotImplementedError
 
-    def merge(self, trees: Sequence[MergeableTree]) -> MergeableTree:
+    def merge(self, trees: Sequence[TreeArrays]) -> TreeArrays:
         """Merge locally rooted trees into one (the TBO̅N filter body).
 
-        Array-backed inputs merge on the vectorized fast path and return
-        :class:`TreeArrays`; :class:`PrefixTree` inputs are converted in
-        and out, preserving the historical object API.
+        The one counted and timed entry over :meth:`merge_arrays`.
 
         Associative down to the arrays: folding arrivals one at a time
         (``merge([partial, arriving])``, the streaming TBO̅N step) in
@@ -141,38 +126,24 @@ class LabelScheme:
         (``tests/test_tbon_streaming.py`` pins this on randomized
         forests).
         """
-        raise NotImplementedError
+        PERF.add(MERGE_CALLS)
+        PERF.add(MERGE_TREES_IN, len(trees))
+        with PERF.timer(MERGE_KERNEL_SECONDS):
+            out = self.merge_arrays(trees)
+        PERF.add(MERGE_NODES_OUT, out.node_count())
+        PERF.add(MERGE_LABEL_GROUPS, out.labels.shape[0])
+        PERF.add(MERGE_LABEL_BYTES_OUT, out.labels.nbytes)
+        return out
 
     def merge_arrays(self, trees: Sequence[TreeArrays]) -> TreeArrays:
         """The vectorized k-way kernel proper (arrays in, arrays out)."""
         raise NotImplementedError
 
-    def finalize(self, root_tree: MergeableTree,
+    def finalize(self, root_tree: TreeArrays,
                  task_map: TaskMap) -> PrefixTree:
-        """Front-end post-processing to a rank-ordered, dense-labelled tree."""
+        """Front-end post-processing to a rank-ordered, dense-labelled
+        :class:`PrefixTree` — the one array->object conversion."""
         raise NotImplementedError
-
-    def make_empty_tree(self) -> PrefixTree:
-        """A tree wired with this scheme's union/copy operations."""
-        return PrefixTree()
-
-    def _to_arrays(self, tree: MergeableTree) -> TreeArrays:
-        if isinstance(tree, TreeArrays):
-            return tree
-        return TreeArrays.from_prefix_tree(tree, kind=self.kind)
-
-    def _merge_dispatch(self, trees: Sequence[MergeableTree]) -> MergeableTree:
-        """Shared merge entry: convert at the boundary, count, time."""
-        arrays_in = all(isinstance(t, TreeArrays) for t in trees)
-        arrs = trees if arrays_in else [self._to_arrays(t) for t in trees]
-        PERF.add(MERGE_CALLS)
-        PERF.add(MERGE_TREES_IN, len(arrs))
-        with PERF.timer(MERGE_KERNEL_SECONDS):
-            out = self.merge_arrays(arrs)
-        PERF.add(MERGE_NODES_OUT, out.node_count())
-        PERF.add(MERGE_LABEL_GROUPS, out.labels.shape[0])
-        PERF.add(MERGE_LABEL_BYTES_OUT, out.labels.nbytes)
-        return out if arrays_in else out.to_prefix_tree()
 
 
 class DenseLabelScheme(LabelScheme):
@@ -207,17 +178,12 @@ class DenseLabelScheme(LabelScheme):
                                                         dtype=np.int64)]
         return (int(ranks.min()) >> 3, (int(ranks.max()) >> 3) + 1)
 
-    def merge(self, trees: Sequence[MergeableTree]) -> MergeableTree:
-        """K-way structure merge; label merge is one batched OR per tree."""
-        if not trees:
-            return self.make_empty_tree()
-        return self._merge_dispatch(trees)
-
     #: largest gather/scatter index matrix (elements) the overlapping-span
     #: fast path may build before degrading to the per-tree loop
     _SCATTER_LIMIT = 1 << 22
 
     def merge_arrays(self, trees: Sequence[TreeArrays]) -> TreeArrays:
+        """K-way structure merge; label merge is one batched OR per tree."""
         width = self.total_tasks
         nbytes = (width + 7) // 8
         for t in trees:  # repro-lint: disable=hot-path-loop (per input tree, k-bounded validation)
@@ -313,13 +279,11 @@ class DenseLabelScheme(LabelScheme):
         return TreeArrays(KIND_DENSE, frame_ids, parents, group_refs,
                           level_offsets, out, spans=spans, width=width)
 
-    def finalize(self, root_tree: MergeableTree,
+    def finalize(self, root_tree: TreeArrays,
                  task_map: TaskMap) -> PrefixTree:
-        """Dense labels are already global and rank-ordered: identity
-        (array-backed trees are materialized to the object view)."""
-        if isinstance(root_tree, TreeArrays):
-            return root_tree.to_prefix_tree()
-        return root_tree
+        """Dense labels are already global and rank-ordered: the object
+        view of the arrays is the finalized tree."""
+        return root_tree.to_prefix_tree()
 
 
 class HierarchicalLabelScheme(LabelScheme):
@@ -337,13 +301,8 @@ class HierarchicalLabelScheme(LabelScheme):
         """Subtree-local leaf label over the daemon's own slots."""
         return HierarchicalTaskSet.for_daemon(daemon_id, local_width, slots)
 
-    def merge(self, trees: Sequence[MergeableTree]) -> MergeableTree:
-        """Concatenation merge across disjoint child subtrees."""
-        if not trees:
-            raise ValueError("merge of zero trees")
-        return self._merge_dispatch(trees)
-
     def merge_arrays(self, trees: Sequence[TreeArrays]) -> TreeArrays:
+        """Concatenation merge across disjoint child subtrees."""
         if not trees:
             raise ValueError("merge of zero trees")
         layouts = []
@@ -387,43 +346,20 @@ class HierarchicalLabelScheme(LabelScheme):
         return TreeArrays(KIND_HIER, frame_ids, parents, group_refs,
                           level_offsets, out, layout=merged_layout)
 
-    def finalize(self, root_tree: MergeableTree,
+    def finalize(self, root_tree: TreeArrays,
                  task_map: TaskMap) -> PrefixTree:
         """The front-end **remap** (Section V-C; 0.66 s at 208K tasks).
 
-        Rearranges every concatenation-ordered label into MPI rank order,
-        returning a dense-labelled tree suitable for rendering and
-        equivalence-class extraction.
+        Rearranges every distinct concatenation-ordered label row into
+        MPI rank order in one pass over the label matrix, returning a
+        dense-labelled tree suitable for rendering and equivalence-class
+        extraction.
         """
-        layout = tree_layout(root_tree)
-        remapper = RankRemapper(layout, task_map)
-        if isinstance(root_tree, TreeArrays):
-            root_tree = root_tree.to_prefix_tree()
-        out = PrefixTree()
-
-        def rec(dst: PrefixTreeNode, src: PrefixTreeNode) -> None:  # repro-lint: disable=hot-path-recursion (front-end remap: the one per-node step)
-            for frame, child in src.children.items():  # repro-lint: disable=hot-path-loop (front-end remap, per-node by design)
-                node = PrefixTreeNode(frame, remapper.remap(child.tasks))
-                dst.children[frame] = node
-                rec(node, child)
-
-        rec(out.root, root_tree.root)
-        return out
-
-
-def merge_trees(scheme: LabelScheme,
-                trees: Sequence[MergeableTree]) -> MergeableTree:
-    """Convenience wrapper: ``scheme.merge(trees)`` with a 1-tree fast path.
-
-    The fast path returns an independent **copy**: returning the input by
-    reference let downstream label mutation corrupt the caller's tree.
-    """
-    if len(trees) == 1:
-        tree = trees[0]
-        if isinstance(tree, TreeArrays):
-            return TreeArrays(tree.kind, tree.frame_ids, tree.parents,
-                              tree.label_refs, tree.level_offsets,
-                              tree.labels.copy(), spans=tree.spans,
-                              width=tree.width, layout=tree.layout)
-        return tree.copy()
-    return scheme.merge(trees)
+        if root_tree.kind != KIND_HIER:
+            raise TypeError("tree does not carry hierarchical labels")
+        remapper = RankRemapper(root_tree.layout, task_map)
+        return TreeArrays(
+            KIND_DENSE, root_tree.frame_ids, root_tree.parents,
+            root_tree.label_refs, root_tree.level_offsets,
+            remapper.remap_rows(root_tree.labels),
+            width=remapper.total_tasks).to_prefix_tree()

@@ -94,10 +94,10 @@ class PrefixTree:
     def invalidate_caches(self) -> None:
         """Drop cached statistics after direct structural mutation.
 
-        :meth:`insert` / :meth:`insert_many` call this automatically;
-        code that builds trees by assigning into ``node.children``
-        (the merge kernels, the codec) must call it once done — or simply
-        never query statistics before construction finishes.
+        :meth:`insert` calls this automatically; code that builds trees
+        by assigning into ``node.children`` (the merge kernels, the codec)
+        must call it once done — or simply never query statistics before
+        construction finishes.
         """
         self._node_count = None
         self._serialized_bytes = None
@@ -119,50 +119,6 @@ class PrefixTree:
             else:
                 child.tasks = self._label_union(child.tasks, label)
             node = child
-
-    def insert_many(self, pairs: List[Tuple[StackTrace, Any]]) -> None:
-        """Bulk :meth:`insert`, sorted by interned-id prefix.
-
-        Sorting brings traces sharing a prefix together, so the walk from
-        the root is re-entered only where consecutive traces diverge —
-        one dict lookup per *divergent* frame instead of per frame.
-        Labels are unioned along every edge exactly as :meth:`insert`
-        does, and unions are commutative, so the resulting tree is
-        identical to sequential insertion; only the child *insertion
-        order* follows the sorted order.
-        """
-        if not pairs:
-            return
-        self.invalidate_caches()
-        pairs = sorted(pairs, key=lambda p: p[0].frame_ids())
-        union = self._label_union
-        copy = self._label_copy
-        # stack[d] is the node reached after d frames of the previous trace.
-        stack: List[PrefixTreeNode] = [self.root]
-        prev: Tuple[Frame, ...] = ()
-        for trace, label in pairs:
-            frames = trace.frames
-            shared = 0
-            limit = min(len(prev), len(frames))
-            while shared < limit and prev[shared] is frames[shared]:
-                shared += 1
-            del stack[shared + 1:]
-            # Union into the still-shared prefix edges...
-            for d in range(shared):
-                node = stack[d + 1]
-                node.tasks = union(node.tasks, label)
-            # ...then extend along the divergent suffix.
-            node = stack[shared]
-            for frame in frames[shared:]:
-                child = node.children.get(frame)
-                if child is None:
-                    child = PrefixTreeNode(frame, copy(label))
-                    node.children[frame] = child
-                else:
-                    child.tasks = union(child.tasks, label)
-                stack.append(child)
-                node = child
-            prev = frames
 
     # -- traversal -------------------------------------------------------
     def walk(self) -> Iterator[Tuple[StackTrace, PrefixTreeNode]]:

@@ -609,44 +609,73 @@ class RankRemapper:
     Built once per attach from the root layout and the gathered
     :class:`TaskMap` (paper: "we first collect the map information once
     during the setup phase and then perform a local remap during the final
-    result rendering"); thereafter :meth:`remap` converts any root-level
-    :class:`HierarchicalTaskSet` into a rank-ordered :class:`DenseBitVector`.
+    result rendering"); thereafter :meth:`remap_rows` converts a whole
+    matrix of root-level label rows into rank-ordered job-width rows, and
+    :meth:`remap` one :class:`HierarchicalTaskSet` into a
+    :class:`DenseBitVector`.
 
     At 208K tasks the paper measured this step at 0.66 s — benchmarked by
-    ``benchmarks/bench_claim_remap.py``.
+    ``benchmarks/bench_claims.py``.
     """
+
+    #: largest unpacked ``(rows, bits)`` temporary :meth:`remap_rows` builds
+    #: at once (elements); taller label matrices are remapped in row blocks
+    _BLOCK_LIMIT = 1 << 24
 
     def __init__(self, layout: DaemonLayout, task_map: TaskMap) -> None:
         self.layout = layout
         self.task_map = task_map
-        parts = []
+        self.total_tasks = total = task_map.total_tasks
+        slots = layout.nbytes * 8
+        #: slot_of_rank[r] = padded-slot index holding global rank r.  Ranks
+        #: the layout does not cover (dead daemons) point one past the last
+        #: slot, at the zero byte :meth:`remap_rows` appends to every row.
+        self._slot_of_rank = np.full(total, slots, dtype=np.int64)
         for i, daemon_id in enumerate(layout.daemon_ids):
             ranks = task_map.ranks_of(daemon_id)
             if ranks.size != layout.widths[i]:
                 raise ValueError(
                     f"daemon {daemon_id}: layout width {layout.widths[i]} != "
                     f"task map size {ranks.size}")
-            parts.append(ranks)
-        #: slot_to_rank[s] = global rank of padded-slot s (padding slots = -1)
-        slot_to_rank = np.full(layout.nbytes * 8, -1, dtype=np.int64)
-        for i in range(len(layout)):
+            if ranks.size and not 0 <= ranks.min() <= ranks.max() < total:
+                raise ValueError(
+                    f"daemon {daemon_id}: rank out of range [0, {total})")
             start_bit = int(layout.byte_offsets[i]) * 8
-            slot_to_rank[start_bit:start_bit + layout.widths[i]] = parts[i]
-        self._slot_to_rank = slot_to_rank
-        self.total_tasks = task_map.total_tasks
+            self._slot_of_rank[ranks] = np.arange(
+                start_bit, start_bit + ranks.size, dtype=np.int64)
+
+    @contract("labels:(n,b):uint8 -> rows:(n,w):uint8")
+    def remap_rows(self, labels: np.ndarray) -> np.ndarray:
+        """Rank-ordered job-width rows for a matrix of packed label rows.
+
+        One unpack, one column gather through ``slot_of_rank``, one pack —
+        per block of rows, so the unpacked temporaries stay under
+        ``_BLOCK_LIMIT`` elements however many distinct labels arrive.
+        """
+        if labels.ndim != 2 or labels.shape[1] != self.layout.nbytes:
+            raise ValueError(
+                f"label matrix of shape {labels.shape} does not match the "
+                f"remapper layout ({self.layout.nbytes} bytes per row)")
+        n = labels.shape[0]
+        out = np.empty((n, _packed_nbytes(self.total_tasks)), dtype=np.uint8)
+        bits_per_row = max(8 * (self.layout.nbytes + 1), self.total_tasks)
+        step = max(1, self._BLOCK_LIMIT // bits_per_row)
+        for lo in range(0, n, step):
+            block = labels[lo:lo + step]
+            padded = np.zeros((block.shape[0], block.shape[1] + 1),
+                              dtype=np.uint8)
+            padded[:, :-1] = block
+            bits = np.unpackbits(padded, axis=1)
+            out[lo:lo + step] = np.packbits(
+                np.take(bits, self._slot_of_rank, axis=1), axis=1)
+        return out
 
     def remap(self, tset: HierarchicalTaskSet) -> DenseBitVector:
         """Produce the rank-ordered full-width vector for one edge label."""
         if tset.layout != self.layout:
             raise ValueError("task set layout does not match remapper layout")
-        bits = np.unpackbits(tset.data).astype(bool)
-        ranks = self._slot_to_rank[np.nonzero(bits)[0]]
-        ranks = ranks[ranks >= 0]
-        return DenseBitVector.from_ranks(ranks, self.total_tasks)
-
-    def remap_many(self, tsets: Sequence[HierarchicalTaskSet]) -> List[DenseBitVector]:
-        """Remap a batch of labels (the per-render workload of Section V-C)."""
-        return [self.remap(t) for t in tsets]
+        return DenseBitVector(self.total_tasks,
+                              self.remap_rows(tset.data[None, :])[0])
 
     def __repr__(self) -> str:
         return (f"RankRemapper(chunks={len(self.layout)}, "

@@ -118,15 +118,10 @@ class TimelineSampler:
                 kinds.add(runtime.state_of(rank).kind)
             states_seen.append(kinds)
 
-        trees_2d = [d.tree_2d for d in daemons]
-        trees_3d = [d.tree_3d for d in daemons]
-        merged_2d = self.scheme.merge(trees_2d) if len(trees_2d) > 1 \
-            else trees_2d[0]
-        merged_3d = self.scheme.merge(trees_3d) if len(trees_3d) > 1 \
-            else trees_3d[0]
+        trees_2d, trees_3d = zip(*(d.trees_arrays() for d in daemons))
         return TimelineResult(
             runtime, times,
-            self.scheme.finalize(merged_2d, self.task_map),
-            self.scheme.finalize(merged_3d, self.task_map),
+            self.scheme.finalize(self.scheme.merge(trees_2d), self.task_map),
+            self.scheme.finalize(self.scheme.merge(trees_3d), self.task_map),
             states_seen,
         )

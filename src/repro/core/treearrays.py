@@ -19,10 +19,17 @@ objects:
   bytes of a job-width vector; span-limited kernels skip the zero fringe
   without changing what is *represented* (wire sizes are unchanged).
 
-The object view is still available: :meth:`to_prefix_tree` materializes a
-:class:`~repro.core.prefix_tree.PrefixTree` (cached), and the common read
-API (``walk``/``edges``/``leaf_paths``/``find``/``structurally_equal``)
-delegates to it, so array-backed payloads flow through existing code.
+**Model and view.**  ``TreeArrays`` is the tree model from the daemons to
+the front end's finalize step; a
+:class:`~repro.core.prefix_tree.PrefixTree` is a *view* of one.
+:meth:`to_prefix_tree` builds that view — called once per result tree by
+``LabelScheme.finalize``, whose output is the presentation object the
+front end keeps — and the read API
+(``walk``/``edges``/``leaf_paths``/``find``/``structurally_equal``)
+delegates to a cached copy of it for inspection and tests.
+:meth:`from_prefix_tree` is the way in for code that builds object trees
+(tests, the frozen oracles of :mod:`repro.perf.reference`); no kernel
+accepts an object tree.
 
 Interned frame ids are process-local, so pickling translates ids to
 ``(function, module)`` pairs and re-interns on load.

@@ -17,7 +17,7 @@ import time
 
 from repro.core.frontend import REMAP_SECONDS_PER_LABEL, \
     REMAP_SECONDS_PER_LABEL_BIT
-from repro.core.merge import HierarchicalLabelScheme, tree_layout
+from repro.core.merge import HierarchicalLabelScheme
 from repro.core.taskset import RankRemapper, TaskMap
 from repro.experiments.common import ExperimentResult, Row, timed_merge, \
     timed_sampling
@@ -46,9 +46,9 @@ def _remap_rows(quick: bool, seed: int) -> list:
                           + REMAP_SECONDS_PER_LABEL_BIT * machine.total_tasks)
     # Real wall-clock of actually remapping every 3D label.
     task_map = TaskMap.block(machine.num_daemons, machine.tasks_per_daemon)
-    remapper = RankRemapper(tree_layout(pair.tree_3d), task_map)
+    remapper = RankRemapper(pair.tree_3d.layout, task_map)
     t0 = time.perf_counter()
-    remapper.remap_many([label for _, label in pair.tree_3d.edges()])
+    remapper.remap_rows(pair.tree_3d.labels[pair.tree_3d.label_refs])
     wall = time.perf_counter() - t0
     return [
         Row("C1 remap (simulated)", machine.total_tasks, simulated,

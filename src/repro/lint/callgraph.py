@@ -142,24 +142,6 @@ class CallGraph:
                     stack.append(edge.callee)
         return seen
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form (the CI ``callgraph.json`` artifact)."""
-        return {
-            "version": 1,
-            "functions": [
-                {"qname": f.qname, "module": f.module, "file": f.rel,
-                 "line": f.lineno}
-                for _, f in sorted(self.functions.items())],
-            "edges": [
-                {"caller": e.caller, "callee": e.callee, "line": e.line,
-                 "kind": e.kind}
-                for e in sorted(self.edges,
-                                key=lambda e: (e.caller, e.callee,
-                                               e.line))],
-            "counts": {"functions": len(self.functions),
-                       "edges": len(self.edges)},
-        }
-
     # -- construction ------------------------------------------------------
     def _add_edge(self, caller: str, callee: str, line: int,
                   kind: str) -> None:

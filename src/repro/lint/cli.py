@@ -7,8 +7,6 @@ findings (or the ``--max-seconds`` budget blown), 2 = usage error
 
 Beyond the rule run itself:
 
-* ``--graph`` / ``--graph-out FILE`` — dump the project call graph
-  (JSON) instead of linting; CI uploads it as an artifact;
 * ``--why ID`` — replay the propagation chain behind a dataflow
   finding (ids appear in ``determinism-taint`` / ``pickle-reachability``
   messages);
@@ -26,8 +24,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro.lint.baseline import Baseline
-from repro.lint.engine import (all_rules, iter_python_files,
-                               lint_paths, load_module)
+from repro.lint.engine import all_rules, lint_paths
 
 __all__ = ["add_lint_arguments", "run_lint"]
 
@@ -59,12 +56,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                         help="repo root findings are relative to")
     parser.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
-    parser.add_argument("--graph", action="store_true",
-                        help="dump the project call graph (JSON) "
-                             "instead of linting")
-    parser.add_argument("--graph-out", metavar="FILE", default=None,
-                        help="write the call graph JSON here "
-                             "(implies --graph)")
     parser.add_argument("--why", metavar="ID", default=None,
                         help="replay the propagation chain behind a "
                              "dataflow finding id")
@@ -85,9 +76,6 @@ def run_lint(args: argparse.Namespace) -> int:
 
     root = Path(args.root)
     paths = [Path(p) for p in (args.paths or [root / "src"])]
-
-    if args.graph or args.graph_out:
-        return _run_graph(paths, root, args.graph_out)
 
     select = (args.select.split(",") if args.select else None)
     timings: Dict[str, float] = {}
@@ -132,29 +120,6 @@ def run_lint(args: argparse.Namespace) -> int:
               f"--max-seconds {args.max_seconds:g} budget")
         return 1
     return 0 if comparison.ok else 1
-
-
-def _run_graph(paths: List[Path], root: Path,
-               out: str = None) -> int:
-    from repro.lint.callgraph import build_graph
-
-    modules = []
-    for path in iter_python_files(paths):
-        try:
-            modules.append(load_module(path, root))
-        except SyntaxError:
-            continue  # the lint run proper reports parse errors
-    graph = build_graph(modules)
-    text = json.dumps(graph.to_dict(), indent=2)
-    if out:
-        Path(out).write_text(text + "\n")
-        counts = graph.to_dict()["counts"]
-        print(f"call graph written to {out} "
-              f"({counts['functions']} functions, "
-              f"{counts['edges']} edges)")
-    else:
-        print(text)
-    return 0
 
 
 def _run_why(finding_id: str) -> int:

@@ -22,10 +22,21 @@ from repro.core.merge import (  # noqa: E402
     HierarchicalLabelScheme,
 )
 from repro.core.taskset import TaskMap  # noqa: E402
+from repro.core.treearrays import TreeArrays  # noqa: E402
 from repro.machine.atlas import AtlasMachine  # noqa: E402
 from repro.machine.bgl import BGLMachine  # noqa: E402
 from repro.mpi.stacks import BGLStackModel, LinuxStackModel  # noqa: E402
 from repro.sim.engine import Engine  # noqa: E402
+
+
+def as_arrays(scheme, trees):
+    """Object trees -> the ``TreeArrays`` a scheme merges (test boundary).
+
+    Tests build their inputs with ``PrefixTree.insert`` and keep feeding
+    the reference kernels those objects; the production kernels take
+    arrays only.
+    """
+    return [TreeArrays.from_prefix_tree(t, kind=scheme.kind) for t in trees]
 
 
 @pytest.fixture

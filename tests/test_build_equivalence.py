@@ -142,6 +142,20 @@ class TestForestVsPerDaemon:
                         f"trial={trial} provider={pname} "
                         f"scheme={scheme.name}")
 
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_blocked_build_matches_oracle(self, monkeypatch, threads):
+        """Seven daemons built two (one, threaded) per block: blocking
+        bounds memory, it must not show in the trees."""
+        task_map = TaskMap.cyclic(7, 6)
+        total = task_map.total_tasks
+        monkeypatch.setattr("repro.core.forest.FOREST_CHUNK_ELEMS",
+                            2 * 6 * 3)
+        for pname, provider in _providers(total, prov_seed=5):
+            for scheme in _schemes(total):
+                _assert_matches_oracle(
+                    task_map, scheme, BGLStackModel, provider, 3, threads,
+                    77, None, f"provider={pname} scheme={scheme.name}")
+
     def test_daemon_ids_subset_matches_full_population(self):
         task_map = TaskMap.cyclic(6, 5)
         provider = ring_hang_states(task_map.total_tasks)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import as_arrays
 from repro.core.codec import CodecError, pack_tree, unpack_tree, \
     verify_size_model
 from repro.core.frames import StackTrace
@@ -28,13 +29,13 @@ def hierarchical_tree() -> PrefixTree:
     tm = TaskMap.cyclic(4, 8)
     trees = []
     for d in range(4):
-        t = scheme.make_empty_tree()
+        t = PrefixTree()
         t.insert(StackTrace.from_names(["main", "barrier"]),
                  scheme.daemon_label(d, 8, range(0, 8, 2), tm))
         t.insert(StackTrace.from_names(["main", "wait"]),
                  scheme.daemon_label(d, 8, [1], tm))
         trees.append(t)
-    return scheme.merge(trees)
+    return scheme.merge(as_arrays(scheme, trees)).to_prefix_tree()
 
 
 class TestRoundTrip:

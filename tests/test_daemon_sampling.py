@@ -66,11 +66,11 @@ class TestSTATDaemon:
 
     def test_trees_before_sampling_rejected(self, daemon):
         with pytest.raises(RuntimeError):
-            _ = daemon.tree_2d
+            daemon.trees_arrays()
 
     def test_uniform_states_make_single_path_tree(self, daemon):
         daemon.sample_once(lambda r: RankState("stall", "f"))
-        tree = daemon.tree_2d
+        tree, _ = daemon.trees_arrays()
         assert len(tree.leaf_paths()) == 1
         path, label = tree.leaf_paths()[0]
         assert label.count() == 8
@@ -83,17 +83,19 @@ class TestSTATDaemon:
         daemon.sample_once(state_of)
         flip["i"] = 1
         daemon.sample_once(state_of)
-        assert len(daemon.tree_2d.leaf_paths()) == 1   # last sample only
-        assert len(daemon.tree_3d.leaf_paths()) == 2   # union over time
+        tree_2d, tree_3d = daemon.trees_arrays()
+        assert len(tree_2d.leaf_paths()) == 1   # last sample only
+        assert len(tree_3d.leaf_paths()) == 2   # union over time
 
-    def test_sample_many_returns_both_trees(self, daemon):
-        t2d, t3d = daemon.sample_many(lambda r: RankState("barrier"), 5)
+    def test_collect_samples_accumulates_both_trees(self, daemon):
+        daemon.collect_samples(lambda r: RankState("barrier"), 5)
+        t2d, t3d = daemon.trees_arrays()
         assert daemon.samples_taken == 5
         assert t3d.node_count() >= t2d.node_count()
 
     def test_num_samples_validated(self, daemon):
         with pytest.raises(ValueError):
-            daemon.sample_many(lambda r: RankState("barrier"), 0)
+            daemon.collect_samples(lambda r: RankState("barrier"), 0)
 
     def test_reset(self, daemon):
         daemon.sample_once(lambda r: RankState("barrier"))
@@ -108,7 +110,7 @@ class TestSTATDaemon:
             d = STATDaemon(0, tm, scheme, bgl_stacks,
                            rng=np.random.default_rng(1))
             d.sample_once(state_of)
-            path, label = d.tree_2d.leaf_paths()[0]
+            path, label = d.trees_arrays()[0].leaf_paths()[0]
             if scheme.name == "original":
                 labels["dense"] = set(label.to_ranks().tolist())
             else:

@@ -1,12 +1,10 @@
-"""Call-graph construction: import/alias/method/registry resolution,
-the JSON export, and the ``--graph`` CLI path."""
+"""Call-graph construction: import/alias/method/registry resolution
+and the memoized build the whole-program rules share."""
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
 from repro.lint.callgraph import build_graph, graph_for
 from repro.lint.engine import iter_python_files, load_module
 
@@ -84,33 +82,8 @@ class TestResolution:
 
 
 class TestExport:
-    def test_to_dict_shape(self, graph):
-        data = graph.to_dict()
-        assert data["version"] == 1
-        assert data["counts"]["functions"] == len(data["functions"])
-        assert data["counts"]["edges"] == len(data["edges"])
-        qnames = {f["qname"] for f in data["functions"]}
-        assert "repro.registry.Ring.whirl" in qnames
-        assert all({"caller", "callee", "line", "kind"} <= set(e)
-                   for e in data["edges"])
+    """``graph_for`` is what the graph hands the whole-program rules."""
 
     def test_graph_for_memoizes_per_module_sequence(self):
         modules = modules_for("callgraph_project")
         assert graph_for(modules) is graph_for(modules)
-
-    def test_cli_graph_out(self, tmp_path, capsys):
-        root = FIXTURES / "callgraph_project"
-        out = tmp_path / "callgraph.json"
-        rc = main(["lint", str(root), "--root", str(root),
-                   "--graph-out", str(out)])
-        assert rc == 0
-        assert "call graph written" in capsys.readouterr().out
-        data = json.loads(out.read_text())
-        assert data["counts"]["edges"] > 0
-
-    def test_cli_graph_stdout(self, capsys):
-        root = FIXTURES / "callgraph_project"
-        rc = main(["lint", str(root), "--root", str(root), "--graph"])
-        assert rc == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["version"] == 1

@@ -13,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+from conftest import as_arrays
 from repro.core.frames import StackTrace
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
 from repro.core.prefix_tree import PrefixTree
@@ -42,7 +43,7 @@ def random_paths(rng, max_paths=6, max_depth=5):
 
 def random_daemon_tree(rng, scheme, daemon_id, task_map, allow_empty=True):
     """A daemon-local tree over random paths and random slot sets."""
-    tree = scheme.make_empty_tree()
+    tree = PrefixTree()
     width = task_map.tasks_of(daemon_id)
     if allow_empty and rng.random() < 0.15:
         return tree  # empty contributor
@@ -67,24 +68,25 @@ class TestDenseEquivalence:
         trees = [random_daemon_tree(rng, scheme, d, task_map)
                  for d in range(fanin)]
         ref = reference_dense_merge(trees)
-        new = scheme.merge(trees)
-        assert isinstance(new, PrefixTree)
+        new = scheme.merge(as_arrays(scheme, trees))
+        assert isinstance(new, TreeArrays)
         assert new.structurally_equal(ref), f"seed {seed} diverged"
 
     def test_singleton_contributor(self):
         task_map = TaskMap.block(2, 4)
         scheme = DenseLabelScheme(8)
-        tree = scheme.make_empty_tree()
+        tree = PrefixTree()
         tree.insert(StackTrace.from_names(["main", "poll"]),
                     scheme.daemon_label(0, 4, [1, 2], task_map))
-        merged = scheme.merge([tree])
-        assert merged is not tree
+        arrays = as_arrays(scheme, [tree])
+        merged = scheme.merge(arrays)
+        assert merged is not arrays[0]
         assert merged.structurally_equal(reference_dense_merge([tree]))
 
     def test_all_empty_contributors(self):
         scheme = DenseLabelScheme(8)
-        trees = [scheme.make_empty_tree() for _ in range(3)]
-        merged = scheme.merge(trees)
+        trees = [PrefixTree() for _ in range(3)]
+        merged = scheme.merge(as_arrays(scheme, trees))
         assert merged.structurally_equal(reference_dense_merge(trees))
         assert merged.node_count() == 0
 
@@ -98,8 +100,9 @@ class TestDenseEquivalence:
         ref = reference_dense_merge(
             [reference_dense_merge(trees[:3]),
              reference_dense_merge(trees[3:])])
-        new = scheme.merge([scheme.merge(trees[:3]),
-                            scheme.merge(trees[3:])])
+        arrays = as_arrays(scheme, trees)
+        new = scheme.merge([scheme.merge(arrays[:3]),
+                            scheme.merge(arrays[3:])])
         assert new.structurally_equal(ref)
 
 
@@ -116,16 +119,16 @@ class TestHierarchicalEquivalence:
                                     allow_empty=False)
                  for d in range(fanin)]
         ref = reference_hierarchical_merge(trees)
-        new = scheme.merge(trees)
+        new = scheme.merge(as_arrays(scheme, trees))
         assert new.structurally_equal(ref), f"seed {seed} diverged"
 
     def test_empty_contributor_rejected_like_reference(self):
         scheme = HierarchicalLabelScheme()
-        trees = [scheme.make_empty_tree()]
+        trees = [PrefixTree()]
         with pytest.raises(ValueError):
             reference_hierarchical_merge(trees)
         with pytest.raises(ValueError):
-            scheme.merge(trees)
+            scheme.merge(as_arrays(scheme, trees))
 
     def test_merge_of_merges(self):
         rng = np.random.default_rng(7)
@@ -137,8 +140,9 @@ class TestHierarchicalEquivalence:
         ref = reference_hierarchical_merge(
             [reference_hierarchical_merge(trees[:2]),
              reference_hierarchical_merge(trees[2:])])
-        new = scheme.merge([scheme.merge(trees[:2]),
-                            scheme.merge(trees[2:])])
+        arrays = as_arrays(scheme, trees)
+        new = scheme.merge([scheme.merge(arrays[:2]),
+                            scheme.merge(arrays[2:])])
         assert new.structurally_equal(ref)
 
 
@@ -161,8 +165,7 @@ class TestTreeArrays:
         trees = [random_daemon_tree(np.random.default_rng(d + 1), scheme,
                                     d, task_map, allow_empty=False)
                  for d in range(3)]
-        merged = scheme.merge([TreeArrays.from_prefix_tree(t)
-                               for t in trees])
+        merged = scheme.merge(as_arrays(scheme, trees))
         assert isinstance(merged, TreeArrays)
         assert merged.serialized_bytes() == \
             merged.to_prefix_tree().serialized_bytes()
@@ -183,8 +186,7 @@ class TestTreeArrays:
         trees = [random_daemon_tree(np.random.default_rng(d), scheme, d,
                                     task_map, allow_empty=False)
                  for d in range(2)]
-        arrays = [TreeArrays.from_prefix_tree(t) for t in trees]
-        merged = scheme.merge(arrays)
+        merged = scheme.merge(as_arrays(scheme, trees))
         assert isinstance(merged, TreeArrays)
         assert merged.structurally_equal(reference_dense_merge(trees))
 

@@ -2,13 +2,9 @@
 
 import pytest
 
+from conftest import as_arrays
 from repro.core.frames import StackTrace
-from repro.core.merge import (
-    DenseLabelScheme,
-    HierarchicalLabelScheme,
-    merge_trees,
-    tree_layout,
-)
+from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
 from repro.core.prefix_tree import PrefixTree
 from repro.core.taskset import HierarchicalTaskSet, TaskMap
 
@@ -19,7 +15,7 @@ def trace(*names):
 
 def build_daemon_tree(scheme, daemon_id, task_map, paths_slots):
     """Helper: a daemon-local tree from {path: slot list}."""
-    tree = scheme.make_empty_tree()
+    tree = PrefixTree()
     width = task_map.tasks_of(daemon_id)
     for path, slots in paths_slots.items():
         tree.insert(trace(*path),
@@ -54,7 +50,7 @@ class TestDenseScheme:
                                {("main", "barrier"): [0, 1]})
         t1 = build_daemon_tree(scheme, 1, task_map,
                                {("main", "barrier"): [0]})
-        merged = scheme.merge([t0, t1])
+        merged = scheme.merge(as_arrays(scheme, [t0, t1]))
         node = merged.find(trace("main", "barrier"))
         assert node.tasks.to_ranks().tolist() == [0, 1, 4]
 
@@ -62,20 +58,25 @@ class TestDenseScheme:
         scheme = DenseLabelScheme(16)
         t0 = build_daemon_tree(scheme, 0, task_map, {("main", "a"): [0]})
         t1 = build_daemon_tree(scheme, 1, task_map, {("main", "b"): [0]})
-        merged = scheme.merge([t0, t1])
+        merged = scheme.merge(as_arrays(scheme, [t0, t1]))
         assert merged.find(trace("main", "a")) is not None
         assert merged.find(trace("main", "b")) is not None
         assert merged.find(trace("main")).tasks.count() == 2
 
     def test_finalize_is_identity(self, task_map):
+        """Dense labels are already rank-ordered: finalize only takes
+        the object view."""
         scheme = DenseLabelScheme(16)
         t0 = build_daemon_tree(scheme, 0, task_map, {("main",): [0]})
-        assert scheme.finalize(t0, task_map) is t0
+        final = scheme.finalize(as_arrays(scheme, [t0])[0], task_map)
+        assert isinstance(final, PrefixTree)
+        assert final.structurally_equal(t0)
 
     def test_merge_does_not_mutate_inputs(self, task_map):
         scheme = DenseLabelScheme(16)
-        t0 = build_daemon_tree(scheme, 0, task_map, {("main",): [0]})
-        t1 = build_daemon_tree(scheme, 1, task_map, {("main",): [0]})
+        t0, t1 = as_arrays(scheme, [
+            build_daemon_tree(scheme, 0, task_map, {("main",): [0]}),
+            build_daemon_tree(scheme, 1, task_map, {("main",): [0]})])
         before = t0.find(trace("main")).tasks.copy()
         scheme.merge([t0, t1])
         assert t0.find(trace("main")).tasks == before
@@ -94,14 +95,14 @@ class TestHierarchicalScheme:
         trees = [build_daemon_tree(scheme, d, task_map,
                                    {("main", "barrier"): [0]})
                  for d in range(3)]
-        merged = scheme.merge(trees)
-        assert tree_layout(merged).daemon_ids == (0, 1, 2)
+        merged = scheme.merge(as_arrays(scheme, trees))
+        assert merged.layout.daemon_ids == (0, 1, 2)
 
     def test_merge_zero_fills_missing_children(self, task_map):
         scheme = HierarchicalLabelScheme()
         t0 = build_daemon_tree(scheme, 0, task_map, {("main", "a"): [0]})
         t1 = build_daemon_tree(scheme, 1, task_map, {("main", "b"): [2]})
-        merged = scheme.merge([t0, t1])
+        merged = scheme.merge(as_arrays(scheme, [t0, t1]))
         a = merged.find(trace("main", "a")).tasks
         assert a.local_slots()[0].tolist() == [0]
         assert a.local_slots()[1].tolist() == []
@@ -111,7 +112,7 @@ class TestHierarchicalScheme:
         trees = [build_daemon_tree(scheme, d, task_map,
                                    {("main",): [d]})
                  for d in range(4)]
-        merged = scheme.merge(trees)
+        merged = scheme.merge(as_arrays(scheme, trees))
         ranks = merged.find(trace("main")).tasks.to_global_ranks(task_map)
         expect = sorted(int(task_map.ranks_of(d)[d]) for d in range(4))
         assert ranks.tolist() == expect
@@ -121,7 +122,8 @@ class TestHierarchicalScheme:
         trees = [build_daemon_tree(scheme, d, task_map,
                                    {("main",): [0, 1, 2, 3]})
                  for d in range(4)]
-        final = scheme.finalize(scheme.merge(trees), task_map)
+        final = scheme.finalize(scheme.merge(as_arrays(scheme, trees)),
+                                task_map)
         assert final.find(trace("main")).tasks.to_ranks().tolist() == \
             list(range(16))
 
@@ -129,15 +131,12 @@ class TestHierarchicalScheme:
         with pytest.raises(ValueError):
             HierarchicalLabelScheme().merge([])
 
-    def test_tree_layout_of_empty_tree_rejected(self):
-        with pytest.raises(ValueError):
-            tree_layout(PrefixTree())
-
-    def test_tree_layout_of_dense_tree_rejected(self, task_map):
+    def test_finalize_of_dense_tree_rejected(self, task_map):
         scheme = DenseLabelScheme(16)
-        t0 = build_daemon_tree(scheme, 0, task_map, {("main",): [0]})
+        t0, = as_arrays(scheme, [
+            build_daemon_tree(scheme, 0, task_map, {("main",): [0]})])
         with pytest.raises(TypeError):
-            tree_layout(t0)
+            HierarchicalLabelScheme().finalize(t0, task_map)
 
 
 class TestSchemeEquivalence:
@@ -155,28 +154,17 @@ class TestSchemeEquivalence:
         for scheme in (DenseLabelScheme(16), HierarchicalLabelScheme()):
             trees = [build_daemon_tree(scheme, d, tm, paths)
                      for d in range(4)]
-            finals.append(scheme.finalize(scheme.merge(trees), tm))
+            finals.append(scheme.finalize(
+                scheme.merge(as_arrays(scheme, trees)), tm))
         assert finals[0].structurally_equal(finals[1])
-
-    def test_merge_trees_single_fast_path_returns_copy(self, task_map):
-        """The 1-tree fast path must not alias the input (regression:
-        downstream label mutation used to corrupt the caller's tree)."""
-        scheme = DenseLabelScheme(16)
-        t0 = build_daemon_tree(scheme, 0, task_map, {("main",): [0]})
-        merged = merge_trees(scheme, [t0])
-        assert merged is not t0
-        assert merged.structurally_equal(t0)
-        # mutating the merged tree's labels must leave the input intact
-        merged.find(trace("main")).tasks.union_inplace(
-            scheme.daemon_label(1, 4, [0], task_map))
-        assert t0.find(trace("main")).tasks.to_ranks().tolist() == [0]
 
     def test_merge_associativity(self, task_map):
         """merge(merge(a,b),c) == merge(a,b,c) for both schemes."""
         for scheme in (DenseLabelScheme(16), HierarchicalLabelScheme()):
-            trees = [build_daemon_tree(scheme, d, task_map,
-                                       {("main", f"f{d % 2}"): [d]})
-                     for d in range(3)]
+            trees = as_arrays(scheme, [
+                build_daemon_tree(scheme, d, task_map,
+                                  {("main", f"f{d % 2}"): [d]})
+                for d in range(3)])
             flat = scheme.merge(trees)
             nested = scheme.merge([scheme.merge(trees[:2]), trees[2]])
             flat_final = scheme.finalize(flat, task_map)

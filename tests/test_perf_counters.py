@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import as_arrays
 from repro.core.frames import Frame, StackTrace
 from repro.core.interning import FRAMES
 from repro.core.merge import DenseLabelScheme
@@ -50,12 +51,13 @@ class TestMergeIntegration:
         scheme = DenseLabelScheme(8)
         trees = []
         for d in range(2):
-            tree = scheme.make_empty_tree()
+            tree = PrefixTree()
             tree.insert(StackTrace.from_names(["main", "poll"]),
                         scheme.daemon_label(d, 4, [0, 1], task_map))
             trees.append(tree)
+        arrays = as_arrays(scheme, trees)
         PERF.reset()
-        scheme.merge(trees)
+        scheme.merge(arrays)
         assert PERF.get("merge.calls") == 1
         assert PERF.get("merge.trees_in") == 2
         assert PERF.get("merge.nodes_out") == 2
@@ -131,27 +133,3 @@ class TestPrefixTreeCaching:
         before = tree.serialized_bytes()
         tree.insert(StackTrace.from_names(["a", "b"]), self._label())
         assert tree.serialized_bytes() > before
-
-    def test_insert_many_matches_sequential_insert(self):
-        rng = np.random.default_rng(11)
-        names = ["m", "f", "g", "h"]
-        pairs = []
-        for _ in range(24):
-            depth = int(rng.integers(1, 5))
-            path = ["m"] + [names[int(rng.integers(len(names)))]
-                            for _ in range(depth - 1)]
-            ranks = sorted(set(rng.integers(0, 8, size=3).tolist()))
-            pairs.append((StackTrace.from_names(path),
-                          DenseBitVector.from_ranks(ranks, 8)))
-        sequential = PrefixTree()
-        for trace, label in pairs:
-            sequential.insert(trace, label)
-        bulk = PrefixTree()
-        bulk.insert_many(pairs)
-        assert bulk.structurally_equal(sequential)
-        assert bulk.node_count() == sequential.node_count()
-
-    def test_insert_many_empty_is_noop(self):
-        tree = PrefixTree()
-        tree.insert_many([])
-        assert tree.node_count() == 0

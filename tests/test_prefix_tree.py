@@ -96,11 +96,6 @@ class TestPrefixTreeInsert:
         tree.find(trace("a")).tasks.union_inplace(label(5))
         assert tree.find(trace("b")).tasks.count() == 1
 
-    def test_insert_many(self):
-        tree = PrefixTree()
-        tree.insert_many([(trace("a"), label(0)), (trace("b"), label(1))])
-        assert tree.node_count() == 2
-
 
 class TestPrefixTreeQueries:
     def make(self) -> PrefixTree:

@@ -10,8 +10,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import as_arrays
 from repro.core.frames import StackTrace
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
+from repro.core.prefix_tree import PrefixTree
 from repro.core.ranklist import format_rank_list, parse_rank_list
 from repro.core.taskset import (
     DaemonLayout,
@@ -161,7 +163,7 @@ class TestRankListProperties:
 # -- merge laws ------------------------------------------------------------------
 
 def _daemon_tree(scheme, daemon, tm, assignment):
-    tree = scheme.make_empty_tree()
+    tree = PrefixTree()
     width = tm.tasks_of(daemon)
     by_path = {}
     for slot in range(width):
@@ -197,8 +199,9 @@ class TestMergeLaws:
         finals = []
         for scheme in (DenseLabelScheme(tm.total_tasks),
                        HierarchicalLabelScheme()):
-            trees = [_daemon_tree(scheme, d, tm, assignment)
-                     for d in sorted(tm.daemons())]
+            trees = as_arrays(scheme, [
+                _daemon_tree(scheme, d, tm, assignment)
+                for d in sorted(tm.daemons())])
             merged = trees[0] if len(trees) == 1 else scheme.merge(trees)
             finals.append(scheme.finalize(merged, tm))
         assert finals[0].structurally_equal(finals[1])
@@ -212,7 +215,8 @@ class TestMergeLaws:
         if len(daemons) < 2:
             return
         scheme = HierarchicalLabelScheme()
-        trees = [_daemon_tree(scheme, d, tm, assignment) for d in daemons]
+        trees = as_arrays(scheme, [_daemon_tree(scheme, d, tm, assignment)
+                                   for d in daemons])
         flat = scheme.merge(trees)
         k = max(1, min(split, len(trees) - 1))
         left = scheme.merge(trees[:k]) if k > 1 else trees[0]

@@ -3,9 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import as_arrays
 from repro.core.codec import pack_tree, unpack_tree, verify_size_model
 from repro.core.frames import StackTrace
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
+from repro.core.prefix_tree import PrefixTree
 from repro.core.taskset import TaskMap
 from repro.tbon.spec import from_topology_file, parse_shape, \
     to_topology_file
@@ -30,7 +32,7 @@ def labelled_trees(draw):
         min_size=1, max_size=6))
     trees = []
     for d in range(daemons):
-        t = scheme.make_empty_tree()
+        t = PrefixTree()
         for i, path in enumerate(paths):
             slots = draw(st.lists(st.integers(0, per - 1), max_size=per))
             if not slots:
@@ -41,8 +43,9 @@ def labelled_trees(draw):
             t.insert(StackTrace.from_names(["main"]),
                      scheme.daemon_label(d, per, [0], tm))
         trees.append(t)
-    merged = trees[0] if len(trees) == 1 else scheme.merge(trees)
-    return merged
+    if len(trees) == 1:
+        return trees[0]
+    return scheme.merge(as_arrays(scheme, trees)).to_prefix_tree()
 
 
 class TestCodecProperties:

@@ -1,7 +1,10 @@
 """Unit tests for the front-end rank remap step (Section V-B/C)."""
 
+import numpy as np
 import pytest
 
+from repro.core.frames import Frame
+from repro.core.merge import HierarchicalLabelScheme
 from repro.core.taskset import (
     DaemonLayout,
     DenseBitVector,
@@ -9,6 +12,7 @@ from repro.core.taskset import (
     RankRemapper,
     TaskMap,
 )
+from repro.core.treearrays import KIND_DENSE, KIND_HIER, TreeArrays
 
 
 def _root_label(task_map: TaskMap, slots_per_daemon) -> HierarchicalTaskSet:
@@ -72,13 +76,16 @@ class TestRankRemapper:
         with pytest.raises(ValueError, match="layout"):
             remapper.remap(other)
 
-    def test_remap_many(self):
-        tm = TaskMap.cyclic(2, 4)
-        layout = DaemonLayout.from_task_map(tm)
-        labels = [HierarchicalTaskSet.full(layout),
-                  HierarchicalTaskSet.empty(layout)]
-        out = RankRemapper(layout, tm).remap_many(labels)
-        assert out[0].count() == 8 and out[1].count() == 0
+    def test_out_of_range_task_map_rejected(self):
+        tm = TaskMap({0: [0, 1], 1: [2, 7]})
+        with pytest.raises(ValueError, match="out of range"):
+            RankRemapper(DaemonLayout.from_task_map(tm), tm)
+
+    def test_remap_rows_rejects_wrong_row_width(self):
+        tm = TaskMap.block(2, 4)
+        remapper = RankRemapper(DaemonLayout.from_task_map(tm), tm)
+        with pytest.raises(ValueError, match="layout"):
+            remapper.remap_rows(np.zeros((3, 5), dtype=np.uint8))
 
     def test_remap_result_is_dense_full_width(self):
         """Only the front end ever holds a job-width vector."""
@@ -96,3 +103,53 @@ class TestRankRemapper:
         label = HierarchicalTaskSet.full(layout)
         dense = RankRemapper(layout, tm).remap(label)
         assert dense.count() == 212_992
+
+
+def _random_label_rows(rng, layout: DaemonLayout, n: int) -> np.ndarray:
+    """``n`` valid packed rows over ``layout`` (padding bits zero)."""
+    rows = np.zeros((n, layout.nbytes), dtype=np.uint8)
+    for i in range(1, n):  # row 0 stays all-zero
+        density = rng.random()
+        rows[i] = HierarchicalTaskSet.concat([
+            HierarchicalTaskSet.for_daemon(
+                d, w, np.nonzero(rng.random(w) < density)[0])
+            for d, w in zip(layout.daemon_ids, layout.widths)]).data
+    return rows
+
+
+class TestRemapRows:
+    """The matrix remap against a per-label oracle of public API."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_label_oracle(self, seed, monkeypatch):
+        rng = np.random.default_rng(4200 + seed)
+        daemons = int(rng.integers(1, 7))
+        per = int(rng.integers(1, 21))  # mostly not a multiple of 8
+        tm = [TaskMap.block(daemons, per), TaskMap.cyclic(daemons, per),
+              TaskMap.shuffled(daemons, per, rng)][seed % 3]
+        alive = [d for d in range(daemons) if rng.random() < 0.75] or [0]
+        layout = DaemonLayout.from_task_map(tm, daemon_order=alive)
+        labels = _random_label_rows(rng, layout, int(rng.integers(1, 9)))
+        if seed % 2:  # several blocks, the last one short
+            monkeypatch.setattr(RankRemapper, "_BLOCK_LIMIT",
+                                3 * tm.total_tasks)
+        total = tm.total_tasks
+        expect = np.stack([
+            DenseBitVector.from_ranks(
+                HierarchicalTaskSet(layout, row).to_global_ranks(tm),
+                total).data
+            for row in labels])
+        got = RankRemapper(layout, tm).remap_rows(labels)
+        assert got.dtype == np.uint8 and np.array_equal(got, expect)
+
+        # finalize = the same remap under a main -> {f0, f1, ...} tree
+        k = int(rng.integers(1, 5))
+        structure = (
+            [Frame("main").id] + [Frame(f"f{i}").id for i in range(k)],
+            [-1] + [0] * k,
+            rng.integers(0, labels.shape[0], size=k + 1),
+            [0, 1, 1 + k])
+        final = HierarchicalLabelScheme().finalize(
+            TreeArrays(KIND_HIER, *structure, labels, layout=layout), tm)
+        assert TreeArrays(KIND_DENSE, *structure, expect,
+                          width=total).structurally_equal(final)
