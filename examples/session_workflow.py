@@ -55,7 +55,7 @@ def main() -> None:
 
         suspects = query.reached_but_not("main", "PMPI_Barrier")
         print(f"  never reached the barrier: "
-              f"{format_edge_label(suspects.to_ranks().tolist())}")
+              f"{format_edge_label(suspects.to_ranks())}")
 
         for path, ranks in query.outliers(max_class_size=1):
             print(f"  singleton at {path.leaf.function}: rank {ranks[0]}")

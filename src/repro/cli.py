@@ -365,7 +365,7 @@ def _run_inspect(args: argparse.Namespace) -> int:
         tasks = query.tasks_in_function(args.function)
         from repro.core.ranklist import format_edge_label
         print(f"tasks inside {args.function!r}: "
-              f"{format_edge_label(tasks.to_ranks().tolist())}")
+              f"{format_edge_label(tasks.to_ranks())}")
         return 0
     print(to_ascii(archive.tree_3d.truncated_at_depth(6)))
     print()

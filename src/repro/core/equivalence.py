@@ -14,13 +14,14 @@ Both cases are handled by :func:`equivalence_classes`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.frames import StackTrace
 from repro.core.prefix_tree import PrefixTree
-from repro.core.ranklist import format_edge_label
+from repro.core.ranklist import format_edge_label, normalize_ranks
+from repro.lint.contracts import contract
 
 __all__ = ["EquivalenceClass", "equivalence_classes", "representatives"]
 
@@ -58,6 +59,55 @@ class EquivalenceClass:
         return "\n".join(lines)
 
 
+@contract("ranks:(n):int64, children:[int64], mask:(t):bool "
+          "-> terminal:(k):int64")
+def _terminal_ranks(ranks: np.ndarray, children: Sequence[np.ndarray],
+                    mask: np.ndarray) -> np.ndarray:
+    """``ranks`` minus the union of ``children``: one node's terminal set.
+
+    ``mask`` is an all-False scratch array longer than the largest rank
+    involved; it is all-False again on return, so one allocation serves
+    every node of a tree.
+    """
+    mask[ranks] = True
+    for child in children:
+        mask[child] = False
+    terminal = ranks[mask[ranks]]
+    mask[ranks] = False
+    return terminal
+
+
+@contract("ranks:(m):int64, nodes:(m):int64 -> *")
+def _group_pairs(ranks: np.ndarray, nodes: np.ndarray,
+                 ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Group ``(rank, node)`` pairs by each rank's whole set of nodes.
+
+    There must be at least one pair, and ``nodes`` must ascend along the
+    pair list (preorder node ids, pairs emitted node by node).  Returns
+    one ``(node ids, member ranks)`` pair of ascending arrays per distinct
+    node set, in no particular order.
+    """
+    order = np.argsort(ranks, kind="stable")  # a rank's nodes stay ascending
+    ranks, nodes = ranks[order], nodes[order]
+    first = np.flatnonzero(np.concatenate(([True], ranks[1:] != ranks[:-1])))
+    count = np.diff(first, append=ranks.size)
+    # Partition refinement: after step j two ranks share an id iff their
+    # first j+1 nodes agree (0 stands for "has no j-th node").  A 2D tree
+    # never enters the loop: a rank's only node is its class.
+    base = int(nodes.max()) + 2
+    sig = nodes[first]
+    for j in range(1, int(count.max())):
+        nth = np.where(count > j,
+                       nodes[np.minimum(first + j, nodes.size - 1)] + 1, 0)
+        sig = np.unique(sig * base + nth, return_inverse=True)[1]
+    by_class = np.argsort(sig, kind="stable")  # members stay ascending
+    sig, first, count = sig[by_class], first[by_class], count[by_class]
+    starts = np.flatnonzero(np.concatenate(([True], sig[1:] != sig[:-1])))
+    members = np.split(ranks[first], starts[1:])
+    return [(nodes[f:f + k], m) for f, k, m
+            in zip(first[starts].tolist(), count[starts].tolist(), members)]
+
+
 def equivalence_classes(tree: PrefixTree) -> List[EquivalenceClass]:
     """Extract equivalence classes from a merged, finalized prefix tree.
 
@@ -78,29 +128,41 @@ def equivalence_classes(tree: PrefixTree) -> List[EquivalenceClass]:
     progress-engine recursion than a sibling's), so classes are built from
     **terminal ranks** — a node's ranks minus the union of its children's
     ranks — not from leaf paths alone.
+
+    Rank sets stay ``int64`` arrays throughout: terminal sets come from
+    one reused scratch mask (:func:`_terminal_ranks`), classes from one
+    stable sort of the ``(rank, preorder node)`` pairs split where a
+    rank's node set changes (:func:`_group_pairs`), and only the finished
+    classes become tuples of Python ``int``.  Memory is proportional to
+    the summed terminal-set sizes, never to ``nodes x tasks``.
     """
-    membership: Dict[int, List[StackTrace]] = {}
+    paths: List[StackTrace] = []
+    terminals: List[np.ndarray] = []
+    mask = np.zeros(0, dtype=bool)
     for path, node in tree.walk():
-        ranks = node.tasks.to_ranks()
+        ranks = normalize_ranks(node.tasks.to_ranks())
         if node.children:
-            child_ranks = np.unique(np.concatenate(
-                [c.tasks.to_ranks() for c in node.children.values()]))
-            terminal = np.setdiff1d(ranks, child_ranks)
-        else:
-            terminal = ranks
-        for rank in terminal:
-            membership.setdefault(int(rank), []).append(path)
+            children = [normalize_ranks(child.tasks.to_ranks())
+                        for child in node.children.values()]
+            top = max((int(a[-1]) for a in (ranks, *children) if a.size),
+                      default=-1)
+            if top >= mask.size:
+                mask = np.zeros(top + 1, dtype=bool)
+            ranks = _terminal_ranks(ranks, children, mask)
+        paths.append(path)
+        terminals.append(ranks)
+    sizes = [ranks.size for ranks in terminals]
+    if not any(sizes):
+        return []
 
-    groups: Dict[FrozenSet[StackTrace], List[int]] = {}
-    for rank, paths in membership.items():
-        groups.setdefault(frozenset(paths), []).append(rank)
-
+    nodes = np.repeat(np.arange(len(terminals)), sizes)
     classes = [
         EquivalenceClass(
-            paths=tuple(sorted(key, key=lambda p: tuple(f.function for f in p))),
-            ranks=tuple(sorted(ranks)),
+            paths=tuple(sorted((paths[i] for i in node_ids.tolist()),
+                               key=lambda p: tuple(f.function for f in p))),
+            ranks=tuple(members.tolist()),
         )
-        for key, ranks in groups.items()
+        for node_ids, members in _group_pairs(np.concatenate(terminals), nodes)
     ]
     classes.sort(key=lambda c: (-c.size, c.representative))
     return classes

@@ -31,6 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.ranklist import normalize_ranks
 from repro.lint.contracts import contract
 
 __all__ = [
@@ -120,7 +121,7 @@ class DenseBitVector:
     @classmethod
     def from_ranks(cls, ranks: Iterable[int], width: int) -> "DenseBitVector":
         """Vector with exactly the given global ranks set."""
-        idx = np.asarray(sorted(set(int(r) for r in ranks)), dtype=np.int64)
+        idx = normalize_ranks(ranks)
         if idx.size and (idx[0] < 0 or idx[-1] >= width):
             raise ValueError(
                 f"rank out of range [0, {width}): {idx[0 if idx[0] < 0 else -1]}")
@@ -473,7 +474,7 @@ class HierarchicalTaskSet:
                    local_slots: Iterable[int]) -> "HierarchicalTaskSet":
         """Leaf label: ``local_slots`` are daemon-local indices, not ranks."""
         layout = DaemonLayout.for_daemon(daemon_id, width)
-        idx = np.asarray(sorted(set(int(s) for s in local_slots)), dtype=np.int64)
+        idx = normalize_ranks(local_slots)
         if idx.size and (idx[0] < 0 or idx[-1] >= width):
             raise ValueError(f"local slot out of range [0, {width})")
         return cls(layout, _pack_indices(idx, width))

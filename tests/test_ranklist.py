@@ -1,13 +1,64 @@
 """Unit tests for compressed rank-list formatting (Figure 1 labels)."""
 
+import numpy as np
 import pytest
 
 from repro.core.ranklist import (
     compress_ranks,
     format_edge_label,
     format_rank_list,
+    normalize_ranks,
     parse_rank_list,
 )
+
+
+class TestNormalize:
+    """One normalisation feeds every formatter and label constructor."""
+
+    @pytest.mark.parametrize("ranks", [
+        [7, 3, 3, 250], (250, 7, 3), {3, 7, 250}, (r for r in (250, 3, 7, 3)),
+        range(3, 251), np.array([250, 7, 3, 7]),
+        np.array([3, 7, 250], dtype=np.uint8),
+        np.array([250, 3, 7], dtype=np.int16),
+        [np.int64(250), np.uint8(7), 3],
+    ], ids=["list", "tuple", "set", "generator", "range", "unsorted-array",
+            "uint8", "int16", "numpy-scalars"])
+    def test_any_integer_iterable(self, ranks):
+        arr = normalize_ranks(ranks)
+        assert arr.dtype == np.int64 and arr.ndim == 1
+        assert arr[0] == 3 and arr[-1] == 250
+        assert (np.diff(arr) > 0).all()
+
+    def test_small_unsigned_dtypes_do_not_wrap(self):
+        """np.diff on uint8 wraps 3 - 250 to 9: widen first."""
+        ranks = np.array([250, 3, 4, 5], dtype=np.uint8)
+        assert compress_ranks(ranks) == [(3, 5), (250, 250)]
+        assert compress_ranks(np.sort(ranks)) == [(3, 5), (250, 250)]
+        assert format_edge_label(ranks) == "4:[3-5,250]"
+
+    def test_empty_inputs(self):
+        for empty in ([], (), set(), iter(()), np.zeros(0, dtype=np.uint8)):
+            arr = normalize_ranks(empty)
+            assert arr.dtype == np.int64 and arr.shape == (0,)
+        assert format_edge_label(np.zeros(0, dtype=np.int64)) == "0:[]"
+
+    def test_normalised_array_is_passed_through(self):
+        arr = np.array([0, 3, 4, 1023])
+        assert normalize_ranks(arr) is arr
+
+    def test_caller_array_is_not_modified(self):
+        arr = np.array([5, 1, 5, 2])
+        assert normalize_ranks(arr).tolist() == [1, 2, 5]
+        assert arr.tolist() == [5, 1, 5, 2]
+
+    def test_two_dimensional_array_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            normalize_ranks(np.zeros((2, 2), dtype=np.int64))
+
+    def test_runs_are_python_ints(self):
+        runs = compress_ranks(np.array([4, 5, 9], dtype=np.int32))
+        assert runs == [(4, 5), (9, 9)]
+        assert all(type(x) is int for run in runs for x in run)
 
 
 class TestCompress:

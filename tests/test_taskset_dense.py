@@ -30,10 +30,25 @@ class TestConstruction:
         assert v.count() == 1
 
     def test_from_ranks_out_of_range(self):
-        with pytest.raises(ValueError):
+        message = r"rank out of range \[0, 16\): "
+        with pytest.raises(ValueError, match=message + "16"):
             DenseBitVector.from_ranks([16], 16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message + "-1"):
             DenseBitVector.from_ranks([-1], 16)
+        with pytest.raises(ValueError, match=message + "200"):
+            DenseBitVector.from_ranks(np.array([3, 200], dtype=np.uint8), 16)
+
+    @pytest.mark.parametrize("ranks", [
+        [9, 2, 2, 5], {2, 5, 9}, (r for r in (5, 9, 2)),
+        np.array([9, 2, 5], dtype=np.uint8),
+    ], ids=["list", "set", "generator", "uint8"])
+    def test_from_ranks_accepts_any_integer_iterable(self, ranks):
+        v = DenseBitVector.from_ranks(ranks, 16)
+        assert v.to_ranks().tolist() == [2, 5, 9]
+
+    def test_from_ranks_empty(self):
+        assert DenseBitVector.from_ranks([], 16).is_empty()
+        assert DenseBitVector.from_ranks(iter(()), 0).count() == 0
 
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):

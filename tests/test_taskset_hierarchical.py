@@ -97,8 +97,19 @@ class TestHierarchicalTaskSet:
         assert t.chunk_bits(0).nonzero()[0].tolist() == [0, 3, 7]
 
     def test_slot_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"local slot out of range \[0, 8\)"):
             HierarchicalTaskSet.for_daemon(0, 8, [8])
+        with pytest.raises(ValueError, match="local slot out of range"):
+            HierarchicalTaskSet.for_daemon(0, 8, np.array([-1, 2]))
+
+    @pytest.mark.parametrize("slots", [
+        [7, 0, 0, 3], {0, 3, 7}, (s for s in (3, 7, 0)),
+        np.array([7, 0, 3], dtype=np.uint8),
+    ], ids=["list", "set", "generator", "uint8"])
+    def test_for_daemon_accepts_any_integer_iterable(self, slots):
+        t = HierarchicalTaskSet.for_daemon(0, 8, slots)
+        assert t.chunk_bits(0).nonzero()[0].tolist() == [0, 3, 7]
 
     def test_union_same_layout(self):
         a = HierarchicalTaskSet.for_daemon(0, 8, [0, 1])
