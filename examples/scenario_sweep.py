@@ -10,8 +10,8 @@ configurations.  With the session API each configuration is a
    consumes),
 2. expand it over scales and modes,
 3. run the batch in one call and print the comparison table,
-4. replay one scenario through the composable pipeline with a
-   fault-injection observer (two I/O nodes die before the merge).
+4. replay one scenario with a declared fault plan (two I/O nodes
+   crash before the merge).
 
 Run:  python examples/scenario_sweep.py
 """
@@ -19,12 +19,8 @@ Run:  python examples/scenario_sweep.py
 import tempfile
 from pathlib import Path
 
-from repro.api import (
-    DaemonKillObserver,
-    ScenarioSuite,
-    SessionPipeline,
-    SessionSpec,
-)
+from repro.api import ScenarioSuite, SessionSpec
+from repro.faults.plan import FaultPlan
 
 
 def main() -> None:
@@ -46,11 +42,9 @@ def main() -> None:
     print(report.table())
     print()
 
-    # 4. one degraded session through the pipeline -----------------------
-    killer = DaemonKillObserver([2, 5], before="merge")
-    pipeline = SessionPipeline.from_spec(
-        base.replace(daemons=8), observers=(killer,))
-    result = pipeline.run()
+    # 4. one degraded session: the dead set is part of the spec ----------
+    crashes = FaultPlan(seed=base.seed).with_crashes([2, 5])
+    result = base.replace(daemons=8, faults=crashes).run().result
     print("degraded session (daemons 2 and 5 died before the merge):")
     print(f"  missing daemons: {sorted(result.merge.missing_daemons)}")
     print(f"  tasks still covered: {sum(c.size for c in result.classes)}"

@@ -8,9 +8,8 @@ Three layers, importable from this package:
   sampling, mapping, dead daemons, seed, workload).
 * :class:`SessionPipeline` — the launch → map_gather → stage → sample →
   merge → finalize phase chain over a shared :class:`SessionContext`,
-  with :class:`PhaseObserver` hooks (progress, wall-clock timing, fault
-  injection).  ``STATFrontEnd.attach_and_analyze`` is now a thin wrapper
-  over this.
+  with :class:`PhaseObserver` hooks (progress, wall-clock timing).
+  ``STATFrontEnd.attach_and_analyze`` is now a thin wrapper over this.
 * :class:`ScenarioSuite` — runs many specs concurrently
   (``multiprocessing`` under ``concurrent.futures``) and returns per-spec
   results plus a comparison table.
@@ -25,7 +24,6 @@ Quickstart::
 """
 
 from repro.api.pipeline import (
-    DaemonKillObserver,
     PHASES,
     PhaseObserver,
     PipelineError,
@@ -62,7 +60,6 @@ __all__ = [
     "PhaseObserver",
     "TimingObserver",
     "ProgressObserver",
-    "DaemonKillObserver",
     "PHASES",
     "ScenarioSuite",
     "ScenarioOutcome",

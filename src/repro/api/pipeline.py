@@ -5,8 +5,11 @@ This decomposes the historical ``STATFrontEnd.attach_and_analyze`` monolith
 into six named phase objects sharing one :class:`SessionContext`.  Each
 phase is individually invokable (``pipeline.run_phase("launch")``), the
 whole chain is :meth:`SessionPipeline.run`, and observers get a hook
-before and after every phase — enough for progress reporting, wall-clock
-capture, and fault injection (e.g. killing daemons just before the merge).
+before and after every phase — enough for progress reporting and
+wall-clock capture.  Faults are declared, not hooked: a
+:class:`~repro.faults.plan.FaultPlan` on the context (``SessionSpec.faults``)
+is the one way to say a daemon is dead; ``dead_daemons`` is an input the
+merge phase parses into that plan.
 
 The phase semantics and timing keys are *identical* to the monolith:
 ``launch``, ``map_gather``, ``sbrs`` (stage, only when SBRS is on),
@@ -45,7 +48,7 @@ from repro.perf.counters import (
 from repro.sim.engine import Engine
 from repro.statbench.emulator import DaemonTrees, STATBenchEmulator
 from repro.statbench.generator import StateProvider
-from repro.tbon.network import DaemonFailure, ReduceResult, TBONetwork
+from repro.tbon.network import ReduceResult, TBONetwork
 from repro.tbon.streaming import StreamConfig, StreamingTBON
 from repro.tbon.topology import Topology
 
@@ -55,7 +58,6 @@ __all__ = [
     "PhaseObserver",
     "TimingObserver",
     "ProgressObserver",
-    "DaemonKillObserver",
     "SessionPipeline",
     "PipelineError",
     "PHASES",
@@ -73,7 +75,8 @@ class SessionContext:
     The first block is configuration (filled before the run); the second
     is the per-phase products.  Observers may mutate configuration fields
     that later phases read — e.g. adding to ``dead_daemons`` before the
-    merge phase models daemons dying mid-session.
+    merge phase models daemons dying mid-session (the merge phase turns
+    them into t=0 crashes on ``fault_plan``).
     """
 
     # -- configuration ----------------------------------------------------
@@ -199,32 +202,6 @@ class ProgressObserver(PhaseObserver):
                         f"daemons merged at t={info['sim_time']:.4f}s")
 
 
-class DaemonKillObserver(PhaseObserver):
-    """Fault injection: kill daemons right before a chosen phase.
-
-    Models daemons dying mid-session — after launch succeeded but before
-    the merge needs their subtrees (``before="merge"``, the default).
-
-    .. deprecated::
-        This is now a thin shim over :class:`repro.faults.plan.FaultPlan`
-        — it extends the context's plan with crash-at-t=0 entries, which
-        the merge phase resolves to the same dead set and detection
-        charge as before.  Prefer declaring crashes on
-        ``SessionSpec.faults`` directly: plans are serializable,
-        sweepable, and replayable; this observer is not.
-    """
-
-    def __init__(self, daemon_ids: Sequence[int],
-                 before: str = "merge") -> None:
-        self.daemon_ids = set(int(d) for d in daemon_ids)
-        self.before = before
-
-    def on_phase_start(self, phase: str, ctx: SessionContext) -> None:
-        if phase == self.before:
-            base = ctx.fault_plan or FaultPlan(seed=ctx.seed)
-            ctx.fault_plan = base.with_crashes(sorted(self.daemon_ids))
-
-
 class Phase:
     """One named, individually-invokable pipeline step."""
 
@@ -315,54 +292,45 @@ class MergePhase(Phase):
             num_samples=ctx.config.num_samples,
             threads_per_process=ctx.config.threads_per_process,
             seed=ctx.seed)
+        # The one declaration of a dead daemon is a crash on the fault
+        # plan: ``dead_daemons`` (spec field, front-end argument, or an
+        # observer's edit) parses into t=0 crashes here and nowhere else.
+        if ctx.dead_daemons:
+            ctx.fault_plan = (ctx.fault_plan or FaultPlan(seed=ctx.seed)) \
+                .with_crashes(ctx.dead_daemons)
         injector = None
         if ctx.fault_plan is not None and not ctx.fault_plan.empty:
-            injector = ctx.fault_plan.bind(len(ctx.task_map))
-            ctx.fault_injector = injector
-        dead = set(ctx.dead_daemons)
-        if injector is not None:
-            # Crashes at t<=0 are gone before the merge starts: exclude
-            # them from the forest build like spec-level dead_daemons.
-            dead |= injector.dead_at_start()
+            injector = ctx.fault_injector = \
+                ctx.fault_plan.bind(len(ctx.task_map))
+        dead = injector.dead_at_start() if injector is not None else ()
         emulator = ctx.emulator
 
         # Build the whole forest up front through the vectorized forest
-        # path (bit-identical to per-rank daemon_trees; dead daemons are
-        # excluded so emulation counters match the lazy per-rank path).
+        # path (bit-identical to per-rank daemon_trees).  Daemons gone
+        # before the merge starts are excluded, so emulation counters
+        # match the lazy per-rank path; the injector declares them dead
+        # before their payload is ever asked for.
         live = [d for d in range(len(ctx.task_map)) if d not in dead]
         forest = dict(zip(live, emulator.build_forest(daemon_ids=live)))
-
-        def leaf_payload(rank: int) -> DaemonTrees:
-            if rank in dead:
-                raise DaemonFailure(f"daemon {rank} unreachable")
-            return forest[rank]
-
+        reduction = dict(
+            leaf_payload_fn=forest.__getitem__,
+            merge_fn=emulator.merge_filter(),
+            payload_nbytes=DaemonTrees.serialized_bytes,
+            payload_nodes=DaemonTrees.node_count,
+            on_daemon_failure="skip",
+            faults=injector,
+        )
         if ctx.stream:
             # Event-driven variant: asynchronous emissions, incremental
             # folds, missing-ranklist degradation.  Bit-identical final
             # tree.
-            network = StreamingTBON(ctx.topology, ctx.machine)
-            ctx.merge = network.reduce(
-                leaf_payload_fn=leaf_payload,
-                merge_fn=emulator.merge_filter(),
-                payload_nbytes=DaemonTrees.serialized_bytes,
-                payload_nodes=DaemonTrees.node_count,
-                on_daemon_failure="skip",
+            ctx.merge = StreamingTBON(ctx.topology, ctx.machine).reduce(
+                **reduction,
                 config=ctx.stream_config or StreamConfig(seed=ctx.seed),
-                progress_fn=ctx.progress_sink,
-                faults=injector,
-            )
+                progress_fn=ctx.progress_sink)
         else:
-            network = TBONetwork(ctx.topology, ctx.machine)
-            skip = bool(dead) or injector is not None
-            ctx.merge = network.reduce(
-                leaf_payload_fn=leaf_payload,
-                merge_fn=emulator.merge_filter(),
-                payload_nbytes=DaemonTrees.serialized_bytes,
-                payload_nodes=DaemonTrees.node_count,
-                on_daemon_failure="skip" if skip else "raise",
-                faults=injector,
-            )
+            ctx.merge = TBONetwork(ctx.topology, ctx.machine).reduce(
+                **reduction)
         ctx.timings["merge"] = ctx.merge.sim_time
 
 

@@ -2,8 +2,8 @@
 
 At full scale some of 1,664 daemons *will* be unreachable (dead I/O
 nodes, wedged CIOD).  This ablation kills growing fractions of the daemon
-population during a 2-deep merge with ``on_daemon_failure="skip"`` and
-measures (a) the completion time — dominated by the parent-side failure
+population during a 2-deep merge (each dead set declared as t=0 crashes
+on a :class:`~repro.faults.plan.FaultPlan`) and measures (a) the completion time — dominated by the parent-side failure
 detection timeout, not by the lost data — and (b) the coverage of the
 resulting tree, verifying that exactly the dead daemons' tasks are
 missing and nothing else.
@@ -18,11 +18,12 @@ import numpy as np
 from repro.core.merge import HierarchicalLabelScheme
 from repro.core.taskset import TaskMap
 from repro.experiments.common import ExperimentResult, Row
+from repro.faults.plan import FaultPlan
 from repro.machine.bgl import BGLMachine
 from repro.mpi.stacks import BGLStackModel
 from repro.statbench import STATBenchEmulator, ring_hang_states
 from repro.statbench.emulator import DaemonTrees
-from repro.tbon.network import DaemonFailure, TBONetwork
+from repro.tbon.network import TBONetwork
 from repro.tbon.topology import Topology
 
 __all__ = ["run", "FAILURE_FRACTIONS"]
@@ -55,18 +56,14 @@ def run(quick: bool = False,
     for fraction in fractions:
         dead = set(rng.choice(daemons, size=int(round(fraction * daemons)),
                               replace=False).tolist())
-
-        def leaf(rank, dead=dead):
-            if rank in dead:
-                raise DaemonFailure(f"daemon {rank} unreachable")
-            return emulator.daemon_trees(rank)
-
+        plan = FaultPlan(seed=seed).with_crashes(dead)
         net = TBONetwork(topo, machine)
-        merge = net.reduce(leaf, emulator.merge_filter(),
+        merge = net.reduce(emulator.daemon_trees, emulator.merge_filter(),
                            DaemonTrees.serialized_bytes,
                            DaemonTrees.node_count,
                            on_daemon_failure="skip",
-                           failure_detect_s=5.0)
+                           failure_detect_s=5.0,
+                           faults=plan.bind(daemons))
         final = scheme.finalize(merge.payload.tree_3d, task_map)
         covered: set = set()
         for _, label in final.edges():

@@ -7,7 +7,7 @@ Section V demands of a 208K-core debugger:
 
 * **never hangs** — every case completes inside the sweep's wall budget;
 * **never raises outside declared policy** — a case either returns a
-  (possibly degraded) result or raises ``DaemonFailure`` for the
+  (possibly degraded) result or raises ``AllDaemonsFailed`` for the
   declared every-daemon-lost condition;
 * **deterministic per seed** — every case is run twice and must
   reproduce its merged payload (``arrays_equal``), timing, missing
@@ -41,7 +41,8 @@ from repro.perf.bench import VN_TASKS_PER_DAEMON
 from repro.sim.random import SeedStream
 from repro.statbench import ring_hang_states
 from repro.statbench.emulator import DaemonTrees, STATBenchEmulator
-from repro.tbon.network import DaemonFailure, TBONetwork
+from repro.tbon.network import TBONetwork
+from repro.tbon.retry import AllDaemonsFailed, DaemonFailure
 from repro.tbon.streaming import StreamConfig, StreamingTBON
 from repro.tbon.topology import Topology
 
@@ -64,7 +65,7 @@ class ChaosCase:
     plan_seed: int
     ok: bool = True
     error: Optional[str] = None
-    #: declared every-daemon-lost outcome (DaemonFailure) — not a bug
+    #: declared every-daemon-lost outcome (AllDaemonsFailed) — not a bug
     all_dead: bool = False
     sim_time: float = 0.0
     coverage: float = 1.0
@@ -174,9 +175,7 @@ def _case_outcome(mode: str, topology: Topology, machine,
         else:
             result = StreamingTBON(topology, machine).reduce(
                 **kwargs, config=StreamConfig(seed=scheme_seed))
-    except DaemonFailure as err:
-        if "every daemon" not in str(err):
-            raise
+    except AllDaemonsFailed:
         return None, injector, True
     return result, injector, False
 
@@ -221,9 +220,10 @@ def _check_stream_monotone(topology: Topology, machine, plan: FaultPlan,
                         f"at t={probe}")
             last = covered
         reduction.run()
+    except AllDaemonsFailed:
+        pass
     except DaemonFailure as err:
-        if "every daemon" not in str(err):
-            return f"undeclared {type(err).__name__}: {err}"
+        return f"undeclared {type(err).__name__}: {err}"
     return None
 
 

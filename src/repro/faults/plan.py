@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import pickle
 import zlib
 from dataclasses import dataclass, fields
@@ -150,9 +149,9 @@ class DaemonCrash:
     """Permanent daemon death at simulated time ``time``.
 
     ``time <= 0`` means the daemon is already gone when the merge phase
-    starts (the :class:`~repro.api.pipeline.DaemonKillObserver` shim
-    emits exactly this); a positive time kills it before it can emit —
-    its parent charges the detection timeout and degrades.
+    starts (``SessionSpec.dead_daemons`` parses into exactly this); a
+    positive time kills it before it can emit — its parent charges the
+    detection timeout and degrades.
     """
 
     kind: ClassVar[str] = "daemon_crash"
@@ -545,8 +544,3 @@ class DegradationReport:
                 f"{self.missing_subtrees} subtrees lost, "
                 f"{self.faults_absorbed}/{self.faults_injected} "
                 f"faults absorbed")
-
-
-# Keep the checksum helpers importable without the math module warning
-# tripping static analysis: math.inf is used by the injector.
-INFINITY = math.inf

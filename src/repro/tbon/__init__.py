@@ -16,10 +16,16 @@ This package reimplements the pieces the paper exercises:
   charges link transfers (from real serialized byte counts), per-message
   overheads, ingress serialization at each host NIC, and CPU dilation when
   CPs share login nodes.
+* :mod:`repro.tbon.streaming` — the same reduction as a discrete-event
+  simulation (asynchronous daemons, incremental folds, snapshots).
+* :mod:`repro.tbon.retry` — the one failure path both engines drive:
+  leaf resolution against a fault plan and the per-transmission
+  retry/degrade state machine.
 """
 
-from repro.tbon.network import DaemonFailure, ReduceResult, TBONCostBase, \
-    TBONetwork, TBONOverflowError
+from repro.tbon.network import ReduceResult, TBONCostBase, TBONetwork, \
+    TBONOverflowError
+from repro.tbon.retry import AllDaemonsFailed, DaemonFailure
 from repro.tbon.spec import from_topology_file, parse_shape, \
     to_topology_file
 from repro.tbon.streaming import Snapshot, StreamConfig, StreamResult, \
@@ -35,6 +41,7 @@ __all__ = [
     "ReduceResult",
     "TBONOverflowError",
     "DaemonFailure",
+    "AllDaemonsFailed",
     "StreamingTBON",
     "StreamingReduction",
     "StreamConfig",

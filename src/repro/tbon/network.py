@@ -27,7 +27,7 @@ what makes full-scale 1,664-daemon runs feasible in-process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import RetryPolicy
@@ -35,11 +35,18 @@ from repro.machine.base import MachineModel
 from repro.perf.counters import (
     PERF,
     TBON_BYTES,
-    TBON_CORRUPT_DETECTED,
     TBON_MESSAGES,
     TBON_REDUCE_WALL_SECONDS,
     TBON_REDUCTIONS,
-    TBON_RETRIES,
+)
+from repro.tbon.retry import (
+    WAIT,
+    AllDaemonsFailed,
+    DaemonFailure,
+    declare_dead,
+    failure_policy,
+    resolve_leaf,
+    transmit,
 )
 from repro.tbon.topology import Role, Topology, TopologyNode
 
@@ -50,6 +57,7 @@ __all__ = [
     "TBONCostBase",
     "TBONetwork",
     "TBONOverflowError",
+    "DaemonFailure",
 ]
 
 
@@ -58,16 +66,6 @@ class TBONOverflowError(RuntimeError):
 
     Models the Section V-A observation that the flat topology "fails to
     merge the graphs at 16,384 compute nodes (256 I/O nodes)" on BG/L.
-    """
-
-
-class DaemonFailure(RuntimeError):
-    """Raised by a leaf payload source when its daemon has died.
-
-    With ``on_daemon_failure="skip"`` the reduction proceeds without the
-    dead daemon's subtree and reports it in
-    :attr:`ReduceResult.missing_daemons` — at 1,664 daemons a tool that
-    aborts on any single failure never completes a full-machine run.
     """
 
 
@@ -194,18 +192,25 @@ class TBONCostBase:
                 f"{len(node.children)} children; limit is "
                 f"{self.max_children} on {self.machine.name}")
 
-    def _check_ingress(self, node: TopologyNode, ingress_bytes: int) -> None:
+    def _check_ingress(self, node: TopologyNode, ingress_bytes: int,
+                       stats: "ReduceResult") -> None:
         if self.max_ingress_bytes is not None and \
                 ingress_bytes > self.max_ingress_bytes:
             raise TBONOverflowError(
                 f"node {node.node_id} buffered {ingress_bytes} bytes; "
                 f"limit is {self.max_ingress_bytes}")
+        stats.max_node_ingress_bytes = max(
+            stats.max_node_ingress_bytes, ingress_bytes)
 
     def filter_seconds(self, node: TopologyNode, n_children: int,
                        bytes_in: int, merged_nodes: int) -> float:
         """Host-dilated filter CPU seconds for one merge at ``node``."""
         return self.filter_cost.cost(
             n_children, bytes_in, merged_nodes) * self._slowdown(node)
+
+    def __repr__(self) -> str:
+        return (f"<{type(self).__name__} {self.topology.describe()} "
+                f"on {self.machine.name}>")
 
     # -- broadcast ---------------------------------------------------------
     def broadcast(self, nbytes: int,
@@ -233,19 +238,6 @@ class TBONCostBase:
 
         visit(self.topology.root, start_time)
         return result
-
-
-def _subtree_ranks(node: TopologyNode) -> List[int]:
-    """Daemon ranks under ``node`` (the node itself when a leaf)."""
-    out: List[int] = []
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current.is_leaf:
-            out.append(current.rank)
-        else:
-            stack.extend(current.children)
-    return out
 
 
 class TBONetwork(TBONCostBase):
@@ -298,8 +290,7 @@ class TBONetwork(TBONCostBase):
             guaranteed no-op (bit-identical result and timing).
         retry:
             Optional :class:`~repro.faults.plan.RetryPolicy` override;
-            defaults to ``faults.retry``.  Only consulted when
-            ``faults`` is given.
+            defaults to ``faults.retry``.
 
         Returns
         -------
@@ -314,59 +305,32 @@ class TBONetwork(TBONCostBase):
             When every daemon failed (there is nothing to merge), or on
             the first failure with ``on_daemon_failure="raise"``.
         """
-        if on_daemon_failure not in ("raise", "skip"):
-            raise ValueError(
-                f"on_daemon_failure must be 'raise' or 'skip', "
-                f"got {on_daemon_failure!r}")
+        policy = failure_policy(on_daemon_failure, faults, retry)
         nodes_of = payload_nodes or (lambda p: 0)
         stats = ReduceResult(payload=None, sim_time=0.0)
         _DEAD = object()
-        policy = retry if retry is not None else \
-            (faults.retry if faults is not None else RetryPolicy())
-        missing_seen: set = set()
 
-        def record_missing(rank: int) -> None:
-            if rank not in missing_seen:
-                missing_seen.add(rank)
-                stats.missing_daemons.append(rank)
-
-        def visit(node: TopologyNode, level: int) -> Tuple[Any, float]:
+        def visit(node: TopologyNode,
+                  level: int) -> Tuple[Any, float, Sequence[int]]:
+            """-> (payload | _DEAD, time available, live ranks in it)."""
             if node.is_leaf:
                 rank = node.rank
-                if faults is not None:
-                    when, alive, spent = faults.leaf_outcome(
-                        rank, leaf_ready_time(rank), policy,
-                        failure_detect_s)
-                    if spent:
-                        stats.retries += spent
-                        PERF.add(TBON_RETRIES, spent)
-                    if not alive:
-                        if on_daemon_failure == "raise":
-                            raise DaemonFailure(
-                                f"daemon {rank} lost to injected fault")
-                        record_missing(rank)
-                        stats.missing_subtrees += 1
-                        return _DEAD, when
-                else:
-                    when = leaf_ready_time(rank)
+                when, alive = resolve_leaf(
+                    stats, rank, leaf_ready_time(rank), faults, policy,
+                    failure_detect_s, on_daemon_failure)
+                if not alive:
+                    return _DEAD, when, ()
                 try:
-                    return leaf_payload_fn(rank), when
-                except DaemonFailure:
-                    if on_daemon_failure == "raise":
-                        raise
-                    record_missing(rank)
-                    stats.missing_subtrees += 1
-                    return _DEAD, failure_detect_s
+                    return leaf_payload_fn(rank), when, (rank,)
+                except DaemonFailure as err:
+                    declare_dead(stats, rank, on_daemon_failure, err)
+                    return _DEAD, failure_detect_s, ()
 
             self._check_fanout(node)
 
-            payloads: List[Any] = []
             ends: List[float] = []
             nic_free = 0.0
             ingress_bytes = 0
-            lost_slots: set = set()
-            link = None if faults is None else \
-                faults.link_params(node.node_id)
             child_results = [visit(child, level + 1)
                              for child in node.children]
             # Transfers serialize on the NIC earliest-ready-first (MRNet's
@@ -378,87 +342,51 @@ class TBONetwork(TBONCostBase):
             order = sorted(range(len(child_results)),
                            key=lambda i: (child_results[i][1], i))
             for i in order:
-                payload, ready = child_results[i]
+                payload, ready, ranks = child_results[i]
                 if payload is _DEAD:
                     # No transfer; the parent still waits out the timeout.
                     ends.append(ready)
                     continue
                 nbytes = payload_nbytes(payload)
-                if link is None:
-                    ingress_bytes += nbytes
-                    stats.bytes_total += nbytes
-                    stats.messages += 1
-                    stats.per_level_bytes[level] = \
-                        stats.per_level_bytes.get(level, 0) + nbytes
-                    start = max(ready, nic_free)
-                    end = start + self.machine.transfer_time(nbytes)
-                    nic_free = end
-                    ends.append(end)
-                    continue
-                # Faulted ingress link: every attempt is one real
-                # transmission — a drop burns the per-attempt timeout, a
-                # corruption is caught by the receiver's checksum and
-                # retried — and an exhausted budget degrades the whole
-                # child subtree to missing_daemons.
+                # The shared transmission steps, summed into a clock:
+                # fault-free that is one SEND, i.e. max(ready, nic_free)
+                # + transfer_time.
                 t = max(ready, nic_free)
-                delivered = False
-                for attempt in range(policy.max_retries + 1):
-                    fate = faults.link_fate(node.node_id, i, attempt)
-                    if fate == "drop":
-                        stats.dropped_messages += 1
-                        t += policy.timeout_s
-                    else:
-                        t += self.machine.transfer_time(nbytes)
-                        stats.bytes_total += nbytes
-                        stats.messages += 1
-                        stats.per_level_bytes[level] = \
-                            stats.per_level_bytes.get(level, 0) + nbytes
-                        if faults.deliver_ok(payload, fate):
-                            delivered = True
-                            if attempt:
-                                faults.note_absorbed()
-                            break
-                        stats.corrupt_detected += 1
-                        PERF.add(TBON_CORRUPT_DETECTED)
-                    if attempt < policy.max_retries:
-                        stats.retries += 1
-                        PERF.add(TBON_RETRIES)
-                        t += policy.backoff_s(attempt)
+                steps = transmit(stats, faults, policy, node.node_id, i,
+                                 level, payload, nbytes, ranks)
+                try:
+                    while True:
+                        kind, amount = next(steps)
+                        t += amount if kind == WAIT else \
+                            self.machine.transfer_time(amount)
+                except StopIteration as verdict:
+                    if verdict.value:
+                        ingress_bytes += nbytes
+                    else:  # retry budget exhausted: the subtree is lost
+                        child_results[i] = (_DEAD, t, ())
                 nic_free = t
                 ends.append(t)
-                if delivered:
-                    ingress_bytes += nbytes
-                else:
-                    lost_slots.add(i)
-                    stats.missing_subtrees += 1
-                    for lost_rank in sorted(
-                            _subtree_ranks(node.children[i])):
-                        record_missing(lost_rank)
-            payloads = [payload
-                        for j, (payload, _) in enumerate(child_results)
-                        if payload is not _DEAD and j not in lost_slots]
+            payloads = [payload for payload, _, _ in child_results
+                        if payload is not _DEAD]
+            ranks = [rank for _, _, live in child_results for rank in live]
             del child_results
 
-            self._check_ingress(node, ingress_bytes)
-
-            stats.max_node_ingress_bytes = max(
-                stats.max_node_ingress_bytes, ingress_bytes)
+            self._check_ingress(node, ingress_bytes, stats)
 
             if not payloads:  # the whole subtree is dead
-                return _DEAD, max(ends)
+                return _DEAD, max(ends), ()
             merged = merge_fn(payloads) if len(payloads) > 1 else payloads[0]
             del payloads
             cpu = self.filter_seconds(
                 node, len(node.children), ingress_bytes, nodes_of(merged))
             stats.filter_seconds += cpu
-            return merged, max(ends) + cpu
+            return merged, max(ends) + cpu, ranks
 
         with PERF.timer(TBON_REDUCE_WALL_SECONDS):
-            payload, t_done = visit(self.topology.root, 0)
+            payload, t_done, _ = visit(self.topology.root, 0)
         if payload is _DEAD:
-            raise DaemonFailure(
-                f"every daemon failed ({len(stats.missing_daemons)} of "
-                f"{self.topology.num_daemons})")
+            raise AllDaemonsFailed(len(stats.missing_daemons),
+                                   self.topology.num_daemons)
         stats.payload = payload
         stats.sim_time = t_done
         # Aggregate perf accounting: one update per reduction, not per hop.
@@ -466,7 +394,3 @@ class TBONetwork(TBONCostBase):
         PERF.add(TBON_BYTES, stats.bytes_total)
         PERF.add(TBON_MESSAGES, stats.messages)
         return stats
-
-    def __repr__(self) -> str:
-        return (f"<TBONetwork {self.topology.describe()} "
-                f"on {self.machine.name}>")

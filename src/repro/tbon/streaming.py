@@ -32,10 +32,15 @@ streamed tree is ``arrays_equal`` to the batch merge for every arrival
 order — the property tests in ``tests/test_tbon_streaming.py`` pin this
 across randomized topologies × schemes × seeds.
 
-Failure degrades, never raises: a daemon dying before it emits is
-detected by its parent after ``failure_detect_s`` and the reduction
-completes with that rank listed in :attr:`StreamResult.missing_daemons`
-— the same contract as the batch path's ``on_daemon_failure="skip"``.
+Failure degrades, never raises: a daemon is declared dead by the bound
+:class:`~repro.faults.plan.FaultPlan` (a crash, or a stall outlasting
+the retry budget) or by its leaf source raising ``DaemonFailure``; its
+parent gives up after the detection timeout and the reduction completes
+with that rank listed in :attr:`StreamResult.missing_daemons` — the
+same contract, and the same code (:mod:`repro.tbon.retry`), as the
+batch path's ``on_daemon_failure="skip"``.  A daemon that crashed at
+``t <= 0`` never emitted, so its detection clock starts at 0, not at
+the jittered emit time it never reached.
 
 Snapshot exactly-once invariant: a payload is attributed to exactly one
 place at every instant — its emitting/owning node while queued or in
@@ -49,24 +54,31 @@ is monotone non-decreasing in simulated time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import RetryPolicy
 from repro.perf.counters import (
     PERF,
     TBON_BYTES,
-    TBON_CORRUPT_DETECTED,
     TBON_MESSAGES,
     TBON_PARTIAL_MERGES,
     TBON_REDUCTIONS,
-    TBON_RETRIES,
     TBON_SNAPSHOTS,
     TBON_STREAM_WALL_SECONDS,
 )
 from repro.sim import Engine, Process, Resource, SeedStream
-from repro.tbon.network import DaemonFailure, ReduceResult, TBONCostBase
+from repro.tbon.network import ReduceResult, TBONCostBase
+from repro.tbon.retry import (
+    WAIT,
+    AllDaemonsFailed,
+    DaemonFailure,
+    declare_dead,
+    failure_policy,
+    resolve_leaf,
+    transmit,
+)
 from repro.tbon.topology import TopologyNode
 
 __all__ = [
@@ -99,9 +111,6 @@ class StreamConfig:
     link_jitter: float = 0.0
     #: socket-timeout before a parent declares a silent child dead
     failure_detect_s: float = 5.0
-    #: rank -> simulated death time; a daemon dying before its emit time
-    #: never sends and degrades to a missing ranklist at the front end
-    death_times: Mapping[int, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -148,14 +157,16 @@ _FOLDED = 3
 
 
 class _LeafState:
-    """A daemon leaf: owns its payload from emission until arrival."""
+    """A daemon leaf: owns its payload — a one-daemon ``partial`` — from
+    emission until arrival.  It receives nothing: ``buffer`` stays empty."""
 
-    __slots__ = ("node", "visible", "ranks")
+    __slots__ = ("node", "partial", "partial_ranks", "buffer")
 
     def __init__(self, node: TopologyNode) -> None:
         self.node = node
-        self.visible: Any = None
-        self.ranks: Tuple[int, ...] = ()
+        self.partial: Any = None
+        self.partial_ranks: Tuple[int, ...] = ()
+        self.buffer: Dict[int, Tuple[Any, int, Tuple[int, ...]]] = {}
 
 
 class _InteriorState:
@@ -206,15 +217,10 @@ class StreamingReduction:
                  faults: Optional[FaultInjector] = None,
                  retry: Optional[RetryPolicy] = None,
                  ) -> None:
-        if on_daemon_failure not in ("raise", "skip"):
-            raise ValueError(
-                f"on_daemon_failure must be 'raise' or 'skip', "
-                f"got {on_daemon_failure!r}")
+        self._retry = failure_policy(on_daemon_failure, faults, retry)
         self.net = net
         self.config = config
         self._faults = faults
-        self._retry = retry if retry is not None else \
-            (faults.retry if faults is not None else RetryPolicy())
         self.engine = Engine()
         self._leaf_payload_fn = leaf_payload_fn
         self._merge_fn = merge_fn
@@ -295,41 +301,24 @@ class StreamingReduction:
     def _daemon(self, leaf_st: _LeafState, parent_st: _InteriorState,
                 slot: int, emit_time: float):
         rank = leaf_st.node.rank
-        death = self.config.death_times.get(rank)
         detect = self.config.failure_detect_s
-        faults = self._faults
-        if faults is not None:
-            when, alive, spent = faults.leaf_outcome(
-                rank, emit_time, self._retry, detect)
-            if spent:
-                self._stats.retries += spent
-                PERF.add(TBON_RETRIES, spent)
-            if not alive:
-                if self._on_daemon_failure == "raise":
-                    raise DaemonFailure(
-                        f"daemon {rank} lost to injected fault")
-                # The parent gives up at `when` — crash detection
-                # timeout, or the end of an exhausted retry budget.
-                self._record_dead(rank, parent_st, slot, when)
-                return
-            emit_time = when
-        if death is not None and death < emit_time:
-            # Dies before emitting: the parent's socket times out.
-            yield self.engine.timeout(death)
-            self._record_dead(rank, parent_st, slot,
-                              self.engine.now + detect)
+        emit_time, alive = resolve_leaf(
+            self._stats, rank, emit_time, self._faults, self._retry,
+            detect, self._on_daemon_failure)
+        if not alive:
+            # The parent gives up at `emit_time` — crash detection
+            # timeout, or the end of an exhausted retry budget.
+            self._missing_at(emit_time, parent_st, slot)
             return
         yield self.engine.timeout(emit_time)
         try:
             payload = self._leaf_payload_fn(rank)
-        except DaemonFailure:
-            if self._on_daemon_failure == "raise":
-                raise
-            self._record_dead(rank, parent_st, slot,
-                              self.engine.now + detect)
+        except DaemonFailure as err:
+            declare_dead(self._stats, rank, self._on_daemon_failure, err)
+            self._missing_at(self.engine.now + detect, parent_st, slot)
             return
-        leaf_st.visible = payload
-        leaf_st.ranks = (rank,)
+        leaf_st.partial = payload
+        leaf_st.partial_ranks = (rank,)
         if self._stats.first_tree_time < 0:
             # Events run in time order, so the first emission seen is
             # the earliest: a best-effort snapshot is non-empty from
@@ -340,12 +329,10 @@ class StreamingReduction:
         yield from self._transfer(leaf_st, parent_st, slot,
                                   payload, (rank,))
 
-    def _record_dead(self, rank: int, parent_st: _InteriorState,
-                     slot: int, detect_time: float) -> None:
-        self._stats.missing_daemons.append(rank)
-        self._stats.missing_subtrees += 1
+    def _missing_at(self, when: float, parent_st: _InteriorState,
+                    slot: int) -> None:
         self.engine.schedule(
-            detect_time, lambda: self._mark_missing(parent_st, slot))
+            when, lambda: self._mark_missing(parent_st, slot))
 
     def _mark_missing(self, st: _InteriorState, slot: int) -> None:
         st.slots[slot] = _MISSING
@@ -356,30 +343,26 @@ class StreamingReduction:
         """Move one payload across a link: serialize on the receiver's
         ingress NIC, then hand ownership over atomically on arrival.
 
-        On a faulted link every attempt is one real transmission — a
-        drop burns the per-attempt timeout, a corruption is caught by
-        the receiver's checksum and retried — and an exhausted retry
-        budget degrades the sender's whole subtree to missing ranklists
-        (the exactly-once invariant holds: the payload leaves the
-        network in the same event that declares it lost).
+        Plays :func:`repro.tbon.retry.transmit`'s steps as engine
+        events; an exhausted retry budget degrades the sender's whole
+        subtree to missing ranklists (the exactly-once invariant holds:
+        the payload leaves the network in the same event that declares
+        it lost).
         """
         stats = self._stats
         nbytes = self._payload_nbytes(payload)
-        faults = self._faults
-        policy = self._retry
-        link = None if faults is None else \
-            faults.link_params(parent_st.node.node_id)
-        attempt = 0
-        while True:
-            fate = "ok" if link is None else \
-                faults.link_fate(parent_st.node.node_id, slot, attempt)
-            if fate == "drop":
-                stats.dropped_messages += 1
-                yield self.engine.timeout(policy.timeout_s)
-            else:
+        steps = transmit(stats, self._faults, self._retry,
+                         parent_st.node.node_id, slot, parent_st.level,
+                         payload, nbytes, ranks)
+        try:
+            while True:
+                kind, amount = next(steps)
+                if kind == WAIT:
+                    yield self.engine.timeout(amount)
+                    continue
                 yield parent_st.nic.acquire()
                 try:
-                    seconds = self.net.machine.transfer_time(nbytes)
+                    seconds = self.net.machine.transfer_time(amount)
                     if self.config.link_jitter > 0:
                         seconds *= 1.0 + float(
                             parent_st.link_rng.uniform(
@@ -387,44 +370,19 @@ class StreamingReduction:
                     yield self.engine.timeout(seconds)
                 finally:
                     parent_st.nic.release()
-                stats.bytes_total += nbytes
-                stats.messages += 1
-                stats.per_level_bytes[parent_st.level] = \
-                    stats.per_level_bytes.get(parent_st.level, 0) + nbytes
-                if fate == "ok" or faults.deliver_ok(payload, fate):
-                    break
-                stats.corrupt_detected += 1
-                PERF.add(TBON_CORRUPT_DETECTED)
-            if attempt >= policy.max_retries:
-                if isinstance(sender_st, _LeafState):
-                    sender_st.visible = None
-                    sender_st.ranks = ()
-                else:
-                    sender_st.partial = None
-                    sender_st.partial_ranks = ()
-                stats.missing_subtrees += 1
-                for lost_rank in sorted(ranks):
-                    stats.missing_daemons.append(lost_rank)
-                self._mark_missing(parent_st, slot)
-                return
-            stats.retries += 1
-            PERF.add(TBON_RETRIES)
-            yield self.engine.timeout(policy.backoff_s(attempt))
-            attempt += 1
-        if link is not None and attempt:
-            faults.note_absorbed()
-        # Arrival: visibility moves from sender to the receiver's
-        # reorder buffer in one event — never double-counted, never lost.
-        if isinstance(sender_st, _LeafState):
-            sender_st.visible = None
-            sender_st.ranks = ()
-        else:
-            sender_st.partial = None
-            sender_st.partial_ranks = ()
+        except StopIteration as verdict:
+            delivered = verdict.value
+        # Arrival or loss: the payload leaves the sender in this event —
+        # into the receiver's reorder buffer, or out of the network —
+        # never double-counted, never silently dropped.
+        sender_st.partial = None
+        sender_st.partial_ranks = ()
+        if not delivered:
+            self._mark_missing(parent_st, slot)
+            return
         parent_st.ingress_bytes += nbytes
-        self.net._check_ingress(parent_st.node, parent_st.ingress_bytes)
-        stats.max_node_ingress_bytes = max(
-            stats.max_node_ingress_bytes, parent_st.ingress_bytes)
+        self.net._check_ingress(parent_st.node, parent_st.ingress_bytes,
+                                stats)
         parent_st.buffer[slot] = (payload, nbytes, ranks)
         parent_st.slots[slot] = _ARRIVED
         self._advance(parent_st)
@@ -511,10 +469,8 @@ class StreamingReduction:
         root = self._root
         assert root is not None
         if root.partial is None:
-            raise DaemonFailure(
-                f"every daemon failed "
-                f"({len(self._stats.missing_daemons)} of "
-                f"{self.net.topology.num_daemons})")
+            raise AllDaemonsFailed(len(self._stats.missing_daemons),
+                                   self.net.topology.num_daemons)
         stats = self._stats
         stats.payload = root.partial
         stats.sim_time = self.engine.now
@@ -537,9 +493,6 @@ class StreamingReduction:
         """
         count = 0
         for st in self._states.values():
-            if isinstance(st, _LeafState):
-                count += len(st.ranks)
-                continue
             count += len(st.partial_ranks)
             for _, _, slot_ranks in st.buffer.values():
                 count += len(slot_ranks)
@@ -557,11 +510,6 @@ class StreamingReduction:
         ranks: List[int] = []
         for node in self.net.topology.nodes:
             st = self._states[node.node_id]
-            if isinstance(st, _LeafState):
-                if st.visible is not None:
-                    payloads.append(st.visible)
-                    ranks.extend(st.ranks)
-                continue
             if st.partial is not None:
                 payloads.append(st.partial)
                 ranks.extend(st.partial_ranks)
@@ -610,12 +558,8 @@ class StreamingTBON(TBONCostBase):
         streaming.  ``progress_fn(event, info)`` is invoked inside the
         simulation at ``"first_tree"`` (earliest emission) and every
         ``"root_fold"`` (front-end commit, with coverage counts).
-        ``faults`` binds a :class:`~repro.faults.plan.FaultPlan` to the
-        run: injected crashes/stalls/stragglers shift or kill daemon
-        emissions, link faults drop/corrupt transmissions (each failed
-        attempt retried under ``retry``, default ``faults.retry``), and
-        exhausted budgets degrade to missing ranklists.  An injector
-        bound from an empty plan is a guaranteed no-op.
+        ``faults`` / ``retry`` bind a fault plan exactly as in the batch
+        reduce (same failure path, :mod:`repro.tbon.retry`).
         """
         return StreamingReduction(
             self, leaf_payload_fn, merge_fn, payload_nbytes,
@@ -626,7 +570,3 @@ class StreamingTBON(TBONCostBase):
     def reduce(self, *args: Any, **kwargs: Any) -> StreamResult:
         """Convenience: :meth:`stream` then run to completion."""
         return self.stream(*args, **kwargs).run()
-
-    def __repr__(self) -> str:
-        return (f"<StreamingTBON {self.topology.describe()} "
-                f"on {self.machine.name}>")

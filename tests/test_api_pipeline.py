@@ -3,7 +3,6 @@
 import pytest
 
 from repro.api import (
-    DaemonKillObserver,
     PhaseObserver,
     PipelineError,
     SessionPipeline,
@@ -12,6 +11,7 @@ from repro.api import (
 )
 from repro.apps.ring import RingApp
 from repro.core.frontend import STATFrontEnd, STATResult
+from repro.faults.plan import FaultPlan
 from repro.statbench import ring_hang_states
 
 SPEC = SessionSpec(machine="bgl", daemons=4, num_samples=2, seed=11)
@@ -99,9 +99,9 @@ class TestObservers:
             {"launch", "map_gather", "stage", "sample", "merge", "finalize"}
         assert all(v >= 0 for v in timer.wall_seconds.values())
 
-    def test_daemon_kill_observer_degrades_merge(self):
-        killer = DaemonKillObserver([1, 2], before="merge")
-        result = SessionPipeline.from_spec(SPEC, observers=(killer,)).run()
+    def test_crash_plan_degrades_merge(self):
+        plan = FaultPlan(seed=SPEC.seed).with_crashes([1, 2])
+        result = SessionPipeline.from_spec(SPEC.replace(faults=plan)).run()
         assert sorted(result.merge.missing_daemons) == [1, 2]
         # 2 of 4 daemons x 64 tasks are gone from the tree.
         total = sum(c.size for c in result.classes)

@@ -11,12 +11,14 @@ import pytest
 
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
 from repro.core.taskset import TaskMap
+from repro.faults.plan import FaultPlan
 from repro.machine.atlas import AtlasMachine
 from repro.machine.bgl import BGLMachine
 from repro.mpi.stacks import BGLStackModel
 from repro.statbench import STATBenchEmulator, ring_hang_states
 from repro.statbench.emulator import DaemonTrees
 from repro.tbon.network import DaemonFailure, TBONetwork
+from repro.tbon.retry import AllDaemonsFailed
 from repro.tbon.streaming import StreamConfig, StreamingTBON
 from repro.tbon.topology import Topology
 
@@ -141,10 +143,11 @@ class TestCoverageAndSnapshots:
 
 class TestDaemonDeath:
     def test_death_mid_merge_degrades(self, atlas_small):
-        config = StreamConfig(seed=6, jitter_mean_s=0.5,
-                              death_times={3: 0.0, 7: 0.0, 11: 0.0})
+        config = StreamConfig(seed=6, jitter_mean_s=0.5)
+        plan = FaultPlan(seed=6).with_crashes([3, 7, 11])
         res = sum_stream(atlas_small, Topology.balanced(16, 2),
-                         list(range(16)), config).run()
+                         list(range(16)), config,
+                         faults=plan.bind(16)).run()
         assert res.missing_daemons == [3, 7, 11]
         assert res.payload == sum(range(16)) - 3 - 7 - 11
         # The parents waited out the socket timeout for the dead ranks.
@@ -172,11 +175,12 @@ class TestDaemonDeath:
             reduction.run()
 
     def test_all_dead_raises(self, atlas_small):
-        config = StreamConfig(seed=1, jitter_mean_s=0.5,
-                              death_times={d: 0.0 for d in range(8)})
+        config = StreamConfig(seed=1, jitter_mean_s=0.5)
+        plan = FaultPlan(seed=1).with_crashes(range(8))
         reduction = sum_stream(atlas_small, Topology.flat(8),
-                               list(range(8)), config)
-        with pytest.raises(DaemonFailure):
+                               list(range(8)), config,
+                               faults=plan.bind(8))
+        with pytest.raises(AllDaemonsFailed, match="every daemon"):
             reduction.run()
 
 
