@@ -233,10 +233,8 @@ def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
         okey = tuple(okeys[r0, :k].tolist())
         struct: Optional[TreeStructure] = model.struct_cache.get(okey)
         if struct is None:
-            paths, depths = model.trace_paths()
-            sel = np.asarray(okey, dtype=np.int64)
             struct = model.struct_cache[okey] = build_structure(
-                paths[sel], depths[sel])
+                model.trace_paths()[np.asarray(okey, dtype=np.int64)])
             PERF.add(BUILD_STRUCT_MISSES)
             PERF.add(BUILD_STRUCT_HITS, rows_g.size - 1)
         else:
@@ -278,7 +276,8 @@ def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
                 out[ri] = TreeArrays._trusted(
                     KIND_HIER, struct.frame_ids, struct.parents,
                     refs[j], struct.level_offsets, labels,
-                    layout=DaemonLayout.shared(daemon_id, width))
+                    layout=DaemonLayout.shared(daemon_id, width),
+                    path_ids=struct.path_ids)
     return out
 
 
@@ -314,7 +313,7 @@ def _dense_tree(struct: TreeStructure, daemon_bits: np.ndarray,
         KIND_DENSE, struct.frame_ids, struct.parents, label_refs,
         struct.level_offsets, labels,
         spans=np.asarray(spans, dtype=np.int64).reshape(-1, 2),
-        width=fscheme.total_tasks)
+        width=fscheme.total_tasks, path_ids=struct.path_ids)
 
 
 @contract("sids_matrix:(r,m):int64 -> elems:(r,n):int64")

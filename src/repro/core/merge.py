@@ -18,13 +18,13 @@ Both schemes expose the same interface so daemons, filters, and benchmarks
 are generic over the representation.
 
 Since the vectorized rewrite, the hot path is **k-way over array-backed
-trees** (:class:`~repro.core.treearrays.TreeArrays`): one iterative
-level-order structure merge shared by both schemes (``np.unique`` over
-integer ``(parent, frame)`` keys — no Python recursion), then one batched
-label kernel per *distinct contributor combination* — a single span-limited
-``|=`` pass per source tree (dense) or one zero-filled slice-assignment
-pass per source tree (hierarchical), k-way instead of pairwise, with no
-per-node allocation.
+trees** (:class:`~repro.core.treearrays.TreeArrays`): one structure
+merge shared by both schemes (a single ``np.unique`` over the trees'
+interned path ids — no Python recursion, no per-level pass), then one
+batched label kernel per *distinct contributor combination* — a single
+span-limited ``|=`` pass per source tree (dense) or one zero-filled
+slice-assignment pass per source tree (hierarchical), k-way instead of
+pairwise, with no per-node allocation.
 
 **Tree model.**  :class:`~repro.core.treearrays.TreeArrays` is the only
 tree type this module merges: daemons build arrays, every TBO̅N level
@@ -121,10 +121,10 @@ class LabelScheme:
         (``merge([partial, arriving])``, the streaming TBO̅N step) in
         canonical child order yields a tree ``arrays_equal`` to the
         one-shot k-way merge of the same inputs — the structure
-        kernel's first-seen ordering, the contributor-combination label
-        dedup, and the per-row span metadata all compose
-        (``tests/test_tbon_streaming.py`` pins this on randomized
-        forests).
+        kernel's per-level first-occurrence order over path ids, the
+        contributor-combination label dedup, and the per-row span
+        metadata all compose (``tests/test_tbon_streaming.py`` and
+        ``tests/test_merge_order.py`` pin this on randomized forests).
         """
         PERF.add(MERGE_CALLS)
         PERF.add(MERGE_TREES_IN, len(trees))
@@ -191,13 +191,14 @@ class DenseLabelScheme(LabelScheme):
                 raise ValueError(
                     f"width mismatch: {width} vs {t.width} (the original "
                     "representation requires global agreement on job size)")
-        frame_ids, parents, level_offsets, group_refs, groups = \
+        frame_ids, parents, level_offsets, group_refs, groups, path_ids = \
             merge_structure(trees)
         n_groups = len(groups)
         out = np.zeros((n_groups, nbytes), dtype=np.uint8)
         if not n_groups:
             return TreeArrays(KIND_DENSE, frame_ids, parents, group_refs,
-                              level_offsets, out, width=width)
+                              level_offsets, out, width=width,
+                              path_ids=path_ids)
 
         grp, tre, row = _flat_pairs(groups)
         k = len(trees)
@@ -277,7 +278,8 @@ class DenseLabelScheme(LabelScheme):
         np.maximum.at(span_hi, grp, row_hi[contrib])
         spans = np.stack((np.minimum(span_lo, span_hi), span_hi), axis=1)
         return TreeArrays(KIND_DENSE, frame_ids, parents, group_refs,
-                          level_offsets, out, spans=spans, width=width)
+                          level_offsets, out, spans=spans, width=width,
+                          path_ids=path_ids)
 
     def finalize(self, root_tree: TreeArrays,
                  task_map: TaskMap) -> PrefixTree:
@@ -313,14 +315,15 @@ class HierarchicalLabelScheme(LabelScheme):
         merged_layout = DaemonLayout.concat(layouts)
         nb_t = np.asarray([lay.nbytes for lay in layouts], dtype=np.int64)
         off_t = np.concatenate(([0], np.cumsum(nb_t)))[:-1]
-        frame_ids, parents, level_offsets, group_refs, groups = \
+        frame_ids, parents, level_offsets, group_refs, groups, path_ids = \
             merge_structure(trees)
         n_groups = len(groups)
         merged_nbytes = merged_layout.nbytes
         out = np.zeros((n_groups, merged_nbytes), dtype=np.uint8)
         if not n_groups:
             return TreeArrays(KIND_HIER, frame_ids, parents, group_refs,
-                              level_offsets, out, layout=merged_layout)
+                              level_offsets, out, layout=merged_layout,
+                              path_ids=path_ids)
 
         grp, tre, row = _flat_pairs(groups)
         k = len(trees)
@@ -344,7 +347,8 @@ class HierarchicalLabelScheme(LabelScheme):
             starts = grp_b * merged_nbytes + off_t[tre_b]
             out_flat[starts[:, None] + np.arange(nb, dtype=np.int64)] = values
         return TreeArrays(KIND_HIER, frame_ids, parents, group_refs,
-                          level_offsets, out, layout=merged_layout)
+                          level_offsets, out, layout=merged_layout,
+                          path_ids=path_ids)
 
     def finalize(self, root_tree: TreeArrays,
                  task_map: TaskMap) -> PrefixTree:

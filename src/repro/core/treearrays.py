@@ -18,6 +18,13 @@ objects:
   every set bit (dense labels only).  Daemon-local labels touch a few
   bytes of a job-width vector; span-limited kernels skip the zero fringe
   without changing what is *represented* (wire sizes are unchanged).
+* ``path_ids[n]`` — the node's interned **path id**
+  (:data:`~repro.core.interning.PATHS`): one integer per root-anchored
+  frame sequence, so equal ids across trees mean the same node and
+  :func:`merge_structure` is one ``np.unique`` over the concatenated
+  ids.  An accelerator, not part of the tree's value: process-local,
+  never serialized, derived from ``(frame_ids, parents)`` when a tree
+  arrives without it.
 
 **Model and view.**  ``TreeArrays`` is the tree model from the daemons to
 the front end's finalize step; a
@@ -32,7 +39,8 @@ delegates to a cached copy of it for inspection and tests.
 accepts an object tree.
 
 Interned frame ids are process-local, so pickling translates ids to
-``(function, module)`` pairs and re-interns on load.
+``(function, module)`` pairs and re-interns on load; path ids are
+dropped and re-derived in the loading process.
 """
 
 from __future__ import annotations
@@ -43,10 +51,10 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.buildarrays import dedup_segments
+from repro.core.buildarrays import group_members, segment_bounds
 from repro.lint.contracts import contract
 from repro.core.frames import Frame, StackTrace
-from repro.core.interning import FRAMES
+from repro.core.interning import FRAMES, PATHS
 from repro.core.prefix_tree import PrefixTree, PrefixTreeNode
 from repro.core.taskset import (
     CHUNK_HEADER_BITS,
@@ -68,7 +76,7 @@ class TreeArrays:
 
     __slots__ = ("kind", "frame_ids", "parents", "label_refs",
                  "level_offsets", "labels", "spans", "width", "layout",
-                 "_prefix", "_levels", "_ospan", "_bundle")
+                 "_prefix", "_ospan", "_path_ids")
 
     def __init__(self, kind: str,
                  frame_ids: np.ndarray,
@@ -78,7 +86,8 @@ class TreeArrays:
                  labels: np.ndarray,
                  spans: Optional[np.ndarray] = None,
                  width: Optional[int] = None,
-                 layout: Optional[DaemonLayout] = None) -> None:
+                 layout: Optional[DaemonLayout] = None,
+                 path_ids: Optional[np.ndarray] = None) -> None:
         if kind not in (KIND_DENSE, KIND_HIER):
             raise ValueError(f"unknown tree kind {kind!r}")
         if kind == KIND_HIER and layout is None:
@@ -96,15 +105,16 @@ class TreeArrays:
         self.width = None if width is None else int(width)
         self.layout = layout
         self._prefix: Optional[PrefixTree] = None
-        self._levels: Optional[np.ndarray] = None
         self._ospan: Optional[Tuple[int, int]] = None
-        self._bundle: Optional[np.ndarray] = None
+        self._path_ids = None if path_ids is None \
+            else np.asarray(path_ids, dtype=np.int64)
 
     # -- constructors ------------------------------------------------------
     @classmethod
     @contract("frame_ids:(n):int64, parents:(n):int64, "
               "label_refs:(n):int64, level_offsets:(L):int64, "
-              "labels:(r,b):uint8, spans:(r,2):int64? -> *")
+              "labels:(r,b):uint8, spans:(r,2):int64?, "
+              "path_ids:(n):int64? -> *")
     def _trusted(cls, kind: str,
                  frame_ids: np.ndarray,
                  parents: np.ndarray,
@@ -113,7 +123,8 @@ class TreeArrays:
                  labels: np.ndarray,
                  spans: Optional[np.ndarray] = None,
                  width: Optional[int] = None,
-                 layout: Optional[DaemonLayout] = None) -> "TreeArrays":
+                 layout: Optional[DaemonLayout] = None,
+                 path_ids: Optional[np.ndarray] = None) -> "TreeArrays":
         """Construct from already-validated, correctly-typed arrays.
 
         The forest build kernel assembles thousands of trees from
@@ -132,9 +143,8 @@ class TreeArrays:
         self.width = width
         self.layout = layout
         self._prefix = None
-        self._levels = None
         self._ospan = None
-        self._bundle = None
+        self._path_ids = path_ids
         return self
 
     @classmethod
@@ -310,32 +320,19 @@ class TreeArrays:
         """Longest path length (root excluded)."""
         return int(self.level_offsets.size - 1) if self.frame_ids.size else 0
 
-    @contract(" -> levels:(n):int64")
-    def node_levels(self) -> np.ndarray:
-        """Level index per node (cached)."""
-        levels = self._levels
-        if levels is None:
-            counts = np.diff(self.level_offsets)
-            levels = self._levels = np.repeat(
-                np.arange(counts.size, dtype=np.int64), counts)
-        return levels
+    @property
+    def path_ids(self) -> np.ndarray:
+        """Interned path id per node: the node's identity across trees.
 
-    @contract(" -> bundle:(4,n):int64")
-    def bundle(self) -> np.ndarray:
-        """``(4, n)`` stack of frame ids, parents, label refs, levels.
-
-        Cached; lets the k-way structure merge concatenate all per-node
-        metadata of thousands of trees with a single C-level call.
+        Process-local and never serialized.  The build and merge kernels
+        hand their output's ids over; a tree that arrives any other way
+        (object conversion, unpickling, a bare constructor call) derives
+        them from ``(frame_ids, parents)`` on first use.
         """
-        b = self._bundle
-        if b is None:
-            b = self._bundle = np.empty((4, self.frame_ids.size),
-                                        dtype=np.int64)
-            b[0] = self.frame_ids
-            b[1] = self.parents
-            b[2] = self.label_refs
-            b[3] = self.node_levels()
-        return b
+        ids = self._path_ids
+        if ids is None:
+            ids = self._path_ids = PATHS.ids_of(self.frame_ids, self.parents)
+        return ids
 
     def overall_span(self) -> Tuple[int, int]:
         """Byte range containing every set bit of every label (cached).
@@ -404,106 +401,49 @@ class TreeArrays:
 
 
 @contract("trees:* -> frame_ids:(n):int64, parents:(n):int64, "
-          "level_offsets:(L):int64, group_refs:(n):int64, groups:*")
+          "level_offsets:(L):int64, group_refs:(n):int64, groups:*, "
+          "path_ids:(n):int64")
 def merge_structure(trees: Sequence[TreeArrays]) -> Tuple[
         np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-        List[Tuple[np.ndarray, np.ndarray]]]:
-    """Vectorized k-way level-order structure merge.
+        List[Tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Vectorized k-way structure merge over interned path ids.
 
-    Matching paths share output nodes; per output level the matching is
-    one ``np.unique`` over ``(merged parent, frame id)`` integer keys —
-    no Python recursion and no per-node dictionary work.
+    A node *is* its path id, so matching paths across trees is one
+    ``np.unique`` over the concatenated ids — no per-level pass and no
+    Python recursion.  Merged nodes come out in BFS order, each level by
+    first occurrence in ``(tree, node)`` order (equal paths share a
+    level, so that is the smallest concatenated index ``np.unique``
+    already reports) — the child order of the historical recursive
+    kernels.
 
-    Returns ``(frame_ids, parents, level_offsets, group_refs, groups)``
-    for the merged tree, where ``group_refs[i]`` indexes ``groups`` and
-    ``groups[g] = (tree_idx[], label_ref[])`` is one **distinct**
-    contributor combination.  Output nodes whose contributors carry
-    identical label rows — ubiquitous along call chains — share a group,
-    so the label kernels run once per combination instead of once per
-    node.
+    Returns ``(frame_ids, parents, level_offsets, group_refs, groups,
+    path_ids)`` for the merged tree, where ``group_refs[i]`` indexes
+    ``groups`` and ``groups[g] = (tree_idx[], label_ref[])`` is one
+    **distinct** contributor combination, in tree order.  Output nodes
+    whose contributors carry identical label rows — ubiquitous along
+    call chains — share a group, so the label kernels run once per
+    combination instead of once per node.
     """
-    k = len(trees)
-    bundles = [t.bundle() for t in trees]
-    counts = np.asarray([b.shape[1] for b in bundles], dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
+    counts = [t.frame_ids.size for t in trees]
+    if not sum(counts):
         return (_EMPTY_I64, _EMPTY_I64, np.zeros(1, dtype=np.int64),
-                _EMPTY_I64, [])
-    offsets = np.zeros(k, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-
-    frames_all, parents_local, label_refs, levels = \
-        np.concatenate(bundles, axis=1)
-    tree_idx = np.repeat(np.arange(k, dtype=np.int64), counts)
-    parents_global = np.where(parents_local >= 0,
-                              parents_local + offsets[tree_idx], -1)
-
-    order = np.argsort(levels, kind="stable")
-    n_levels = int(levels.max()) + 1
-    bounds = np.searchsorted(levels[order],
-                             np.arange(n_levels + 1, dtype=np.int64))
-
-    key_base = np.int64(len(FRAMES))
-    merged_of = np.empty(total, dtype=np.int64)
-    out_frames: List[np.ndarray] = []
-    out_parents: List[np.ndarray] = []
-    out_offsets = [0]
-    group_refs: List[np.ndarray] = []
-    group_index: dict = {}
-    groups: List[Tuple[np.ndarray, np.ndarray]] = []
-    out_count = 0
-
-    for lvl in range(n_levels):  # repro-lint: disable=hot-path-loop (per tree level, depth-bounded)
-        idx = order[bounds[lvl]:bounds[lvl + 1]]
-        frames_lvl = frames_all[idx]
-        if lvl == 0:
-            parent_merged = np.full(idx.size, -1, dtype=np.int64)
-            key = frames_lvl
-        else:
-            parent_merged = merged_of[parents_global[idx]]
-            key = (parent_merged + 1) * key_base + frames_lvl
-        uniq, first, inverse = np.unique(key, return_index=True,
-                                         return_inverse=True)
-        # np.unique sorts by key; re-rank groups by first occurrence so the
-        # merged children keep the object kernels' first-seen order.
-        seen_order = np.argsort(first, kind="stable")
-        rank = np.empty(uniq.size, dtype=np.int64)
-        rank[seen_order] = np.arange(uniq.size)
-        local = rank[inverse]
-        merged_of[idx] = out_count + local
-        rep = first[seen_order]
-        out_frames.append(frames_lvl[rep])
-        out_parents.append(parent_merged[rep])
-        out_count += int(uniq.size)
-        out_offsets.append(out_count)
-
-        # Contributor grouping: members of one merged node, in tree order.
-        member_order = np.argsort(local, kind="stable")
-        sorted_members = idx[member_order]
-        node_bounds = np.searchsorted(local[member_order],
-                                      np.arange(uniq.size + 1))
-        trees_sorted = tree_idx[sorted_members]
-        refs_sorted = label_refs[sorted_members]
-        # One vectorized dedup over the level's member segments; only the
-        # few *distinct* combinations then pass through the cross-level
-        # group dictionary.
-        refs, reps = dedup_segments(node_bounds,
-                                    (trees_sorted, refs_sorted))
-        gid_of = np.empty(reps.size, dtype=np.int64)
-        for r, rep in enumerate(reps.tolist()):  # repro-lint: disable=hot-path-loop (per distinct contributor combination, not per node)
-            lo, hi = int(node_bounds[rep]), int(node_bounds[rep + 1])
-            pair_t = trees_sorted[lo:hi]
-            pair_r = refs_sorted[lo:hi]
-            ck = (pair_t.tobytes(), pair_r.tobytes())
-            gid = group_index.get(ck)
-            if gid is None:
-                gid = group_index[ck] = len(groups)
-                groups.append((pair_t, pair_r))
-            gid_of[r] = gid
-        group_refs.append(gid_of[refs])
-
-    return (np.concatenate(out_frames),
-            np.concatenate(out_parents),
-            np.asarray(out_offsets, dtype=np.int64),
-            np.concatenate(group_refs),
-            groups)
+                _EMPTY_I64, [], _EMPTY_I64)
+    uniq, first, inverse = np.unique(
+        np.concatenate([t.path_ids for t in trees]),
+        return_index=True, return_inverse=True)
+    num_nodes = int(uniq.size)
+    level = PATHS.level_of[uniq]
+    order = np.lexsort((first, level))
+    rank = np.empty(num_nodes, dtype=np.int64)
+    rank[order] = np.arange(num_nodes)
+    path_ids = uniq[order]
+    # Inputs are prefix-closed, so every parent path is itself in uniq.
+    above = PATHS.parent_of[path_ids]
+    parents = np.where(above >= 0, rank[np.searchsorted(uniq, above)], -1)
+    group_refs, groups = group_members(
+        rank[inverse], num_nodes,
+        (np.repeat(np.arange(len(trees), dtype=np.int64), counts),
+         np.concatenate([t.label_refs for t in trees])))
+    return (PATHS.frame_of[path_ids], parents,
+            segment_bounds(level, int(level[order[-1]]) + 1),
+            group_refs, groups, path_ids)

@@ -26,6 +26,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.frames import Frame, StackTrace
+from repro.core.interning import PATHS
 from repro.mpi.runtime import STATES, RankState
 
 __all__ = ["StackModel", "BGLStackModel", "LinuxStackModel",
@@ -60,13 +61,13 @@ class StackModel:
         # lets identical traces share one immutable StackTrace instance.
         self._trace_cache: dict = {}
         # Batch-path registries: dense trace ids over (state id, drawn
-        # values), their frame-id paths, and memoized tree structures
-        # keyed by ordered distinct-trace tuples (core/buildarrays.py).
-        self._trace_frames: List[np.ndarray] = []
+        # values), their interned path-id rows, and memoized tree
+        # structures keyed by ordered distinct-trace tuples
+        # (core/buildarrays.py).
+        self._trace_paths: List[np.ndarray] = []
         self._trace_ids: dict = {}
         self._sig_cache: Optional[np.ndarray] = None
         self._paths_matrix: Optional[np.ndarray] = None
-        self._paths_depths: Optional[np.ndarray] = None
         self.struct_cache: dict = {}
         # Dense composite-key -> trace-id table for the forest kernel
         # (core/forest.py): grown lazily, -1 marks unmapped keys.
@@ -124,29 +125,29 @@ class StackModel:
         if tid is None:
             kind, where = STATES.key_of(sid)
             trace = self.trace_from_parts(kind, where, depth, tod, thread_id)
-            tid = self._trace_ids[key] = len(self._trace_frames)
-            self._trace_frames.append(
-                np.asarray(trace.frame_ids(), dtype=np.int64))
+            tid = self._trace_ids[key] = len(self._trace_paths)
+            frames = np.asarray(trace.frame_ids(), dtype=np.int64)
+            self._trace_paths.append(PATHS.ids_of(
+                frames, np.arange(-1, frames.size - 1, dtype=np.int64)))
             self._paths_matrix = None
         return tid
 
-    def trace_paths(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(padded frame-id matrix, depths)`` over registered trace ids.
+    def trace_paths(self) -> np.ndarray:
+        """Padded path-id matrix over registered trace ids.
 
-        Row ``t`` holds trace ``t``'s interned frame ids, ``-1``-padded to
-        the deepest registered trace; rebuilt lazily when new traces
-        register.
+        Row ``t`` holds the interned path id of every prefix of trace
+        ``t`` — ``row[l]`` names the tree node its first ``l + 1``
+        frames reach — ``-1``-padded to the deepest registered trace;
+        rebuilt lazily when new traces register.
         """
         m = self._paths_matrix
         if m is None:
-            depths = np.asarray([p.size for p in self._trace_frames],
-                                dtype=np.int64)
-            width = int(depths.max()) if depths.size else 0
-            m = np.full((depths.size, width), -1, dtype=np.int64)
-            for t, path in enumerate(self._trace_frames):
+            width = max((p.size for p in self._trace_paths), default=0)
+            m = self._paths_matrix = np.full(
+                (len(self._trace_paths), width), -1, dtype=np.int64)
+            for t, path in enumerate(self._trace_paths):
                 m[t, :path.size] = path
-            self._paths_matrix, self._paths_depths = m, depths
-        return m, self._paths_depths
+        return m
 
     def mean_depth(self) -> float:
         """Expected frame count (used by sampling cost models)."""

@@ -39,7 +39,7 @@ from repro.core.treearrays import TreeArrays
 from repro.mpi.stacks import BGLStackModel
 from repro.perf.counters import PERF
 from repro.perf.reference import reference_daemon_trees, reference_merge
-from repro.statbench import ring_hang_states
+from repro.statbench import ring_hang_states, uniform_class_states
 from repro.statbench.emulator import STATBenchEmulator
 
 __all__ = ["BenchEntry", "BenchReport", "run_bench", "check_baseline",
@@ -57,6 +57,9 @@ TEN_MILLION_DAEMONS = 81920
 #: daemons spot-checked (and extrapolated from) when the full per-daemon
 #: reference build would dominate the bench wall clock.
 BUILD_REFERENCE_SAMPLE = 32
+#: classes of the low-sharing build entry (``uniform:64``: daemons share
+#: no trace mix, so every daemon builds its own tree structure).
+BUILD_UNIFORM_CLASSES = 64
 REGRESSION_FACTOR = 2.0
 
 
@@ -116,7 +119,8 @@ class BenchReport:
 
     def table(self) -> str:
         """Printable before/after table."""
-        header = (f"{'entry':<24} {'tasks':>9} {'nodes':>6} "
+        wide = max([24] + [len(e.name) for e in self.entries])
+        header = (f"{'entry':<{wide}} {'tasks':>9} {'nodes':>6} "
                   f"{'reference':>11} {'vectorized':>11} {'speedup':>8} "
                   f"{'equal':>6}")
         lines = [header, "-" * len(header)]
@@ -124,7 +128,7 @@ class BenchReport:
             nodes = "-" if e.nodes_out_2d is None \
                 else e.nodes_out_2d + e.nodes_out_3d
             lines.append(
-                f"{e.name:<24} {e.tasks:>9} {nodes:>6} "
+                f"{e.name:<{wide}} {e.tasks:>9} {nodes:>6} "
                 f"{e.reference_seconds * 1e3:>9.1f}ms "
                 f"{e.vectorized_seconds * 1e3:>9.1f}ms "
                 f"{e.speedup:>7.1f}x {str(e.equal):>6}")
@@ -202,10 +206,12 @@ def _bench_scheme(scheme: LabelScheme, daemons: int, samples: int,
 
 def _bench_build(scheme: LabelScheme, daemons: int, samples: int,
                  repeats: int, seed: int,
-                 sample_reference: bool = False) -> BenchEntry:
+                 sample_reference: bool = False,
+                 classes: int = 0) -> BenchEntry:
     """Time the forest kernel against the per-object oracle for one scale.
 
-    Both are bit-exact reproductions of the same population, so
+    Both are bit-exact reproductions of the same population — ring-hang,
+    or a seeded ``uniform:<classes>`` mix when ``classes`` is given — so
     ``equal`` asserts ``arrays_equal`` on every daemon's 2D and 3D tree
     (on a :data:`BUILD_REFERENCE_SAMPLE`-daemon spot check when
     ``sample_reference`` extrapolates the reference timing instead of
@@ -214,14 +220,19 @@ def _bench_build(scheme: LabelScheme, daemons: int, samples: int,
     """
     tasks = daemons * VN_TASKS_PER_DAEMON
     task_map = TaskMap.block(daemons, VN_TASKS_PER_DAEMON)
-    model = BGLStackModel()
-    states = ring_hang_states(tasks)
+    states = uniform_class_states(tasks, classes, seed=seed) if classes \
+        else ring_hang_states(tasks)
 
+    # A fresh stack model inside each timed repeat: a session builds on
+    # one, and a model warmed by the previous repeat would serve every
+    # tree structure from its cache — a path no session takes (the
+    # low-sharing workload's hit ratio is 0).
     vectorized_seconds, pairs = _best(
         lambda: STATBenchEmulator(
-            task_map, scheme, model, states, num_samples=samples,
+            task_map, scheme, BGLStackModel(), states, num_samples=samples,
             seed=seed).build_forest(), repeats)
 
+    model = BGLStackModel()
     ref_ids = list(range(daemons)) if not sample_reference else \
         list(range(0, daemons, max(1, daemons // BUILD_REFERENCE_SAMPLE))
              )[:BUILD_REFERENCE_SAMPLE]
@@ -238,7 +249,8 @@ def _bench_build(scheme: LabelScheme, daemons: int, samples: int,
         and pairs[d].tree_3d.arrays_equal(ref_3d)
         for d, (ref_2d, ref_3d) in zip(ref_ids, ref_pairs))
     return BenchEntry(
-        name=f"build-{scheme.name}-vn-{daemons}",
+        name=f"build-{scheme.name}-vn-{daemons}"
+        + (f"-uniform{classes}" if classes else ""),
         scheme=scheme.name,
         daemons=daemons,
         tasks=tasks,
@@ -308,6 +320,12 @@ def run_bench(daemons: Optional[int] = None,
                      f"{daemons} daemons ...")
             build_report.entries.append(
                 _bench_build(scheme, daemons, samples, repeats, seed))
+        progress(f"bench: build path — optimized scheme, "
+                 f"uniform:{BUILD_UNIFORM_CLASSES} population, "
+                 f"{daemons} daemons ...")
+        build_report.entries.append(
+            _bench_build(HierarchicalLabelScheme(), daemons, samples,
+                         repeats, seed, classes=BUILD_UNIFORM_CLASSES))
         if million:
             progress(f"bench: build path — million-task point, "
                      f"{MILLION_DAEMONS} daemons ...")

@@ -33,10 +33,10 @@ class DaemonTrees:
     trees through the MRNet tree" — both travel in one packet, so the wire
     size is the sum.
 
-    Trees may be :class:`~repro.core.prefix_tree.PrefixTree` or (on the
-    emulator hot path) :class:`~repro.core.treearrays.TreeArrays`; both
-    expose the same size/traversal API and merge through the same scheme
-    kernels.
+    Both trees are :class:`~repro.core.treearrays.TreeArrays`, the only
+    tree type the scheme kernels merge; a
+    :class:`~repro.core.prefix_tree.PrefixTree` exists only as the
+    finalized front-end view.
     """
 
     __slots__ = ("tree_2d", "tree_3d")

@@ -25,6 +25,7 @@ import pytest
 from repro.api.pipeline import SessionPipeline
 from repro.api.spec import SessionSpec
 from repro.core.codec import pack_tree
+from repro.core.sampling import SamplingConfig
 from repro.faults.plan import (
     DaemonCrash,
     DaemonStall,
@@ -100,6 +101,23 @@ SPECS = {
         dead_daemons=(7,)),
     "bgl32-hier-3deep-ring-batch-mixed+crash": _spec(
         "bgl", 32, topology="bgl-3deep", faults=_MIXED.with_crashes([7])),
+    # The populations the structure kernels serve (path-interned build
+    # and merge): long left folds, low trace sharing, every trace
+    # distinct, thread-keyed traces, gaps in the daemon map.
+    "bgl64-dense-default-ring-stream": _spec(
+        "bgl", 64, scheme="dense", stream=True),
+    "bgl64vn-hier-default-uniform64-batch": _spec(
+        "bgl", 64, mode="vn", workload="uniform:64"),
+    "bgl32-dense-3deep-distinct-batch": _spec(
+        "bgl", 32, scheme="dense", topology="bgl-3deep",
+        workload="distinct"),
+    "atlas16-hier-2deep-uniform8-threads2-batch": _spec(
+        "atlas", 16, topology="balanced:2", workload="uniform:8",
+        sampling=SamplingConfig(num_samples=3, threads_per_process=2)),
+    "bgl64vn-dense-2deep-uniform64-block-deadmap-stream": _spec(
+        "bgl", 64, mode="vn", scheme="dense", topology="bgl-2deep",
+        workload="uniform:64", mapping="block",
+        dead_daemons=(0, 5, 40, 63), stream=True),
 }
 
 

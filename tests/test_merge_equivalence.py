@@ -215,7 +215,8 @@ class TestBenchHarness:
                            build=True, progress=lambda *_: None)
         assert len(report.entries) == 2  # merge entries unchanged
         assert report.build is not None
-        assert len(report.build.entries) == 2
+        # ring-hang under both schemes + the low-sharing uniform:64 mix
+        assert len(report.build.entries) == 3
         for entry in report.build.entries:
             assert entry.equal is True
             assert entry.reference_skipped is False
@@ -227,7 +228,8 @@ class TestBenchHarness:
         data = json.loads(out.read_text())
         assert data["workload"] == "fig07-ring-hang-bgl-build"
         assert {e["name"] for e in data["entries"]} == \
-            {"build-original-vn-4", "build-optimized-vn-4"}
+            {"build-original-vn-4", "build-optimized-vn-4",
+             "build-optimized-vn-4-uniform64"}
         # the construction report gates through the same baseline checker
         ok, messages = check_baseline(report.build, str(out))
         assert ok and messages
