@@ -20,7 +20,7 @@ reproduces ``attach_and_analyze``'s ``STATResult.timings`` exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.equivalence import EquivalenceClass, triage_classes
@@ -353,7 +353,9 @@ class FinalizePhase(Phase):
             classes=ctx.classes,
             launch=ctx.launch,
             sampling=ctx.sampling,
-            merge=ctx.merge,
+            # the merged pair is consumed above; the result keeps only
+            # the reduction's accounting (``ctx.merge`` keeps the trees)
+            merge=replace(ctx.merge, payload=None),
             relocation=ctx.relocation,
             timings=ctx.timings,
             degradation=DegradationReport.from_merge(

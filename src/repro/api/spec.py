@@ -55,7 +55,8 @@ _MACHINES = ("atlas", "bgl")
 _SCHEMES = ("hierarchical", "dense")
 _LAUNCHERS = ("auto", "launchmon", "rsh", "bgl-system", "bgl-system-prepatch")
 _STAGINGS = ("nfs", "lustre", "ramdisk", "localdisk")
-_MAPPINGS = ("block", "cyclic", "shuffled")
+#: no "shuffled": it needs an rng, and a spec has none to hand a launcher
+_MAPPINGS = ("block", "cyclic")
 
 
 class SpecValidationError(ValueError):

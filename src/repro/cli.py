@@ -15,11 +15,13 @@ Commands
 ``figure <id>``
     Regenerate one paper figure's series and print the rows
     (``fig1`` .. ``fig10``, ``claims``, ``ablation-*``).
-``bench``
-    Merge-kernel microbenchmarks (vectorized vs retained reference) at
-    fig07 full scale; writes ``BENCH_merge.json``.  ``--scale million``
-    adds the 1,048,576-task hierarchical sweep point; ``--baseline``
-    fails on >2x regression versus a checked-in report.
+``bench {merge,build,stream}``
+    One kernel benchmark at fig07 full scale (:mod:`repro.perf.bench`):
+    the k-way merge or the forest build against its retained reference,
+    or the streamed TBON reduction against the batch one; writes
+    ``BENCH_<kind>.json``.  ``--scale million`` adds the 1,048,576-task
+    hierarchical sweep point (``merge``, ``build``); ``--baseline``
+    gates the report against a checked-in one of the same kind.
 ``chaos``
     Sweep hundreds of randomized seeded :class:`~repro.faults.plan
     .FaultPlan`s across topology x scheme x batch/stream reductions
@@ -107,7 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="append an ASCII log-log chart")
 
     bench = sub.add_parser(
-        "bench", help="merge-kernel microbenchmarks (BENCH_merge.json)")
+        "bench", help="kernel benchmarks (BENCH_<kind>.json)")
+    bench.add_argument("kind", choices=("merge", "build", "stream"),
+                       help="k-way merge or forest build vs its retained "
+                            "reference, or the streamed TBON reduction "
+                            "vs the batch one (ttft vs ttfinal)")
     bench.add_argument("--quick", action="store_true",
                        help="CI smoke scale (64 daemons) instead of the "
                             "fig07 full scale (1,664 daemons)")
@@ -115,9 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
                                            "ten-million"),
                        default="fig07",
                        help="'million' adds the 1,048,576-task "
-                            "hierarchical sweep point; 'ten-million' "
-                            "additionally benchmarks construction of a "
-                            "10,485,760-task forest")
+                            "hierarchical sweep point (merge, build); "
+                            "'ten-million' additionally benchmarks "
+                            "construction of a 10,485,760-task forest "
+                            "(build)")
     bench.add_argument("--daemons", type=int, default=None,
                        help="override the daemon count")
     bench.add_argument("--samples", type=int, default=None,
@@ -126,34 +133,16 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=None,
                        help="timing repetitions, best-of is reported "
                             "(default 5; 3 with --quick)")
-    bench.add_argument("--out", metavar="FILE", default="BENCH_merge.json",
-                       help="where to write the JSON report")
-    bench.add_argument("--baseline", metavar="FILE", default=None,
-                       help="checked-in report to compare against "
-                            "(fails on >2x regression)")
-    bench.add_argument("--build", action="store_true",
-                       help="also benchmark tree construction (forest "
-                            "kernel vs per-object oracle) and write "
-                            "BENCH_build.json")
-    bench.add_argument("--build-out", metavar="FILE",
-                       default="BENCH_build.json",
-                       help="where to write the construction report")
-    bench.add_argument("--build-baseline", metavar="FILE", default=None,
-                       help="checked-in construction report to compare "
-                            "against (fails on >2x regression)")
-    bench.add_argument("--stream", action="store_true",
-                       help="also benchmark the streamed TBON reduction "
-                            "(ttft vs ttfinal) and write "
-                            "BENCH_stream.json")
-    bench.add_argument("--stream-out", metavar="FILE",
-                       default="BENCH_stream.json",
-                       help="where to write the streaming report")
-    bench.add_argument("--stream-baseline", metavar="FILE", default=None,
-                       help="checked-in streaming report to compare "
-                            "against (fails on divergence from batch, "
-                            "ttft >= 20%% of ttfinal, simulated-time "
-                            "drift, or >2x wall-ratio regression)")
     bench.add_argument("--seed", type=int, default=208_000)
+    bench.add_argument("--out", metavar="FILE", default=None,
+                       help="where to write the JSON report "
+                            "(default BENCH_<kind>.json)")
+    bench.add_argument("--baseline", metavar="FILE", default=None,
+                       help="checked-in report of the same kind to "
+                            "compare against (fails on divergence from "
+                            "the reference or a >2x regression; stream "
+                            "also on ttft >= 20%% of ttfinal or "
+                            "simulated-time drift)")
 
     chaos = sub.add_parser(
         "chaos",
@@ -385,72 +374,30 @@ def _run_bench(args: argparse.Namespace) -> int:
 
     try:
         report = run_bench(
+            args.kind,
             daemons=args.daemons,
             samples=args.samples,
             repeats=args.repeats,
             quick=args.quick,
-            million=args.scale in ("million", "ten-million"),
-            seed=args.seed,
-            build=args.build,
-            ten_million=args.scale == "ten-million")
-    except ValueError as err:
-        raise SystemExit(f"bench: {err}")
+            scale=args.scale,
+            seed=args.seed)
+    except ValueError as err:  # a scale the kind lacks, a count < 1
+        print(f"stat-repro bench: error: {err}", file=sys.stderr)
+        return 2
+    out = args.out or f"BENCH_{args.kind}.json"
     print(report.table())
-    report.write(args.out)
-    print(f"report written to {args.out}")
-    status = 0 if report.ok else 1
-    if not report.ok:
-        print("FAIL: vectorized kernels diverged from the reference")
+    report.write(out)
+    print(f"report written to {out}")
+    failures = report.failures()
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    status = 1 if failures else 0
     if args.baseline:
         ok, messages = check_baseline(report, args.baseline)
         for message in messages:
             print(f"baseline: {message}")
         if not ok:
             status = 1
-    if report.build is not None:
-        print()
-        print(report.build.table())
-        report.build.write(args.build_out)
-        print(f"build report written to {args.build_out}")
-        if not report.build.ok:
-            status = 1
-            print("FAIL: forest construction diverged from the "
-                  "per-object oracle")
-        if args.build_baseline:
-            ok, messages = check_baseline(report.build,
-                                          args.build_baseline)
-            for message in messages:
-                print(f"build-baseline: {message}")
-            if not ok:
-                status = 1
-    if args.stream:
-        from repro.perf.streambench import check_stream_baseline, \
-            run_stream_bench
-
-        try:
-            stream_report = run_stream_bench(
-                daemons=args.daemons,
-                samples=args.samples,
-                repeats=args.repeats,
-                quick=args.quick,
-                seed=args.seed)
-        except ValueError as err:
-            raise SystemExit(f"bench: {err}")
-        print()
-        print(stream_report.table())
-        stream_report.write(args.stream_out)
-        print(f"stream report written to {args.stream_out}")
-        if not stream_report.ok:
-            status = 1
-            print("FAIL: streamed reduction diverged from the batch "
-                  "merge or missed the time-to-first-tree gate")
-        if args.stream_baseline:
-            ok, messages = check_stream_baseline(stream_report,
-                                                 args.stream_baseline)
-            for message in messages:
-                print(f"stream-baseline: {message}")
-            if not ok:
-                status = 1
     return status
 
 

@@ -64,6 +64,8 @@ class STATResult:
     classes: List[EquivalenceClass]
     launch: LaunchResult
     sampling: SamplingTimeReport
+    #: the reduction's accounting; ``payload`` is ``None`` (the merged
+    #: pair lives on as ``tree_2d`` / ``tree_3d``)
     merge: ReduceResult
     relocation: Optional[RelocationReport] = None
     #: simulated seconds per phase

@@ -234,19 +234,26 @@ class TaskMap:
 
     def __init__(self, daemon_ranks: Dict[int, np.ndarray]) -> None:
         self._ranks: Dict[int, np.ndarray] = {}
-        seen: set = set()
-        total = 0
+        arrays = []
         for daemon_id, ranks in daemon_ranks.items():
             arr = np.asarray(ranks, dtype=np.int64)
             if arr.ndim != 1:
                 raise ValueError("each daemon's rank list must be 1-D")
-            dupes = set(arr.tolist()) & seen
-            if dupes:
-                raise ValueError(f"ranks assigned to multiple daemons: {sorted(dupes)[:5]}")
-            seen.update(arr.tolist())
-            total += arr.size
+            arrays.append(arr)
             self._ranks[int(daemon_id)] = arr
-        self.total_tasks = total
+        self.total_tasks = sum(arr.size for arr in arrays)
+        ranks = np.sort(np.concatenate(arrays)) if arrays else np.zeros(0)
+        if (ranks[1:] == ranks[:-1]).any():
+            # Some rank is held twice: name the culprits daemon by
+            # daemon (a rank repeated inside one daemon's own list is
+            # not an assignment conflict and passes).
+            seen: set = set()
+            for arr in arrays:
+                dupes = set(arr.tolist()) & seen
+                if dupes:
+                    raise ValueError("ranks assigned to multiple daemons: "
+                                     f"{sorted(dupes)[:5]}")
+                seen.update(arr.tolist())
 
     # -- constructors ------------------------------------------------------
     @classmethod

@@ -31,13 +31,33 @@ __all__ = ["ProcessTable", "build_process_table", "pack_table"]
 
 @dataclass
 class ProcessTable:
-    """Rank -> (daemon, local slot, pid) plus the derived task map."""
+    """Rank -> (daemon, local slot, pid), held as the task map it induces.
+
+    The per-rank rows are *derived*: no session path reads them (Section
+    IV-A's lesson is that BG/L startup died generating exactly such a
+    table), so :attr:`entries` is computed from ``task_map`` on access
+    and neither stored nor pickled.
+    """
 
     num_tasks: int
     num_daemons: int
-    #: entries[rank] = (daemon_id, local_slot, pid)
-    entries: List[Tuple[int, int, int]]
     task_map: TaskMap
+    base_pid: int = 1000
+
+    @property
+    def entries(self) -> List[Tuple[int, int, int]]:
+        """``entries[rank] = (daemon_id, local_slot, pid)`` — the task
+        map inverted in one pass."""
+        daemons = self.task_map.daemons()
+        sizes = [self.task_map.tasks_of(d) for d in daemons]
+        ranks = np.concatenate([self.task_map.ranks_of(d) for d in daemons])
+        starts = np.cumsum(sizes) - sizes
+        rows = np.empty((self.num_tasks, 3), dtype=np.int64)
+        rows[ranks] = np.column_stack((
+            np.repeat(daemons, sizes),
+            np.arange(ranks.size) - np.repeat(starts, sizes),
+            self.base_pid + ranks))
+        return [tuple(row) for row in rows.tolist()]
 
     def daemon_of(self, rank: int) -> int:
         """Daemon responsible for an MPI rank."""
@@ -81,12 +101,8 @@ def build_process_table(num_daemons: int, tasks_per_daemon: int,
     else:
         raise ValueError(f"unknown mapping {mapping!r}")
 
-    total = num_daemons * tasks_per_daemon
-    entries: List[Tuple[int, int, int]] = [(-1, -1, -1)] * total
-    for daemon in range(num_daemons):
-        for slot, rank in enumerate(task_map.ranks_of(daemon)):
-            entries[int(rank)] = (daemon, slot, base_pid + int(rank))
-    return ProcessTable(total, num_daemons, entries, task_map)
+    return ProcessTable(num_daemons * tasks_per_daemon, num_daemons,
+                        task_map, base_pid)
 
 
 def pack_table(table: ProcessTable, use_strcat: bool = False) -> bytes:

@@ -5,10 +5,10 @@
   session pipeline phases.
 * :mod:`repro.perf.reference` — the retained pre-vectorization merge
   kernels, kept as the equivalence/benchmark baseline.
-* :mod:`repro.perf.bench` — the ``stat-repro bench`` harness: kernel
-  microbenchmarks at fig07 full scale (and the million-task sweep
-  point), written to ``BENCH_merge.json`` so the perf trajectory is
-  tracked across PRs.
+* :mod:`repro.perf.bench` — the ``stat-repro bench {merge,build,stream}``
+  harness: kernel benchmarks at fig07 full scale (and the million-task
+  sweep points), written to ``BENCH_<kind>.json`` so the perf
+  trajectory is tracked across PRs.
 """
 
 from repro.perf.counters import PERF, PerfCounters

@@ -1,5 +1,7 @@
 """SessionPipeline: phase composition, observers, frontend equivalence."""
 
+import dataclasses
+
 import pytest
 
 from repro.api import (
@@ -24,6 +26,23 @@ class TestPhaseExecution:
         assert set(result.timings) == \
             {"launch", "map_gather", "sample", "merge", "remap"}
         assert [c.size for c in result.classes] == [254, 1, 1]
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_result_merge_keeps_the_accounting_not_the_trees(self, stream):
+        pipeline = SessionPipeline.from_spec(
+            SPEC.replace(dead_daemons=(2,)))
+        pipeline.ctx.stream = stream
+        result, merged = pipeline.run(), pipeline.ctx.merge
+        assert result.merge.payload is None
+        assert merged.payload.tree_2d.node_count() > 0
+        assert type(result.merge) is type(merged)
+        assert result.merge.missing_daemons == [2]
+        for field in dataclasses.fields(merged):
+            if field.name != "payload":
+                assert getattr(result.merge, field.name) == \
+                    getattr(merged, field.name)
+        assert result.merge.messages > 0
+        assert result.merge.network_profile() == merged.network_profile()
 
     def test_run_until_partial(self):
         pipeline = SessionPipeline.from_spec(SPEC)

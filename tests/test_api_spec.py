@@ -33,6 +33,7 @@ class TestValidation:
         {"launcher": "slurm"},
         {"staging": "gpfs"},
         {"mapping": "random"},
+        {"mapping": "shuffled"},  # needs an rng no spec can carry
         {"stop_after": "teardown"},
     ])
     def test_bad_fields_rejected(self, changes):
@@ -40,6 +41,13 @@ class TestValidation:
         base.update(changes)
         with pytest.raises(SpecValidationError):
             SessionSpec(**base)
+
+    def test_shuffled_mapping_rejected_on_every_way_in(self):
+        spec = SessionSpec(machine="bgl", daemons=4)
+        with pytest.raises(SpecValidationError, match="mapping"):
+            SessionSpec.from_dict({**spec.to_dict(), "mapping": "shuffled"})
+        with pytest.raises(SpecValidationError, match="mapping"):
+            spec.replace(mapping="shuffled")
 
     def test_frozen(self):
         spec = SessionSpec(machine="bgl", daemons=4)

@@ -5,6 +5,12 @@ import pytest
 from repro.cli import build_parser, main
 from repro.experiments import REGISTRY
 
+#: per bench kind: a table column, and the baseline field (and factor)
+#: that makes a baseline impossible to meet
+BENCH_KINDS = {"merge": ("speedup", "speedup", 1000.0),
+               "build": ("speedup", "speedup", 1000.0),
+               "stream": ("ttfinal", "wall_ratio", 0.001)}
+
 
 class TestParser:
     def test_demo_defaults(self):
@@ -18,6 +24,26 @@ class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_bench_takes_one_kind_and_eight_options(self):
+        args = build_parser().parse_args(["bench", "stream"])
+        assert args.kind == "stream" and args.out is None
+        assert sorted(set(vars(args)) - {"command", "kind"}) == \
+            ["baseline", "daemons", "out", "quick", "repeats", "samples",
+             "scale", "seed"]
+
+    @pytest.mark.parametrize("argv", [
+        ["bench"], ["bench", "finalize"], ["bench", "merge", "build"],
+        ["bench", "merge", "--build"], ["bench", "merge", "--stream"],
+        ["bench", "merge", "--build-out", "x.json"],
+        ["bench", "merge", "--build-baseline", "x.json"],
+        ["bench", "merge", "--stream-out", "x.json"],
+        ["bench", "merge", "--stream-baseline", "x.json"]])
+    def test_bench_without_a_kind_or_with_a_removed_flag_is_a_usage_error(
+            self, argv):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(argv)
+        assert err.value.code == 2
 
 
 class TestCommands:
@@ -40,34 +66,45 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "sbrs" in out
 
-    def test_bench_quick_writes_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", BENCH_KINDS)
+    def test_bench_quick_writes_json(self, kind, tmp_path, capsys,
+                                     monkeypatch):
         import json
-        out = tmp_path / "BENCH_merge.json"
-        assert main(["bench", "--daemons", "4", "--samples", "2",
-                     "--repeats", "1", "--out", str(out)]) == 0
+        monkeypatch.chdir(tmp_path)  # --out defaults to BENCH_<kind>.json
+        assert main(["bench", kind, "--daemons", "4", "--samples", "2",
+                     "--repeats", "1"]) == 0
         stdout = capsys.readouterr().out
-        assert "speedup" in stdout
-        assert f"report written to {out}" in stdout
-        data = json.loads(out.read_text())
+        assert BENCH_KINDS[kind][0] in stdout
+        assert f"report written to BENCH_{kind}.json" in stdout
+        data = json.loads((tmp_path / f"BENCH_{kind}.json").read_text())
         assert {e["scheme"] for e in data["entries"]} == \
             {"original", "optimized"}
 
-    def test_bench_baseline_gate(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", BENCH_KINDS)
+    def test_bench_baseline_gate(self, kind, tmp_path, capsys):
         import json
         out = tmp_path / "bench.json"
-        assert main(["bench", "--daemons", "4", "--samples", "2",
-                     "--repeats", "1", "--out", str(out)]) == 0
-        capsys.readouterr()
+        argv = ["bench", kind, "--daemons", "4", "--samples", "2",
+                "--repeats", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert main(argv + ["--baseline", str(out)]) == 0
+        assert "baseline: " in capsys.readouterr().out
         # impossible baseline -> nonzero exit and a REGRESSION message
+        _, field, factor = BENCH_KINDS[kind]
         data = json.loads(out.read_text())
         for entry in data["entries"]:
-            entry["speedup"] *= 1000.0
+            entry[field] *= factor
         base = tmp_path / "base.json"
         base.write_text(json.dumps(data))
-        assert main(["bench", "--daemons", "4", "--samples", "2",
-                     "--repeats", "1", "--out", str(out),
-                     "--baseline", str(base)]) == 1
+        assert main(argv + ["--baseline", str(base)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind, scale", [("merge", "ten-million"),
+                                             ("stream", "million")])
+    def test_bench_scale_the_kind_lacks_is_a_usage_error(self, kind, scale,
+                                                         capsys):
+        assert main(["bench", kind, "--scale", scale]) == 2
+        assert f"bench {kind} has no scale" in capsys.readouterr().err
 
     def test_figure_quick_runs(self, capsys):
         assert main(["figure", "fig2", "--quick"]) == 0
@@ -172,6 +209,14 @@ class TestCommands:
                            daemons=4).save(tmp_path / "spec.json")
         with pytest.raises(SystemExit):
             main(["sweep", str(path), "--vary", "daemons"])
+
+    def test_sweep_vary_shuffled_mapping_exits(self, tmp_path):
+        from repro.api import SessionSpec
+
+        path = SessionSpec(machine="bgl",
+                           daemons=4).save(tmp_path / "spec.json")
+        with pytest.raises(SystemExit, match="mapping must be one of"):
+            main(["sweep", str(path), "--vary", "mapping=shuffled"])
 
     def test_save_and_inspect_roundtrip(self, tmp_path, capsys):
         session_dir = str(tmp_path / "sess")

@@ -1,5 +1,7 @@
 """Unit tests for the three launchers and the process table."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,25 @@ class TestProcessTable:
         pids = [table.pid_of(r) for r in range(32)]
         assert len(set(pids)) == 32
 
+    @pytest.mark.parametrize("mapping", ["block", "cyclic", "shuffled"])
+    def test_derived_entries_equal_the_per_rank_loop(self, mapping):
+        table = build_process_table(5, 7, mapping, base_pid=400,
+                                    rng=np.random.default_rng(3))
+        # the loop build_process_table ran before entries were derived
+        looped = [(-1, -1, -1)] * table.num_tasks
+        for daemon in range(table.num_daemons):
+            for slot, rank in enumerate(table.task_map.ranks_of(daemon)):
+                looped[int(rank)] = (daemon, slot, 400 + int(rank))
+        assert table.entries == looped
+        assert {type(v) for row in table.entries for v in row} == {int}
+
+    def test_entries_are_neither_stored_nor_pickled(self):
+        table = build_process_table(64, 64, "cyclic")
+        assert "entries" not in vars(table)
+        blob = pickle.dumps(table)
+        assert len(blob) - len(pickle.dumps(table.task_map)) < 256
+        assert pickle.loads(blob).entries == table.entries
+
     def test_task_map_consistent_with_entries(self):
         table = build_process_table(3, 4, "cyclic")
         for rank in range(12):
@@ -59,6 +80,10 @@ class TestPackTable:
         assert pack_table(table, use_strcat=True) == \
             pack_table(table, use_strcat=False)
 
+    def test_packed_bytes(self):
+        assert pack_table(build_process_table(2, 2, "cyclic")) == \
+            b"0:0:0:1000;1:1:0:1001;2:0:1:1002;3:1:1:1003;"
+
     def test_packed_contains_every_rank(self):
         table = build_process_table(2, 4, "block")
         packed = pack_table(table)
@@ -71,9 +96,12 @@ class TestPackTable:
 
         def cost(tasks, strcat):
             table = build_process_table(tasks // 16, 16, "block")
-            t0 = time.perf_counter()
-            pack_table(table, use_strcat=strcat)
-            return time.perf_counter() - t0
+            best = float("inf")
+            for _ in range(3):  # best-of: one scheduler hiccup is not growth
+                t0 = time.perf_counter()
+                pack_table(table, use_strcat=strcat)
+                best = min(best, time.perf_counter() - t0)
+            return best
 
         # Growth factor over a 4x size increase: linear path ~4x,
         # strcat path ~16x. Compare their ratio with a margin.

@@ -7,8 +7,10 @@ retained recursive reference implementations — plus array/object
 round-trips, pickling, and ``stat-repro bench`` JSON validity.
 """
 
+import copy
 import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,13 +193,42 @@ class TestTreeArrays:
         assert merged.structurally_equal(reference_dense_merge(trees))
 
 
+BENCH_KINDS = ("merge", "build", "stream")
+BASELINES = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
+#: per kind: the baseline field an impossible baseline inflates, and by what
+REGRESSION_FIELD = {"merge": ("speedup", 100.0), "build": ("speedup", 100.0),
+                    "stream": ("wall_ratio", 0.01)}
+
+
+def small_bench(kind, **kwargs):
+    return run_bench(kind, daemons=4, samples=2, repeats=1,
+                     progress=lambda *_: None, **kwargs)
+
+
+def tampered(report, **changes):
+    """A copy of ``report`` whose first entry has ``changes`` applied."""
+    clone = copy.deepcopy(report)
+    for name, value in changes.items():
+        setattr(clone.entries[0], name, value)
+    return clone
+
+
 class TestBenchHarness:
-    def test_bench_emits_valid_json(self, tmp_path):
-        report = run_bench(daemons=4, samples=2, repeats=1, million=False,
-                           progress=lambda *_: None)
-        out = tmp_path / "BENCH_merge.json"
-        report.write(str(out))
-        data = json.loads(out.read_text())
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return {kind: small_bench(kind) for kind in BENCH_KINDS}
+
+    @pytest.fixture
+    def own_baseline(self, reports, tmp_path):
+        """Each kind's report written out as its own baseline file."""
+        paths = {}
+        for kind, report in reports.items():
+            paths[kind] = tmp_path / f"BENCH_{kind}.json"
+            report.write(str(paths[kind]))
+        return paths
+
+    def test_bench_emits_valid_json(self, reports, own_baseline):
+        data = json.loads(own_baseline["merge"].read_text())
         assert data["version"] == 1
         assert len(data["entries"]) == 2
         schemes = {e["scheme"] for e in data["entries"]}
@@ -207,61 +238,118 @@ class TestBenchHarness:
             assert entry["reference_seconds"] > 0
             assert entry["vectorized_seconds"] > 0
             assert entry["tasks"] == 4 * 128
-        assert report.ok
-        assert "speedup" in report.table()
+        assert reports["merge"].ok
+        assert "speedup" in reports["merge"].table()
 
-    def test_bench_build_report(self, tmp_path):
-        report = run_bench(daemons=4, samples=2, repeats=1, million=False,
-                           build=True, progress=lambda *_: None)
-        assert len(report.entries) == 2  # merge entries unchanged
-        assert report.build is not None
+    def test_bench_build_report(self, reports, own_baseline):
         # ring-hang under both schemes + the low-sharing uniform:64 mix
-        assert len(report.build.entries) == 3
-        for entry in report.build.entries:
+        report = reports["build"]
+        assert len(report.entries) == 3
+        for entry in report.entries:
             assert entry.equal is True
             assert entry.reference_skipped is False
             assert entry.vectorized_seconds > 0
             assert entry.reference_seconds > 0
             assert entry.build_seconds == entry.vectorized_seconds
-        out = tmp_path / "BENCH_build.json"
-        report.build.write(str(out))
-        data = json.loads(out.read_text())
+        data = json.loads(own_baseline["build"].read_text())
         assert data["workload"] == "fig07-ring-hang-bgl-build"
         assert {e["name"] for e in data["entries"]} == \
             {"build-original-vn-4", "build-optimized-vn-4",
              "build-optimized-vn-4-uniform64"}
-        # the construction report gates through the same baseline checker
-        ok, messages = check_baseline(report.build, str(out))
-        assert ok and messages
 
-    def test_bench_without_build_has_no_build_report(self):
-        report = run_bench(daemons=4, samples=2, repeats=1,
-                           progress=lambda *_: None)
-        assert report.build is None
+    def test_bench_stream_report(self, reports, own_baseline):
+        report = reports["stream"]
+        assert report.ok and "ttfinal" in report.table()
+        assert "fault demo: faults.injected=" in report.table()
+        data = json.loads(own_baseline["stream"].read_text())
+        assert data["workload"] == "fig07-ring-hang-bgl-stream"
+        assert set(data["fault_counters"]) == \
+            {"faults.injected", "tbon.retries", "tbon.corrupt_detected"}
+        for entry in data["entries"]:
+            assert entry["equal"] is True
+            assert 0 < entry["ttft"] < 0.2 * entry["ttfinal"]
+            assert entry["partial_merges"] == 3
+            assert entry["wall_ratio"] > 0
+
+    @pytest.mark.parametrize("kind", BENCH_KINDS)
+    def test_report_fields_are_the_checked_in_baselines(self, kind, reports):
+        """The six baselines under benchmarks/baselines gate the harness
+        unregenerated: same top-level fields, entry names and entry keys."""
+        checked_in = json.loads(
+            (BASELINES / f"BENCH_{kind}_quick.json").read_text())
+        data = reports[kind].to_dict()
+        assert sorted(data) == sorted(checked_in)
+        assert data["workload"] == checked_in["workload"]
+        assert [e["name"].replace("-vn-4", "-vn-64")
+                for e in data["entries"]] == \
+            [e["name"] for e in checked_in["entries"]]
+        for entry, base in zip(data["entries"], checked_in["entries"]):
+            assert sorted(entry) == sorted(base)
 
     def test_quick_does_not_override_explicit_values(self):
-        report = run_bench(daemons=4, samples=2, repeats=1, quick=True,
-                           progress=lambda *_: None)
+        report = small_bench("merge", quick=True)
         assert all(e.daemons == 4 for e in report.entries)
         assert all(e.samples == 2 for e in report.entries)
         with pytest.raises(ValueError):
-            run_bench(daemons=0, progress=lambda *_: None)
+            run_bench("merge", daemons=0, progress=lambda *_: None)
 
-    def test_baseline_regression_detection(self, tmp_path):
-        report = run_bench(daemons=4, samples=2, repeats=1,
-                           progress=lambda *_: None)
-        base = tmp_path / "base.json"
-        report.write(str(base))
+    def test_unknown_kind_and_scale_are_rejected(self):
+        with pytest.raises(ValueError, match="unknown bench kind"):
+            small_bench("finalize")
+        for kind, scale in [("merge", "ten-million"), ("stream", "million")]:
+            with pytest.raises(ValueError, match="has no scale"):
+                small_bench(kind, scale=scale)
+
+    @pytest.mark.parametrize("kind", BENCH_KINDS)
+    def test_baseline_regression_detection(self, kind, reports,
+                                           own_baseline):
+        report, base = reports[kind], own_baseline[kind]
         ok, messages = check_baseline(report, str(base))
-        assert ok and messages
-        # a baseline claiming 100x better speedup must trip the 2x gate
-        fast = report.to_dict()
-        for entry in fast["entries"]:
-            entry["speedup"] *= 100.0
-        base.write_text(json.dumps(fast))
+        assert ok and len(messages) == len(report.entries)
+        assert all(": ok (" in m for m in messages)
+        # a baseline claiming a 100x better ratio must trip the 2x gate
+        field, factor = REGRESSION_FIELD[kind]
+        better = report.to_dict()
+        for entry in better["entries"]:
+            entry[field] *= factor
+        base.write_text(json.dumps(better))
         ok, messages = check_baseline(report, str(base))
         assert not ok
-        assert any("REGRESSION" in m for m in messages)
+        assert all("REGRESSION" in m for m in messages)
+
+    @pytest.mark.parametrize("kind", BENCH_KINDS)
+    def test_divergence_fails_before_any_baseline(self, kind, reports,
+                                                  own_baseline):
+        broken = tampered(reports[kind], equal=False)
+        assert not broken.ok
+        assert len(broken.failures()) == 1
+        ok, messages = check_baseline(broken, str(own_baseline[kind]))
+        assert not ok
+        assert "diverged" in messages[0] and ": ok (" in messages[1]
+
+    @pytest.mark.parametrize("kind", BENCH_KINDS)
+    def test_missing_baseline_entry_is_strict(self, kind, reports, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"entries": []}))
+        ok, messages = check_baseline(reports[kind], str(empty))
+        assert not ok
+        assert all("no matching baseline entry" in m for m in messages)
+
+    def test_stream_ttft_gate(self, reports, own_baseline):
+        late = tampered(reports["stream"], ttft_ratio=0.25)
+        assert not late.ok
+        ok, messages = check_baseline(late, str(own_baseline["stream"]))
+        assert not ok and "TTFT GATE" in messages[0]
+
+    def test_stream_simulated_time_drift(self, reports, own_baseline):
+        base = own_baseline["stream"]
+        moved = json.loads(base.read_text())
+        moved["entries"][0]["ttfinal"] *= 1.001
+        base.write_text(json.dumps(moved))
+        ok, messages = check_baseline(reports["stream"], str(base))
+        assert not ok
+        assert "simulated ttfinal drifted" in messages[0]
+        assert ": ok (" in messages[1]
 
     def test_reference_merge_dispatch_validates(self):
         with pytest.raises(ValueError):
