@@ -426,10 +426,6 @@ class SessionPipeline:
         """Names of the phases not yet run, in order."""
         return tuple(p.name for p in PHASES[self._next:])
 
-    def add_observer(self, observer: PhaseObserver) -> None:
-        """Attach another observer (applies to phases not yet run)."""
-        self.observers.append(observer)
-
     # -- execution ---------------------------------------------------------
     def run_phase(self, name: str) -> SessionContext:
         """Run exactly the next phase, which must be ``name``."""

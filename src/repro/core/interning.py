@@ -31,7 +31,7 @@ re-derives them from its ``(frame_ids, parents)`` arrays.
 
 from __future__ import annotations
 
-# repro-lint: hot-path — intern lookups must stay O(1), no per-node scans.
+# Hot path: intern lookups must stay O(1), no per-node scans.
 
 from typing import Dict, List, Optional, Tuple
 
@@ -151,7 +151,7 @@ class PathInterner:
         conversion, unpickling), never inside a merge or a build.
         """
         ids: List[int] = []
-        for frame_id, parent in zip(frame_ids.tolist(), parents.tolist()):  # repro-lint: disable=hot-path-loop (registration boundary: once per distinct trace / per tree arriving without ids)
+        for frame_id, parent in zip(frame_ids.tolist(), parents.tolist()):  # registration boundary: once per distinct trace / per tree arriving without ids
             ids.append(self.intern(ids[parent] if parent >= 0 else -1,
                                    frame_id))
         return np.asarray(ids, dtype=np.int64)

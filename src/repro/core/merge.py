@@ -41,7 +41,7 @@ bit-identical trees between old and new on randomized inputs.
 
 from __future__ import annotations
 
-# repro-lint: hot-path — merge kernels must stay per-array, not per-node.
+# Hot path: merge kernels must stay per-array, not per-node.
 
 from typing import Any, Sequence, Tuple
 
@@ -186,7 +186,7 @@ class DenseLabelScheme(LabelScheme):
         """K-way structure merge; label merge is one batched OR per tree."""
         width = self.total_tasks
         nbytes = (width + 7) // 8
-        for t in trees:  # repro-lint: disable=hot-path-loop (per input tree, k-bounded validation)
+        for t in trees:  # per input tree, k-bounded validation
             if t.width is not None and t.width != width:
                 raise ValueError(
                     f"width mismatch: {width} vs {t.width} (the original "
@@ -204,7 +204,7 @@ class DenseLabelScheme(LabelScheme):
         k = len(trees)
         lo_t = np.empty(k, dtype=np.int64)
         hi_t = np.empty(k, dtype=np.int64)
-        for i, t in enumerate(trees):  # repro-lint: disable=hot-path-loop (per input tree, k-bounded)
+        for i, t in enumerate(trees):  # per input tree, k-bounded
             lo_t[i], hi_t[i] = t.overall_span()
         w_t = hi_t - lo_t
 
@@ -219,7 +219,7 @@ class DenseLabelScheme(LabelScheme):
             if span_order.size > 1 else True
 
         out_flat = out.reshape(-1)
-        for w in np.unique(w_t[tre]).tolist():  # repro-lint: disable=hot-path-loop (per distinct span width, not per node)
+        for w in np.unique(w_t[tre]).tolist():  # per distinct span width, not per node
             if w == 0:
                 continue
             bucket = np.nonzero(w_t == w)[0]
@@ -245,7 +245,7 @@ class DenseLabelScheme(LabelScheme):
             else:
                 # Overlapping spans (e.g. cyclic rank maps) or oversized
                 # scatter: batched OR per source tree.
-                for i in np.unique(tre_b).tolist():  # repro-lint: disable=hot-path-loop (per source tree, k-bounded)
+                for i in np.unique(tre_b).tolist():  # per source tree, k-bounded
                     sel = tre_b == i
                     lo, hi = int(lo_t[i]), int(hi_t[i])
                     out[grp_b[sel], lo:hi] |= \
@@ -263,7 +263,7 @@ class DenseLabelScheme(LabelScheme):
         n_rows = int(row_counts.sum())
         row_lo = np.empty(n_rows, dtype=np.int64)
         row_hi = np.empty(n_rows, dtype=np.int64)
-        for i, t in enumerate(trees):  # repro-lint: disable=hot-path-loop (per input tree, k-bounded)
+        for i, t in enumerate(trees):  # per input tree, k-bounded
             sl = slice(int(roff_all[i]), int(roff_all[i] + row_counts[i]))
             if t.spans is None:
                 row_lo[sl] = lo_t[i]
@@ -308,7 +308,7 @@ class HierarchicalLabelScheme(LabelScheme):
         if not trees:
             raise ValueError("merge of zero trees")
         layouts = []
-        for t in trees:  # repro-lint: disable=hot-path-loop (per input tree, k-bounded validation)
+        for t in trees:  # per input tree, k-bounded validation
             if t.layout is None:
                 raise ValueError("cannot determine layout of an empty tree")
             layouts.append(t.layout)
@@ -331,7 +331,7 @@ class HierarchicalLabelScheme(LabelScheme):
         # Chunk byte ranges are disjoint by construction, so each bucket of
         # equal-size chunks is one gather from a compact matrix plus one
         # linear-index scatter — the zero fringe is never touched.
-        for nb in np.unique(nb_t[tre]).tolist():  # repro-lint: disable=hot-path-loop (per distinct chunk size, not per node)
+        for nb in np.unique(nb_t[tre]).tolist():  # per distinct chunk size, not per node
             if nb == 0:
                 continue
             bucket = np.nonzero(nb_t == nb)[0]

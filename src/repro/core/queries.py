@@ -62,16 +62,6 @@ class TreeQuery:
                 out.union_inplace(node.tasks)
         return out
 
-    def terminal_tasks_at(self, path: StackTrace) -> DenseBitVector:
-        """Tasks whose traces *end* at this node (not deeper)."""
-        node = self.tree.find(path)
-        if node is None:
-            return DenseBitVector.empty(self.total_tasks)
-        out = node.tasks.copy()
-        for child in node.children.values():
-            out = out - child.tasks
-        return out
-
     # -- composite triage questions ---------------------------------------------
     def reached_but_not(self, reached: str, not_reached: str) -> DenseBitVector:
         """Tasks that entered ``reached`` but never ``not_reached``.

@@ -45,7 +45,7 @@ dropped and re-derived in the loading process.
 
 from __future__ import annotations
 
-# repro-lint: hot-path — array kernels must stay per-array, not per-node.
+# Hot path: array kernels must stay per-array, not per-node.
 
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
@@ -182,21 +182,21 @@ class TreeArrays:
         level: List[Tuple[int, PrefixTreeNode]] = \
             [(-1, child) for child in tree.root.children.values()]
         first_label: Any = None
-        while level:  # repro-lint: disable=hot-path-loop (object->array boundary conversion, per level)
+        while level:  # object->array boundary conversion, per level
             nxt: List[Tuple[int, PrefixTreeNode]] = []
-            for parent_gid, node in level:  # repro-lint: disable=hot-path-loop (boundary conversion, inherently per node)
+            for parent_gid, node in level:  # boundary conversion, inherently per node
                 gid = len(frame_ids)
                 frame_ids.append(node.frame.id)
                 parents.append(parent_gid)
                 label = node.tasks
                 if first_label is None:
                     first_label = label
-                ref = row_of.get(id(label))  # repro-lint: disable=determinism-taint (identity-keyed dedup: shared label objects collapse to one row; the ref indices come from traversal order, never from id() values, so output is reproducible)
+                ref = row_of.get(id(label))  # identity-keyed dedup: shared label objects collapse to one row; the ref indices come from traversal order, never from id() values, so output is reproducible
                 if ref is None:
-                    ref = row_of[id(label)] = len(rows)  # repro-lint: disable=determinism-taint (same identity-keyed dedup as above)
+                    ref = row_of[id(label)] = len(rows)  # same identity-keyed dedup as above
                     rows.append(label.data)
                 label_refs.append(ref)
-                for child in node.children.values():  # repro-lint: disable=hot-path-loop (boundary conversion, inherently per node)
+                for child in node.children.values():  # boundary conversion, inherently per node
                     nxt.append((gid, child))
             level_offsets.append(len(frame_ids))
             level = nxt
@@ -253,7 +253,7 @@ class TreeArrays:
         frames = FRAMES.frames_of(self.frame_ids)
         parents = self.parents
         refs = self.label_refs
-        for i, frame in enumerate(frames):  # repro-lint: disable=hot-path-loop (array->object boundary materialization)
+        for i, frame in enumerate(frames):  # array->object boundary materialization
             node = PrefixTreeNode(frame, label_objs[refs[i]])
             parent = root if parents[i] < 0 else nodes[parents[i]]
             parent.children[frame] = node

@@ -179,13 +179,6 @@ class FaultInjector:
         return ready, True, 0
 
     # -- link faults -------------------------------------------------------
-    @property
-    def links_active(self) -> bool:
-        """True when any link fault has a positive probability."""
-        return (any(self._link_global)
-                or any(any(p) for _, p in
-                       sorted(self._link_by_node.items())))
-
     def link_params(self, node_id: int) -> Optional[Tuple[float, float]]:
         """(drop_p, corrupt_p) on ``node_id``'s ingress links, or None."""
         params = self._link_by_node.get(node_id, self._link_global)

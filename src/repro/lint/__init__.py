@@ -3,17 +3,18 @@
 A static-analysis subsystem (stdlib ``ast`` only) enforcing the
 invariants generic linters cannot know: pickle-safety across the
 ``ScenarioSuite`` process pool, determinism of everything feeding figure
-values, per-array (never per-node) hot paths in the merge kernels, PERF
-counter-name discipline, spec/docs agreement, and spec-object hygiene.
+values, PERF counter-name discipline, spec/docs agreement, and
+spec-object hygiene — eight rules, one per property.  Kernel
+shape/dtype conventions are checked at runtime by
+:mod:`repro.lint.contracts`.
 
 Entry points:
 
-* ``stat-repro lint`` — the CLI (text/JSON output, baseline workflow);
+* ``stat-repro lint`` — the CLI (text/JSON output);
 * :func:`repro.lint.engine.lint_paths` — the library API;
-* ``docs/static-analysis.md`` — rule catalogue and rationale.
+* ``docs/static-analysis.md`` — rule catalogue, rationale and audit.
 """
 
-from repro.lint.baseline import Baseline, BaselineComparison
 from repro.lint.engine import (
     Finding,
     ModuleContext,
@@ -25,8 +26,6 @@ from repro.lint.engine import (
 )
 
 __all__ = [
-    "Baseline",
-    "BaselineComparison",
     "Finding",
     "ModuleContext",
     "ProjectRule",

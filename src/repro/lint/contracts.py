@@ -26,24 +26,19 @@ by instrumentation semantics.  Checks are duck-typed (``value.shape`` /
 ``value.dtype``) so this module stays stdlib-only like the rest of
 ``repro.lint``.
 
-**Static mode**: the ``kernel-contract`` project rule parses every
-``@contract`` decorator, validates the DSL and parameter names, and
-checks dim-symbol/dtype consistency *across call sites* using the
-project call graph — when one kernel's contracted result is passed into
-another kernel, the declared shapes must agree.
+**At import**: bad DSL, or a contract naming a parameter the signature
+lacks, raises :class:`ContractSyntaxError` when the decorator runs, so
+a malformed contract breaks every import of its module.
 """
 
 from __future__ import annotations
 
-import ast
 import functools
 import inspect
 import os
 import re
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "contract", "exempt", "enable", "disable", "enabled",
@@ -342,223 +337,3 @@ def contract(text: str):
         return wrapper
 
     return deco
-
-
-# -- static mode: the kernel-contract project rule -------------------------
-
-@dataclass
-class _Decorated:
-    """A ``@contract``-decorated function found in the AST."""
-
-    qname: str
-    rel: str
-    lineno: int
-    contract: Contract
-    #: call-mappable parameter order (drops a leading self/cls)
-    param_names: List[str] = field(default_factory=list)
-
-
-def _decorator_contract_text(dec: ast.expr) -> Optional[str]:
-    if not isinstance(dec, ast.Call) or len(dec.args) != 1:
-        return None
-    func = dec.func
-    name = (func.id if isinstance(func, ast.Name)
-            else func.attr if isinstance(func, ast.Attribute) else "")
-    if name != "contract":
-        return None
-    arg = dec.args[0]
-    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-        return arg.value
-    return None
-
-
-def _register_rule() -> None:
-    # Imported lazily: kernels import this module for the decorator at
-    # runtime, and pulling the whole lint engine (+ callgraph) into the
-    # kernel import path for that would be backwards.
-    from repro.lint.callgraph import graph_for
-    from repro.lint.engine import (_RULES, Finding, ModuleContext,
-                                   ProjectRule, register)
-
-    if "kernel-contract" in _RULES:  # idempotent re-registration
-        return
-
-    @register
-    class KernelContractRule(ProjectRule):
-        rule_id = "kernel-contract"
-        summary = ("@contract DSL errors and shape/dtype "
-                   "inconsistencies across kernel call sites")
-
-        def check_project(self, modules: Sequence[ModuleContext],
-                          root: Path) -> Iterable[Finding]:
-            graph = graph_for(modules)
-            findings: List[Finding] = []
-            decorated = self._collect(graph, findings)
-            self._check_call_sites(graph, decorated, findings)
-            return findings
-
-        def _collect(self, graph, findings) -> Dict[str, _Decorated]:
-            decorated: Dict[str, _Decorated] = {}
-            for qname, info in graph.functions.items():
-                node = info.node
-                for dec in getattr(node, "decorator_list", []):
-                    text = _decorator_contract_text(dec)
-                    if text is None:
-                        continue
-                    try:
-                        parsed = parse_contract(text)
-                    except ContractSyntaxError as err:
-                        findings.append(Finding(
-                            info.rel, info.lineno, self.rule_id,
-                            f"invalid contract on {qname}: {err}"))
-                        continue
-                    args = node.args
-                    names = [a.arg for a in
-                             list(getattr(args, "posonlyargs", []))
-                             + list(args.args)]
-                    declared = set(names) | \
-                        {a.arg for a in args.kwonlyargs}
-                    if args.vararg:
-                        declared.add(args.vararg.arg)
-                    if args.kwarg:
-                        declared.add(args.kwarg.arg)
-                    missing = [p.name for p in parsed.params
-                               if p.name not in declared]
-                    if missing:
-                        findings.append(Finding(
-                            info.rel, info.lineno, self.rule_id,
-                            f"contract on {qname} names parameters "
-                            f"{missing} not in the signature"))
-                        continue
-                    if info.cls is not None and names \
-                            and names[0] in ("self", "cls"):
-                        names = names[1:]
-                    decorated[qname] = _Decorated(
-                        qname, info.rel, info.lineno, parsed, names)
-            return decorated
-
-        def _check_call_sites(self, graph, decorated, findings) -> None:
-            for caller in graph.functions.values():
-                self._check_function(graph, decorated, caller,
-                                     findings)
-
-        def _check_function(self, graph, decorated, caller,
-                            findings) -> None:
-            # var name -> (producing site id, ArraySpec)
-            produced: Dict[str, Tuple[int, ArraySpec]] = {}
-            site = 0
-            for node in ast.walk(caller.node):
-                if not isinstance(node, ast.Assign):
-                    continue
-                call = node.value
-                if not isinstance(call, ast.Call):
-                    continue
-                callee = graph.call_resolution.get(id(call))
-                dec = decorated.get(callee or "")
-                if dec is None:
-                    continue
-                site += 1
-                results = dec.contract.results
-                targets = node.targets
-                if len(targets) != 1:
-                    continue
-                target = targets[0]
-                if isinstance(target, ast.Name) and len(results) == 1:
-                    produced[target.id] = (site, results[0].spec)
-                elif isinstance(target, ast.Tuple) and \
-                        len(target.elts) == len(results):
-                    for elt, res in zip(target.elts, results):
-                        if isinstance(elt, ast.Name):
-                            produced[elt.id] = (site, res.spec)
-            if not produced:
-                return
-            for node in ast.walk(caller.node):
-                if isinstance(node, ast.Call):
-                    self._check_call(graph, decorated, caller, node,
-                                     produced, findings)
-
-        def _check_call(self, graph, decorated, caller, call, produced,
-                        findings) -> None:
-            callee = graph.call_resolution.get(id(call))
-            dec = decorated.get(callee or "")
-            if dec is None:
-                return
-            by_name = {p.name: p for p in dec.contract.params}
-            # symbol -> (producing site, dim) binding for this call
-            bindings: Dict[str, Tuple[int, Dim]] = {}
-            pairs: List[Tuple[str, ast.expr]] = []
-            for pos, arg in enumerate(call.args):
-                if pos < len(dec.param_names):
-                    pairs.append((dec.param_names[pos], arg))
-            for kw in call.keywords:
-                if kw.arg is not None:
-                    pairs.append((kw.arg, kw.value))
-            for pname, arg in pairs:
-                param = by_name.get(pname)
-                if param is None or param.each or param.spec.any:
-                    continue
-                if not isinstance(arg, ast.Name):
-                    continue
-                hit = produced.get(arg.id)
-                if hit is None:
-                    continue
-                psite, pspec = hit
-                self._compare(caller, call, dec, pname, arg.id, pspec,
-                              param.spec, psite, bindings, findings)
-
-        def _compare(self, caller, call, dec, pname, varname, pspec,
-                     cspec, psite, bindings, findings) -> None:
-            if pspec.any or cspec.any:
-                return
-            if pspec.dtype and cspec.dtype \
-                    and pspec.dtype != cspec.dtype:
-                findings.append(Finding(
-                    caller.rel, call.lineno, self.rule_id,
-                    f"dtype drift: {varname!r} is {pspec.dtype} per "
-                    f"its producer but {dec.qname} expects "
-                    f"{cspec.dtype} for {pname!r}"))
-                return
-            if pspec.dims is None or cspec.dims is None:
-                return
-            if len(pspec.dims) != len(cspec.dims):
-                findings.append(Finding(
-                    caller.rel, call.lineno, self.rule_id,
-                    f"rank mismatch: {varname!r} has rank "
-                    f"{len(pspec.dims)} per its producer but "
-                    f"{dec.qname} expects rank {len(cspec.dims)} "
-                    f"for {pname!r}"))
-                return
-            for cdim, pdim in zip(cspec.dims, pspec.dims):
-                if isinstance(cdim, int):
-                    if isinstance(pdim, int) and pdim != cdim:
-                        findings.append(Finding(
-                            caller.rel, call.lineno, self.rule_id,
-                            f"dim mismatch: {varname!r} dim {pdim} "
-                            f"per its producer but {dec.qname} pins "
-                            f"{cdim} for {pname!r}"))
-                    continue
-                prev = bindings.get(cdim)
-                cur = (psite, pdim)
-                if prev is None:
-                    bindings[cdim] = cur
-                    continue
-                if prev == cur:
-                    continue
-                prev_site, prev_dim = prev
-                comparable = (
-                    (isinstance(prev_dim, int)
-                     and isinstance(pdim, int))
-                    or (prev_site == psite
-                        and isinstance(prev_dim, str)
-                        and isinstance(pdim, str)))
-                if comparable and prev_dim != pdim:
-                    findings.append(Finding(
-                        caller.rel, call.lineno, self.rule_id,
-                        f"dim symbol mismatch: {dec.qname} requires "
-                        f"dim {cdim!r} equal across arguments, but "
-                        f"{varname!r} supplies {pdim!r} where "
-                        f"{prev_dim!r} was already bound"))
-
-
-#: exported for the rule package to trigger registration
-register_rules = _register_rule

@@ -1,26 +1,24 @@
 """The ``repro.lint`` rule engine: AST rules, suppressions, driver.
 
-The repo carries invariants no generic linter knows about — merge kernels
-must stay loop-free per node, callables reaching the ``ScenarioSuite``
-process pool must pickle, PERF counter names must match the registry —
-so this module provides the machinery to enforce them mechanically:
+The repo carries invariants no generic linter knows about — callables
+reaching the ``ScenarioSuite`` process pool must pickle, PERF counter
+names must match the registry, the spec must match its docs — so this
+module provides the machinery to enforce them mechanically:
 
 * :class:`Finding` — one diagnostic, anchored to ``file:line``;
 * :class:`Rule` / :class:`ProjectRule` — per-module and whole-project
   checks, registered by the :func:`register` decorator;
 * :class:`ModuleContext` — parsed source handed to rules: AST, comment
-  map, module name, hot-path marker;
+  map, module name;
 * :func:`lint_paths` — the driver: collect files, parse, run rules,
   drop suppressed findings.
 
-Suppressions are source comments (matched via :mod:`tokenize`, so
-string literals never suppress anything):
+Inline comments are the one suppression mechanism (matched via
+:mod:`tokenize`, so string literals never suppress anything):
 
 * ``# repro-lint: disable=rule-a,rule-b`` — suppress those rules on the
   comment's line (put it on the statement's first line);
-* ``# repro-lint: disable-file=rule-a`` — suppress for the whole file;
-* ``# repro-lint: hot-path`` — declare the module a kernel, opting it
-  into the hot-path hygiene rules.
+* ``# repro-lint: disable-file=rule-a`` — suppress for the whole file.
 
 Everything here is stdlib-only (``ast`` + ``tokenize``).
 """
@@ -30,7 +28,6 @@ from __future__ import annotations
 import ast
 import io
 import re
-import time
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,7 +40,6 @@ __all__ = [
     "ModuleContext",
     "register",
     "all_rules",
-    "get_rule",
     "lint_paths",
     "iter_python_files",
     "PARSE_ERROR",
@@ -53,8 +49,8 @@ __all__ = [
 PARSE_ERROR = "parse-error"
 
 _DIRECTIVE_RE = re.compile(
-    r"#\s*repro-lint:\s*(?P<verb>disable-file|disable|hot-path)"
-    r"(?:=(?P<rules>[\w,-]+))?")
+    r"#\s*repro-lint:\s*(?P<verb>disable-file|disable)"
+    r"=(?P<rules>[\w,-]+)")
 
 
 @dataclass(frozen=True)
@@ -65,15 +61,6 @@ class Finding:
     line: int
     rule_id: str
     message: str
-
-    @property
-    def key(self) -> str:
-        """Line-free fingerprint used for baseline matching.
-
-        Excluding the line number keeps baselines stable across edits
-        that merely shift code up or down.
-        """
-        return f"{self.file}::{self.rule_id}::{self.message}"
 
     def render(self) -> str:
         """``file:line: [rule] message`` — the text output row."""
@@ -99,7 +86,6 @@ class ModuleContext:
         self.module = _module_name(rel)
         self._line_disables: Dict[int, Set[str]] = {}
         self._file_disables: Set[str] = set()
-        self.is_hot_path = False
         self._scan_directives()
 
     def _scan_directives(self) -> None:
@@ -112,11 +98,8 @@ class ModuleContext:
                 m = _DIRECTIVE_RE.search(tok.string)
                 if not m:
                     continue
-                verb = m.group("verb")
-                rules = set((m.group("rules") or "").split(",")) - {""}
-                if verb == "hot-path":
-                    self.is_hot_path = True
-                elif verb == "disable-file":
+                rules = set(m.group("rules").split(",")) - {""}
+                if m.group("verb") == "disable-file":
                     self._file_disables |= rules
                 else:  # disable
                     line = self._line_disables.setdefault(tok.start[0],
@@ -181,12 +164,6 @@ def all_rules() -> List[Rule]:
     return [_RULES[k] for k in sorted(_RULES)]
 
 
-def get_rule(rule_id: str) -> Rule:
-    """Look one rule up by id (:class:`KeyError` when unknown)."""
-    _load_builtin_rules()
-    return _RULES[rule_id]
-
-
 def _load_builtin_rules() -> None:
     from repro.lint import rules as _builtin  # noqa: F401 - registration
 
@@ -228,17 +205,12 @@ def load_module(path: Path, root: Path) -> ModuleContext:
 
 
 def lint_paths(paths: Sequence, root: Optional[Path] = None,
-               select: Optional[Sequence[str]] = None,
-               timings: Optional[Dict[str, float]] = None
-               ) -> List[Finding]:
+               select: Optional[Sequence[str]] = None) -> List[Finding]:
     """Run the (selected) rules over every python file under ``paths``.
 
     Returns findings sorted by ``(file, line, rule_id)`` with suppressed
     findings already removed.  ``root`` anchors the relative paths used
-    in findings and baselines (default: the current directory).  Pass a
-    dict as ``timings`` to collect per-rule wall seconds (the
-    ``--stats`` view; the whole-program passes share one call-graph
-    build, so the first of them absorbs its cost).
+    in findings (default: the current directory).
     """
     root = Path(root) if root is not None else Path.cwd()
     rules = all_rules()
@@ -248,16 +220,6 @@ def lint_paths(paths: Sequence, root: Optional[Path] = None,
         if unknown:
             raise KeyError(f"unknown rule ids: {sorted(unknown)}")
         rules = [r for r in rules if r.rule_id in wanted]
-
-    def _timed(rule_id: str, thunk):
-        if timings is None:
-            return thunk()
-        start = time.perf_counter()
-        try:
-            return thunk()
-        finally:
-            timings[rule_id] = (timings.get(rule_id, 0.0)
-                                + time.perf_counter() - start)
 
     modules: List[ModuleContext] = []
     findings: List[Finding] = []
@@ -271,8 +233,7 @@ def lint_paths(paths: Sequence, root: Optional[Path] = None,
             continue
         modules.append(ctx)
         for rule in rules:
-            for finding in _timed(rule.rule_id,
-                                  lambda: list(rule.check_module(ctx))):
+            for finding in rule.check_module(ctx):
                 if not ctx.suppressed(finding.rule_id, finding.line):
                     findings.append(finding)
 
@@ -280,9 +241,7 @@ def lint_paths(paths: Sequence, root: Optional[Path] = None,
     for rule in rules:
         if not isinstance(rule, ProjectRule):
             continue
-        for finding in _timed(
-                rule.rule_id,
-                lambda: list(rule.check_project(modules, root))):
+        for finding in rule.check_project(modules, root):
             ctx = by_rel.get(finding.file)
             if ctx is not None and ctx.suppressed(finding.rule_id,
                                                   finding.line):

@@ -8,32 +8,21 @@ per rule family:
   the ``ScenarioSuite`` process pool;
 * :mod:`~repro.lint.rules.determinism` — unordered iteration, unseeded
   randomness, wall-clock reads;
-* :mod:`~repro.lint.rules.hot_path` — per-node Python loops/recursion in
-  modules marked ``# repro-lint: hot-path``;
 * :mod:`~repro.lint.rules.perf_counters` — PERF counter-name discipline;
 * :mod:`~repro.lint.rules.spec_drift` — ``SessionSpec`` fields and
   workload ids versus the session-format docs;
 * :mod:`~repro.lint.rules.spec_hygiene` — mutable defaults and
   non-frozen spec/config dataclasses.
 
-The whole-program passes live one level up (they are analysis layers,
-not just rule modules) and register here too:
-
-* :mod:`repro.lint.taint` — ``determinism-taint`` and
-  ``pickle-reachability``, dataflow over the project call graph;
-* :mod:`repro.lint.contracts` — ``kernel-contract``, shape/dtype
-  consistency for ``@contract``-decorated kernels.
+Each property has exactly one static check; ``docs/static-analysis.md``
+lists what each rule has caught and which dynamic test guards the
+same property.
 """
 
 from repro.lint.rules import (  # noqa: F401 - imported for registration
     determinism,
-    hot_path,
     perf_counters,
     pickle_safety,
     spec_drift,
     spec_hygiene,
 )
-from repro.lint import taint  # noqa: F401 - imported for registration
-from repro.lint import contracts as _contracts
-
-_contracts.register_rules()

@@ -62,10 +62,6 @@ class RankState:
     where: str = "main"
     since: float = 0.0
 
-    def blocked_in_mpi(self) -> bool:
-        """True when the rank is inside an MPI blocking call."""
-        return self.kind in ("waitall", "barrier", "recv_wait")
-
 
 class StateInterner:
     """Process-wide dense ids for sampler-visible ``(kind, where)`` pairs.

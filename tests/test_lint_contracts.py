@@ -1,18 +1,13 @@
-"""Kernel contracts: DSL parsing, the runtime sanitizer, and the
-static ``kernel-contract`` cross-call-site rule."""
-
-from pathlib import Path
+"""Kernel contracts: DSL parsing and the runtime sanitizer, including
+the cross-call-site defects (dim-symbol, dtype and rank drift between
+chained kernels) that the runtime check alone now guards."""
 
 import numpy as np
 import pytest
 
-from repro.lint import lint_paths
 from repro.lint.contracts import (ContractError, ContractSyntaxError,
                                   contract, disable, enable, enabled,
                                   exempt, parse_contract)
-
-FIXTURES = Path(__file__).parent / "fixtures" / "lint"
-REPO_ROOT = Path(__file__).parent.parent
 
 
 class TestParse:
@@ -141,50 +136,122 @@ class TestRuntime:
         assert dedup_segments.__contract_text__.startswith("bounds")
         assert reference_merge.__contract_exempt__ is True
 
+    def test_result_dim_symbol_bound_by_arguments(self):
+        with pytest.raises(ContractError, match="y dim symbol 'n'"):
+            _shrink(np.arange(4, dtype=np.int64))
 
-class TestStaticRule:
-    @pytest.fixture(scope="class")
-    def findings(self):
-        root = FIXTURES / "contract_project"
-        return lint_paths([root], root=root,
-                          select=["kernel-contract"])
+    def test_result_dtype_mismatch(self):
+        with pytest.raises(ContractError, match="y dtype mismatch"):
+            _widen(np.arange(4, dtype=np.int64))
 
-    def test_exactly_the_seeded_defects(self, findings):
-        assert len(findings) == 5, [f.render() for f in findings]
+    def test_result_arity_mismatch(self):
+        with pytest.raises(ContractError, match="declares 2 results"):
+            _one_of_two(np.arange(2, dtype=np.int64))
 
-    def test_dim_symbol_mismatch_across_arguments(self, findings):
-        hit = next(f for f in findings
-                   if "dim symbol mismatch" in f.message)
-        assert "kernels.combine" in hit.message
-        assert "'d'" in hit.message and "'s'" in hit.message
+    def test_sequence_checks_every_element(self):
+        three = np.zeros(3, dtype=np.int64)
+        assert _columns([three, three]) is None
+        with pytest.raises(ContractError, match=r"columns\[1\] dtype"):
+            _columns([three, three.astype(np.int32)])
+        with pytest.raises(ContractError,
+                           match=r"columns\[1\] dim symbol 'e'"):
+            _columns([three, np.zeros(4, dtype=np.int64)])
 
-    def test_dtype_drift_across_call_sites(self, findings):
-        hit = next(f for f in findings if "dtype drift" in f.message)
-        assert "'refs' is int64" in hit.message
-        assert "kernels.narrow" in hit.message
+    def test_non_array_rejected(self):
+        with pytest.raises(ContractError, match="not an array"):
+            _echo([1, 2])
 
-    def test_rank_mismatch_across_call_sites(self, findings):
-        hit = next(f for f in findings
-                   if "rank mismatch" in f.message)
-        assert "kernels.flip" in hit.message
+    def test_keyword_argument_checked(self):
+        with pytest.raises(ContractError, match="x dtype mismatch"):
+            _echo(x=np.arange(2, dtype=np.int32))
 
-    def test_invalid_dsl_reported(self, findings):
-        assert any("invalid contract on kernels.bad_dsl" in f.message
-                   for f in findings)
 
-    def test_unknown_parameter_names_reported(self, findings):
-        assert any("names parameters ['z']" in f.message
-                   for f in findings)
+@contract("x:(n):int64 -> y:(n):int64")
+def _shrink(x):
+    return x[1:]
 
-    def test_clean_and_unprovable_sites_stay_silent(self, findings):
-        lines = (FIXTURES / "contract_project/src/kernels.py"
-                 ).read_text().splitlines()
-        for marker in ("combine(refs, refs)", "pinned(refs)"):
-            line_no = next(i + 1 for i, line in enumerate(lines)
-                           if marker in line)
-            assert all(f.line != line_no for f in findings)
 
-    def test_repo_kernels_are_contract_consistent(self):
-        findings = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT,
-                              select=["kernel-contract"])
-        assert findings == [], [f.render() for f in findings]
+@contract("x:(n):int64 -> y:(n):int64")
+def _widen(x):
+    return x.astype(np.float64)
+
+
+@contract("x:(n):int64 -> p:(n):int64, q:(n):int64")
+def _one_of_two(x):
+    return x
+
+
+@contract("columns:[(e):int64] -> *")
+def _columns(columns):
+    return None
+
+
+# The cross-call-site defects a static pass once looked for, each caught
+# by the runtime check at the call that goes wrong.
+
+@contract("bounds:(q):int64 -> refs:(s):int64, reps:(d):int64")
+def _dedup(bounds):
+    return np.unique(bounds), bounds
+
+
+@contract("a:(n):int64, b:(n):int64 -> out:(n):int64")
+def _combine(a, b):
+    return a
+
+
+@contract("x:(n):int32 -> y:(n):int32")
+def _narrow(x):
+    return x
+
+
+@contract("v:(3):int64 -> w:(3):int64")
+def _pinned3(v):
+    return v
+
+
+@contract("m:(r,c):int64 -> t:(c,r):int64")
+def _flip(m):
+    return m.T
+
+
+class TestAcrossCalls:
+    BOUNDS = np.array([1, 1, 2, 3], dtype=np.int64)  # s=3 refs, d=4 reps
+
+    def test_dim_symbol_mismatch_across_arguments(self):
+        refs, reps = _dedup(self.BOUNDS)
+        with pytest.raises(ContractError,
+                           match="_combine: b dim symbol 'n'"):
+            _combine(refs, reps)
+
+    def test_dtype_drift_across_call_sites(self):
+        refs, _ = _dedup(self.BOUNDS)
+        with pytest.raises(ContractError,
+                           match="_narrow: x dtype mismatch"):
+            _narrow(refs)
+
+    def test_rank_mismatch_across_call_sites(self):
+        refs, _ = _dedup(self.BOUNDS)
+        with pytest.raises(ContractError, match="_flip: m rank mismatch"):
+            _flip(refs)
+
+    def test_invalid_dsl_reported(self):
+        with pytest.raises(ContractSyntaxError):
+            contract("q:((bad -> r:(n):int64")
+
+    def test_unknown_parameter_names_reported(self):
+        with pytest.raises(ContractSyntaxError,
+                           match=r"names parameters \['z'\]"):
+            @contract("z:(m):int64 -> zz:(m):int64")
+            def bad_names(missing_param):
+                return missing_param
+
+    def test_clean_and_unprovable_sites_stay_silent(self):
+        refs, _ = _dedup(self.BOUNDS)
+        assert _combine(refs, refs) is refs
+        assert _pinned3(refs) is refs
+
+    def test_pinned_site_decided_by_the_data(self):
+        refs, _ = _dedup(np.array([5, 5, 7], dtype=np.int64))
+        with pytest.raises(ContractError, match="pins 3"):
+            _pinned3(refs)
+

@@ -17,8 +17,6 @@ RULE_CASES = [
     ("unseeded-random", "unseeded_random_bad.py",
      "unseeded_random_clean.py", 3),
     ("wall-clock", "wall_clock_bad.py", "wall_clock_clean.py", 1),
-    ("hot-path-loop", "hot_path_bad.py", "hot_path_clean.py", 2),
-    ("hot-path-recursion", "hot_path_bad.py", "hot_path_clean.py", 1),
     ("perf-counter-name", "perf_counter_bad.py",
      "perf_counter_clean.py", 3),
     ("mutable-default", "mutable_default_bad.py",
@@ -47,6 +45,59 @@ class TestRuleFixtures:
     def test_clean_fixture_quiet(self, rule_id, bad, clean, min_count):
         assert run_rule(rule_id, clean) == []
 
+    @pytest.mark.parametrize("rule_id,bad,clean,min_count", RULE_CASES,
+                             ids=[c[0] for c in RULE_CASES])
+    def test_disable_file_silences_only_its_rule(self, tmp_path, rule_id,
+                                                 bad, clean, min_count):
+        target = tmp_path / bad
+        target.write_text((FIXTURES / bad).read_text()
+                          + f"# repro-lint: disable-file={rule_id}\n")
+        before = [(f.line, f.rule_id)
+                  for f in lint_paths([FIXTURES / bad], root=FIXTURES)]
+        after = [(f.line, f.rule_id)
+                 for f in lint_paths([target], root=tmp_path)]
+        assert after == [hit for hit in before if hit[1] != rule_id]
+
+
+#: every seeded defect in the bad fixtures, as (rule id, fixture, line)
+SEEDED = [
+    (rule_id, bad, line)
+    for rule_id, bad, lines in [
+        ("pickle-safety", "pickle_safety_bad.py", [9, 10, 14, 21, 24]),
+        ("unordered-iteration", "unordered_iteration_bad.py",
+         [6, 8, 9, 10]),
+        ("unseeded-random", "unseeded_random_bad.py", [3, 10, 11]),
+        ("wall-clock", "wall_clock_bad.py", [7]),
+        ("perf-counter-name", "perf_counter_bad.py", [5, 6, 7]),
+        ("mutable-default", "mutable_default_bad.py", [4, 9, 13]),
+        ("spec-not-frozen", "spec_frozen_bad.py", [7, 12]),
+    ]
+    for line in lines]
+
+
+class TestSeededDefects:
+    """Inline ``disable=`` is the one suppression mechanism, so each
+    seeded defect is pinned to its line, and a directive there silences
+    that finding and no other."""
+
+    @pytest.mark.parametrize("rule_id,bad,line", SEEDED,
+                             ids=[f"{r}:{n}" for r, _, n in SEEDED])
+    def test_found_at_its_line(self, rule_id, bad, line):
+        assert line in [f.line for f in run_rule(rule_id, bad)]
+
+    @pytest.mark.parametrize("rule_id,bad,line", SEEDED,
+                             ids=[f"{r}:{n}" for r, _, n in SEEDED])
+    def test_inline_disable_silences_only_its_line(self, tmp_path,
+                                                   rule_id, bad, line):
+        lines = (FIXTURES / bad).read_text().splitlines()
+        lines[line - 1] += f"  # repro-lint: disable={rule_id} (test)"
+        target = tmp_path / bad
+        target.write_text("\n".join(lines) + "\n")
+        remaining = [f.line for f in lint_paths([target], root=tmp_path,
+                                                select=[rule_id])]
+        assert remaining == [n for r, _, n in SEEDED
+                             if r == rule_id and n != line]
+
 
 class TestRuleMessages:
     def test_pickle_safety_names_the_sink(self):
@@ -64,16 +115,6 @@ class TestRuleMessages:
                    for m in messages)
         assert any("'merge.callz'" in m and "typo" in m for m in messages)
         assert any("f-string" in m for m in messages)
-
-    def test_hot_path_rules_need_the_marker(self, tmp_path):
-        unmarked = tmp_path / "plain.py"
-        unmarked.write_text("def f(xs):\n"
-                            "    for x in xs:\n"
-                            "        f(x)\n")
-        findings = lint_paths([unmarked], root=tmp_path,
-                              select=["hot-path-loop",
-                                      "hot-path-recursion"])
-        assert findings == []
 
 
 class TestWallClockSimOnly:
