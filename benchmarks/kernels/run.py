@@ -1,5 +1,9 @@
-"""``stat-repro bench {merge,build,stream}`` — kernel benchmarks with a
-JSON trail.
+#!/usr/bin/env python3
+"""Kernel benchmarks with a JSON trail.
+
+    python benchmarks/kernels/run.py {merge,build,stream} [--quick]
+        [--scale {fig07,million,ten-million}] [--daemons N] [--samples N]
+        [--repeats N] [--seed N] [--out FILE] [--baseline FILE]
 
 Every kind regenerates the paper's Figure 7 workload (ring-hang
 population, BG/L trees, VN mode) at full machine scale — 1,664 daemons,
@@ -7,14 +11,14 @@ both label schemes — runs one layer two ways on bit-identical inputs,
 and asserts the two outputs equal before reporting a ratio:
 
 * ``merge`` — the k-way merge of the whole daemon forest: the
-  **retained reference kernels** (:mod:`repro.perf.reference`, the
-  recursive, per-node, pairwise implementations this repo shipped
+  **frozen reference kernels** (``tests/per_object_oracle.py``, the
+  recursive, per-node, pairwise implementations the package shipped
   before the vectorized rewrite) over the object-tree view, against the
   **vectorized kernels** (:meth:`LabelScheme.merge`) over the
   array-backed trees; ``structurally_equal``.
 * ``build`` — tree construction: the forest kernel against the
-  per-object oracle (:func:`~repro.perf.reference
-  .reference_daemon_trees`); ``arrays_equal`` on every daemon's trees.
+  per-object oracle (``reference_daemon_trees`` in the same module);
+  ``arrays_equal`` on every daemon's trees.
 * ``stream`` — the TBO̅N reduction over one forest and one cost model:
   :class:`~repro.tbon.network.TBONetwork` lockstep rounds against
   :class:`~repro.tbon.streaming.StreamingTBON` (asynchronous daemon
@@ -25,45 +29,75 @@ and asserts the two outputs equal before reporting a ratio:
   **time-to-final**.
 
 Each run is one :class:`BenchReport`, written to ``BENCH_<kind>.json``
-so the perf trajectory is tracked across PRs; ``--baseline`` gates it
-against a checked-in report (:func:`check_baseline`).
+so the perf trajectory is tracked across commits; ``--baseline`` gates
+it against a checked-in report (:func:`check_baseline`) such as
+``benchmarks/baselines/BENCH_<kind>_{quick,full}.json``.  Exit status: 0
+when every gate passes, 1 on a divergence or regression, 2 on a usage
+error (e.g. a ``--scale`` the kind lacks).
 
 ``--scale million`` extends ``merge`` and ``build`` with the
 million-task point (8,192 daemons x 128 tasks = 1,048,576 tasks,
 hierarchical scheme) — the ROADMAP's "towards millions of cores"
 demonstration; ``--scale ten-million`` adds the 10,485,760-task
 construction point to ``build``.
+
+The script puts ``src/`` (the package) and ``tests/`` (the oracles) on
+its import path, so it runs from a plain checkout.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.merge import (
+ROOT = Path(__file__).resolve().parent.parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from per_object_oracle import (  # noqa: E402
+    reference_daemon_trees,
+    reference_merge,
+)
+from repro.core.merge import (  # noqa: E402
     DenseLabelScheme,
     HierarchicalLabelScheme,
     LabelScheme,
 )
-from repro.core.taskset import TaskMap
-from repro.faults.plan import DaemonCrash, DaemonStall, FaultPlan, \
-    LinkFault
-from repro.machine.bgl import BGLMachine
-from repro.mpi.stacks import BGLStackModel
-from repro.perf.counters import FAULTS_INJECTED, PERF, \
-    TBON_CORRUPT_DETECTED, TBON_RETRIES
-from repro.perf.reference import reference_daemon_trees, reference_merge
-from repro.statbench import ring_hang_states, uniform_class_states
-from repro.statbench.emulator import DaemonTrees, STATBenchEmulator
-from repro.tbon.network import TBONetwork
-from repro.tbon.streaming import StreamConfig, StreamingTBON
-from repro.tbon.topology import Topology
+from repro.core.taskset import TaskMap  # noqa: E402
+from repro.faults.plan import (  # noqa: E402
+    DaemonCrash,
+    DaemonStall,
+    FaultPlan,
+    LinkFault,
+)
+from repro.machine.bgl import BGLMachine  # noqa: E402
+from repro.mpi.stacks import BGLStackModel  # noqa: E402
+from repro.perf.counters import (  # noqa: E402
+    FAULTS_INJECTED,
+    PERF,
+    TBON_CORRUPT_DETECTED,
+    TBON_RETRIES,
+)
+from repro.statbench import (  # noqa: E402
+    ring_hang_states,
+    uniform_class_states,
+)
+from repro.statbench.emulator import (  # noqa: E402
+    DaemonTrees,
+    STATBenchEmulator,
+)
+from repro.tbon.network import TBONetwork  # noqa: E402
+from repro.tbon.streaming import StreamConfig, StreamingTBON  # noqa: E402
+from repro.tbon.topology import Topology  # noqa: E402
 
 __all__ = ["BenchEntry", "StreamBenchEntry", "BenchReport", "run_bench",
-           "check_baseline", "FULL_DAEMONS", "MILLION_DAEMONS",
-           "TEN_MILLION_DAEMONS", "TTFT_GATE", "BENCH_VERSION"]
+           "check_baseline", "build_parser", "main", "FULL_DAEMONS",
+           "MILLION_DAEMONS", "TEN_MILLION_DAEMONS", "TTFT_GATE",
+           "BENCH_VERSION"]
 
 BENCH_VERSION = 1
 #: fig07 full scale: 1,664 I/O nodes; VN mode: 128 tasks per daemon.
@@ -628,3 +662,80 @@ def check_baseline(report: BenchReport, baseline_path: str
         ok = ok and passed
         messages.append(message)
     return ok, messages
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: one kind and eight options."""
+    parser = argparse.ArgumentParser(
+        description="kernel benchmarks (BENCH_<kind>.json)")
+    parser.add_argument("kind", choices=("merge", "build", "stream"),
+                        help="k-way merge or forest build vs its retained "
+                             "reference, or the streamed TBON reduction "
+                             "vs the batch one (ttft vs ttfinal)")
+    parser.add_argument("--quick", action="store_true",
+                        help="CI smoke scale (64 daemons) instead of the "
+                             "fig07 full scale (1,664 daemons)")
+    parser.add_argument("--scale", choices=("fig07", "million",
+                                            "ten-million"),
+                        default="fig07",
+                        help="'million' adds the 1,048,576-task "
+                             "hierarchical sweep point (merge, build); "
+                             "'ten-million' additionally benchmarks "
+                             "construction of a 10,485,760-task forest "
+                             "(build)")
+    parser.add_argument("--daemons", type=int, default=None,
+                        help="override the daemon count")
+    parser.add_argument("--samples", type=int, default=None,
+                        help="sampling instants per daemon "
+                             "(default 10; 4 with --quick)")
+    parser.add_argument("--repeats", type=int, default=None,
+                        help="timing repetitions, best-of is reported "
+                             "(default 5; 3 with --quick)")
+    parser.add_argument("--seed", type=int, default=208_000)
+    parser.add_argument("--out", metavar="FILE", default=None,
+                        help="where to write the JSON report "
+                             "(default BENCH_<kind>.json)")
+    parser.add_argument("--baseline", metavar="FILE", default=None,
+                        help="checked-in report of the same kind to "
+                             "compare against (fails on divergence from "
+                             "the reference or a >2x regression; stream "
+                             "also on ttft >= 20%% of ttfinal or "
+                             "simulated-time drift)")
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Run one bench kind; returns the process exit code."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        report = run_bench(
+            args.kind,
+            daemons=args.daemons,
+            samples=args.samples,
+            repeats=args.repeats,
+            quick=args.quick,
+            scale=args.scale,
+            seed=args.seed)
+    except ValueError as err:  # a scale the kind lacks, a count < 1
+        print(f"{parser.prog}: error: {err}", file=sys.stderr)
+        return 2
+    out = args.out or f"BENCH_{args.kind}.json"
+    print(report.table())
+    report.write(out)
+    print(f"report written to {out}")
+    failures = report.failures()
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    status = 1 if failures else 0
+    if args.baseline:
+        ok, messages = check_baseline(report, args.baseline)
+        for message in messages:
+            print(f"baseline: {message}")
+        if not ok:
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,13 +15,6 @@ Commands
 ``figure <id>``
     Regenerate one paper figure's series and print the rows
     (``fig1`` .. ``fig10``, ``claims``, ``ablation-*``).
-``bench {merge,build,stream}``
-    One kernel benchmark at fig07 full scale (:mod:`repro.perf.bench`):
-    the k-way merge or the forest build against its retained reference,
-    or the streamed TBON reduction against the batch one; writes
-    ``BENCH_<kind>.json``.  ``--scale million`` adds the 1,048,576-task
-    hierarchical sweep point (``merge``, ``build``); ``--baseline``
-    gates the report against a checked-in one of the same kind.
 ``chaos``
     Sweep hundreds of randomized seeded :class:`~repro.faults.plan
     .FaultPlan`s across topology x scheme x batch/stream reductions
@@ -34,6 +27,10 @@ Commands
     are the only way to silence a finding.
 ``list``
     List available figure/claim ids.
+
+The kernel benchmarks (merge, build, stream against their frozen
+references) are a script beside their baselines, not a subcommand:
+``python benchmarks/kernels/run.py {merge,build,stream}``.
 """
 
 from __future__ import annotations
@@ -104,42 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="smaller scale list (seconds, not minutes)")
     figure.add_argument("--chart", action="store_true",
                         help="append an ASCII log-log chart")
-
-    bench = sub.add_parser(
-        "bench", help="kernel benchmarks (BENCH_<kind>.json)")
-    bench.add_argument("kind", choices=("merge", "build", "stream"),
-                       help="k-way merge or forest build vs its retained "
-                            "reference, or the streamed TBON reduction "
-                            "vs the batch one (ttft vs ttfinal)")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke scale (64 daemons) instead of the "
-                            "fig07 full scale (1,664 daemons)")
-    bench.add_argument("--scale", choices=("fig07", "million",
-                                           "ten-million"),
-                       default="fig07",
-                       help="'million' adds the 1,048,576-task "
-                            "hierarchical sweep point (merge, build); "
-                            "'ten-million' additionally benchmarks "
-                            "construction of a 10,485,760-task forest "
-                            "(build)")
-    bench.add_argument("--daemons", type=int, default=None,
-                       help="override the daemon count")
-    bench.add_argument("--samples", type=int, default=None,
-                       help="sampling instants per daemon "
-                            "(default 10; 4 with --quick)")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="timing repetitions, best-of is reported "
-                            "(default 5; 3 with --quick)")
-    bench.add_argument("--seed", type=int, default=208_000)
-    bench.add_argument("--out", metavar="FILE", default=None,
-                       help="where to write the JSON report "
-                            "(default BENCH_<kind>.json)")
-    bench.add_argument("--baseline", metavar="FILE", default=None,
-                       help="checked-in report of the same kind to "
-                            "compare against (fails on divergence from "
-                            "the reference or a >2x regression; stream "
-                            "also on ttft >= 20%% of ttfinal or "
-                            "simulated-time drift)")
 
     chaos = sub.add_parser(
         "chaos",
@@ -366,38 +327,6 @@ def _run_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import check_baseline, run_bench
-
-    try:
-        report = run_bench(
-            args.kind,
-            daemons=args.daemons,
-            samples=args.samples,
-            repeats=args.repeats,
-            quick=args.quick,
-            scale=args.scale,
-            seed=args.seed)
-    except ValueError as err:  # a scale the kind lacks, a count < 1
-        print(f"stat-repro bench: error: {err}", file=sys.stderr)
-        return 2
-    out = args.out or f"BENCH_{args.kind}.json"
-    print(report.table())
-    report.write(out)
-    print(f"report written to {out}")
-    failures = report.failures()
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    status = 1 if failures else 0
-    if args.baseline:
-        ok, messages = check_baseline(report, args.baseline)
-        for message in messages:
-            print(f"baseline: {message}")
-        if not ok:
-            status = 1
-    return status
-
-
 def _run_chaos(args: argparse.Namespace) -> int:
     from repro.faults.chaos import run_chaos
 
@@ -449,8 +378,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _run_sweep(args)
         if args.command == "figure":
             return _run_figure(args)
-        if args.command == "bench":
-            return _run_bench(args)
         if args.command == "chaos":
             return _run_chaos(args)
         if args.command == "reproduce-all":

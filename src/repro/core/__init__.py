@@ -14,10 +14,11 @@ Analysis Tool itself:
 * :mod:`repro.core.merge` — the STAT filter kernel that merges trees.
 * :mod:`repro.core.equivalence` — process equivalence classes and
   representative-task selection.
-* :mod:`repro.core.stackwalk` / :mod:`repro.core.sampling` — the
-  StackWalker-style sampler and its cost model.
-* :mod:`repro.core.daemon` / :mod:`repro.core.frontend` — tool back ends and
-  the front end orchestrating launch → attach → sample → merge → report.
+* :mod:`repro.core.sampling` / :mod:`repro.core.forest` — the
+  StackWalker-style sampler, its cost model, and the one build kernel
+  that turns every daemon's walks into locally merged trees.
+* :mod:`repro.core.frontend` — the front end orchestrating launch →
+  attach → sample → merge → report.
 """
 
 from repro.core.codec import pack_tree, unpack_tree

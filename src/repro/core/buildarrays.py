@@ -1,8 +1,9 @@
 """Vectorized BFS construction of per-daemon trees from trace-id arrays.
 
-The object build path inserts every sampled trace into a
+A per-object build inserts every sampled trace into a
 :class:`~repro.core.prefix_tree.PrefixTree` and flattens it level by
-level (``STATDaemon._materialize_arrays``).  This module produces the
+level (the frozen oracle in ``tests/per_object_oracle.py``).  This
+module produces the
 same BFS-level arrays straight from a daemon's *distinct-trace* table —
 padded **path-id** rows in first-seen order
 (``StackModel.trace_paths``: one interned id per trace prefix, i.e. per

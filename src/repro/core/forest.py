@@ -27,9 +27,9 @@ launches to forest scope:
   group instead of per daemon.
 
 What remains per daemon is a few array views, an optional RNG draw, and
-one ``TreeArrays`` allocation.  Output is bit-identical to the
-per-object oracle (:func:`repro.perf.reference.reference_daemon_trees`,
-pinned by ``tests/test_build_equivalence.py``).
+one ``TreeArrays`` allocation.  Output is bit-identical to a per-object
+scalar walk of every slot (``tests/test_build_equivalence.py`` holds it
+to the frozen oracle in ``tests/per_object_oracle.py``).
 
 Every population shape takes this pipeline, never an approximation:
 ragged task maps run it once per distinct daemon width (zero-width
@@ -379,13 +379,14 @@ def build_forest(task_map: TaskMap, scheme: LabelScheme,
                  ) -> List[Tuple[TreeArrays, TreeArrays]]:
     """Build ``(2D, 3D)`` tree pairs for a whole daemon population.
 
-    ``states_array`` is queried **once per sampling instant** with the
-    requested daemons' ranks, concatenated in ``daemon_ids`` order (it
-    is rank-wise by contract, so the values equal the per-rank queries
-    of the scalar oracle); ``rng_of`` must return the generator the
-    oracle would use for that daemon (the emulator's
-    ``SeedStream(seed).rng(f"daemon-{id}")``), and draw order within a
-    daemon matches the scalar walk order exactly.
+    Provider contract: ``states_array`` is called exactly
+    ``num_samples`` times, in instant order, before any RNG draw.  Each
+    call receives the requested daemons' ranks, concatenated in
+    ``daemon_ids`` order, and returns their interned state ids; a live
+    provider may therefore advance its application between calls
+    (:class:`~repro.core.timeline.TimelineSampler`).  ``rng_of`` returns
+    each daemon's own generator; within a daemon, draws follow
+    ``(instant, slot, thread)`` walk order.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")

@@ -34,9 +34,9 @@ built — the finalized, dense-labelled presentation object the front end
 hands to equivalence classes, queries, rendering and the archive codec.
 Callers holding an object tree (tests, the frozen oracles) convert with
 :meth:`TreeArrays.from_prefix_tree` before they call in.  The
-pre-vectorization recursive kernels are retained in
-:mod:`repro.perf.reference` and the equivalence property tests assert
-bit-identical trees between old and new on randomized inputs.
+pre-vectorization recursive kernels live on as test oracles
+(``tests/per_object_oracle.py``), and the equivalence property tests
+assert bit-identical trees between old and new on randomized inputs.
 """
 
 from __future__ import annotations

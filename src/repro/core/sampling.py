@@ -1,10 +1,14 @@
 """The daemon sampling phase: batch trace acquisition and its timing model.
 
-Two things live here.  :class:`BatchWalkSampler` is the *data* side's
-array kernel — it turns one daemon's interned state ids into interned
-trace ids for a whole sampling instant at once, consuming the daemon's
-RNG bit-for-bit like the scalar :class:`~repro.core.stackwalk.StackWalker`
-loop it replaces (:mod:`repro.core.forest` builds trees from its output
+STAT daemons use "the StackWalker API, a lightweight API that lets each
+back-end daemon take stack traces of the co-located processes on a node"
+(Section VI-A).  Two things live here.  :class:`BatchWalkSampler` is the
+*data* side's array kernel — it turns one daemon's interned state ids
+into interned trace ids for a whole sampling instant at once, reading
+each rank's :class:`~repro.mpi.runtime.RankState` through a platform
+:class:`~repro.mpi.stacks.StackModel` and consuming the daemon's RNG
+bit-for-bit like one ``StackModel.trace_for`` call per (process,
+thread) would (:mod:`repro.core.forest` builds trees from its output
 without instantiating a single ``StackTrace``).  The rest of the
 module computes how long the phase takes on the simulated platform.  Per
 daemon the cost has three parts:
@@ -18,8 +22,9 @@ daemon the cost has three parts:
    configuration of the Figure 8/9/10 measurements); later tool versions
    cache them after the first walk (``symtab_cached=True``, the default).
 2. **Walks** — ``processes x threads x samples x frames`` at the
-   platform's per-frame cost, dilated by CPU contention with spin-waiting
-   ranks (Atlas; removed under SIGSTOP).
+   platform's per-frame cost (:func:`walk_seconds`), dilated by CPU
+   contention with spin-waiting ranks (:func:`cpu_dilation`; Atlas,
+   removed under SIGSTOP).
 3. **Local merge** — a small per-trace cost for the daemon-side 2D/3D
    insertion.
 
@@ -35,7 +40,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.stackwalk import StackWalker, cpu_dilation
 from repro.lint.contracts import contract
 from repro.fs.binary import StagedFile
 from repro.fs.cache import PageCache
@@ -48,16 +52,39 @@ from repro.sim.process import Process
 from repro.sim.random import SeedStream
 
 __all__ = ["BatchWalkSampler", "SamplingConfig", "SamplingTimeReport",
-           "time_sampling_phase"]
+           "cpu_dilation", "time_sampling_phase", "walk_seconds"]
+
+
+def cpu_dilation(machine: MachineModel, application_stopped: bool) -> float:
+    """CPU-contention multiplier for daemon-side work.
+
+    On Atlas "the default behavior of an MPI task waiting for a message
+    arrival is to spin-wait on a CPU core. When a node is fully loaded,
+    this behavior causes CPU contention with the daemon."  On BG/L the
+    daemon owns its I/O node.  SIGSTOPping the application (as SBRS does)
+    removes the contention entirely.
+    """
+    if application_stopped or not machine.daemon_shares_host_with_app:
+        return 1.0
+    cores = machine.extras.get("cores_per_node", machine.tasks_per_daemon)
+    spin = machine.extras.get("spin_wait_fraction", 1.0)
+    # tasks_per_daemon spinning ranks plus the daemon compete for `cores`.
+    return 1.0 + spin * machine.tasks_per_daemon / cores
+
+
+def walk_seconds(machine: MachineModel, trace_depth: float,
+                 dilation: float = 1.0) -> float:
+    """Simulated cost of one walk of ``trace_depth`` frames."""
+    return machine.stackwalk_seconds_per_frame * trace_depth * dilation
 
 
 class BatchWalkSampler:
-    """Array-level twin of a :class:`~repro.core.stackwalk.StackWalker` loop.
+    """One daemon's walks over its processes for one sampling instant.
 
-    One :meth:`trace_ids` call covers what the scalar path does with
-    ``width x threads_per_process`` individual ``walk`` calls: drawing
-    each walk's progress-engine depth (and timing-leaf coin) from the
-    daemon's RNG and resolving the resulting trace.  The RNG is consumed
+    One :meth:`trace_ids` call covers ``width x threads_per_process``
+    scalar ``StackModel.trace_for`` calls: drawing each walk's
+    progress-engine depth (and timing-leaf coin) from the daemon's RNG
+    and resolving the resulting trace.  The RNG is consumed
     **bit-for-bit identically** to the scalar loop — batched
     ``Generator.integers(size=n)`` advances the bit generator exactly as
     ``n`` scalar calls do — so array-built and object-built trees match
@@ -82,8 +109,8 @@ class BatchWalkSampler:
 
         ``state_ids[slot]`` is the interned state of the daemon-local
         slot; the result has one entry per ``(slot, thread)`` element,
-        slot-major — the exact walk order of
-        :meth:`~repro.core.daemon.STATDaemon.sample_once`.
+        slot-major — the walk order of a daemon that visits each process
+        and then each of its threads.
         """
         model = self.stack_model
         sig_slot = model.state_signatures()[state_ids]
@@ -255,13 +282,13 @@ def time_sampling_phase(machine: MachineModel,
     dilation = cpu_dilation(machine, config.application_stopped)
     walks = (machine.tasks_per_daemon * config.threads_per_process
              * config.num_samples)
-    walk_seconds = walks * StackWalker.walk_seconds(
+    walks_seconds = walks * walk_seconds(
         machine, stack_model.mean_depth(), dilation)
 
     # --- phase 3: local merge (analytic, small) -----------------------------
     merge_seconds = walks * config.merge_seconds_per_trace
 
-    per_daemon = symtab_seconds + walk_seconds + merge_seconds
+    per_daemon = symtab_seconds + walks_seconds + merge_seconds
 
     # --- jitter ---------------------------------------------------------------
     if config.jitter_sigma > 0:
@@ -273,7 +300,7 @@ def time_sampling_phase(machine: MachineModel,
     return SamplingTimeReport(
         per_daemon_seconds=per_daemon,
         symtab_seconds=symtab_seconds,
-        walk_seconds=walk_seconds,
+        walk_seconds=walks_seconds,
         merge_seconds=merge_seconds,
         config=config,
     )

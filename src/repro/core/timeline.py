@@ -10,14 +10,19 @@ the window, exactly what STAT's users read to see *where time goes*.
 :class:`TimelineSampler` interleaves the application's discrete-event
 execution with sampling pauses: run the engine to t₁, walk every rank,
 resume to t₂, walk again, …  This mirrors the real tool, which stops and
-resumes the processes around each walk.
+resumes the processes around each walk.  The walks are the session's
+own sampler: :func:`~repro.core.forest.build_forest` queries its state
+provider once per instant, in instant order, so the provider advances
+the engine between queries.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from repro.core.daemon import STATDaemon
+import numpy as np
+
+from repro.core.forest import build_forest
 from repro.core.merge import LabelScheme
 from repro.core.prefix_tree import PrefixTree
 from repro.core.taskset import TaskMap
@@ -25,7 +30,9 @@ from repro.machine.base import MachineModel
 from repro.mpi.runtime import MPIRuntime
 from repro.mpi.stacks import StackModel
 from repro.sim.engine import Engine
+from repro.sim.process import Process
 from repro.sim.random import SeedStream
+from repro.statbench.emulator import _interned_states
 
 __all__ = ["TimelineSampler", "TimelineResult"]
 
@@ -86,10 +93,6 @@ class TimelineSampler:
 
         engine = Engine()
         runtime = MPIRuntime(engine, self.machine.total_tasks)
-        for rank, ctx in enumerate(runtime.contexts):
-            pass  # contexts exist; programs start below
-        # Start rank programs without running to completion.
-        from repro.sim.process import Process
 
         def wrapped(ctx):
             ctx._set_state("compute", "main")
@@ -101,24 +104,21 @@ class TimelineSampler:
             runtime.processes[rank] = Process(engine, wrapped(ctx),
                                               name=f"rank{rank}")
 
-        seeds = SeedStream(self.seed).child("timeline")
-        daemons = [
-            STATDaemon(d, self.task_map, self.scheme, self.stack_model,
-                       rng=seeds.rng(f"daemon-{d}"))
-            for d in sorted(self.task_map.daemons())
-        ]
-
+        instants = iter(times)
         states_seen: List[set] = []
-        for t in times:
-            engine.run(until=t)
-            kinds = set()
-            for daemon in daemons:
-                daemon.sample_once(runtime.state_of)
-            for rank in range(runtime.size):
-                kinds.add(runtime.state_of(rank).kind)
-            states_seen.append(kinds)
 
-        trees_2d, trees_3d = zip(*(d.trees_arrays() for d in daemons))
+        def states_array(ranks: np.ndarray) -> np.ndarray:
+            engine.run(until=next(instants))
+            states_seen.append({runtime.state_of(rank).kind
+                                for rank in range(runtime.size)})
+            return _interned_states(runtime.state_of, ranks)
+
+        seeds = SeedStream(self.seed).child("timeline")
+        pairs = build_forest(
+            self.task_map, self.scheme, self.stack_model, states_array,
+            len(times), lambda d: seeds.rng(f"daemon-{d}"),
+            daemon_ids=sorted(self.task_map.daemons()))
+        trees_2d, trees_3d = zip(*pairs)
         return TimelineResult(
             runtime, times,
             self.scheme.finalize(self.scheme.merge(trees_2d), self.task_map),

@@ -35,8 +35,7 @@ front end keeps — and the read API
 (``walk``/``edges``/``leaf_paths``/``find``/``structurally_equal``)
 delegates to a cached copy of it for inspection and tests.
 :meth:`from_prefix_tree` is the way in for code that builds object trees
-(tests, the frozen oracles of :mod:`repro.perf.reference`); no kernel
-accepts an object tree.
+(tests and their frozen oracles); no kernel accepts an object tree.
 
 Interned frame ids are process-local, so pickling translates ids to
 ``(function, module)`` pairs and re-interns on load; path ids are

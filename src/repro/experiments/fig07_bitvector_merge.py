@@ -58,7 +58,8 @@ def run(quick: bool = False,
         "faster than CO at equal task counts (daemon-count bound); remap "
         "adds 0.66 s at 208K tasks (see claims)")
     result.notes.append(
-        "beyond 208K: `stat-repro bench merge --scale million` extends "
-        "this workload to 8,192 daemons / 1,048,576 tasks (hierarchical "
-        "scheme) and records the kernel timings in BENCH_merge.json")
+        "beyond 208K: `python benchmarks/kernels/run.py merge --scale "
+        "million` extends this workload to 8,192 daemons / 1,048,576 "
+        "tasks (hierarchical scheme) and records the kernel timings in "
+        "BENCH_merge.json")
     return result

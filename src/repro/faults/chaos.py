@@ -37,7 +37,6 @@ from repro.core.taskset import TaskMap
 from repro.faults.plan import FaultPlan
 from repro.machine.bgl import BGLMachine
 from repro.mpi.stacks import BGLStackModel
-from repro.perf.bench import VN_TASKS_PER_DAEMON
 from repro.sim.random import SeedStream
 from repro.statbench import ring_hang_states
 from repro.statbench.emulator import DaemonTrees, STATBenchEmulator
@@ -244,8 +243,8 @@ def run_chaos(plans: int = 200, daemons: int = 8, samples: int = 2,
                          plans_requested=plans)
     start = time.perf_counter()
     machine = BGLMachine.with_io_nodes(daemons, "vn")
-    tasks = daemons * VN_TASKS_PER_DAEMON
-    task_map = TaskMap.block(daemons, VN_TASKS_PER_DAEMON)
+    tasks = machine.total_tasks
+    task_map = TaskMap.block(daemons, machine.tasks_per_daemon)
 
     # Forest + merge filter built once per scheme; every case reuses
     # them (the merge kernels never mutate their inputs).

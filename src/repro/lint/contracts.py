@@ -20,9 +20,9 @@ named in the contract are unchecked; results may be named or bare.
 (or :func:`enable` is called — the test suite does both), every
 decorated kernel asserts its contract on the real arrays flowing
 through it.  :func:`exempt` suspends checking for a call's dynamic
-extent — the frozen reference kernels in ``repro.perf.reference`` use
-it so the pre-vectorization implementations stay bit-for-bit untouched
-by instrumentation semantics.  Checks are duck-typed (``value.shape`` /
+extent — the frozen per-object oracles under ``tests/`` use it so the
+pre-vectorization implementations stay bit-for-bit untouched by
+instrumentation semantics.  Checks are duck-typed (``value.shape`` /
 ``value.dtype``) so this module stays stdlib-only like the rest of
 ``repro.lint``.
 

@@ -83,16 +83,29 @@ class StackModel:
     def trace_for(self, state: RankState,
                   rng: Optional[np.random.Generator] = None,
                   thread_id: int = 0) -> StackTrace:
-        """Stack trace for one sampled instant."""
-        raise NotImplementedError
+        """Stack trace for one sampled instant.
+
+        The draws are the ones :meth:`state_signatures` declares: one
+        depth draw for ``DEPTH_KINDS | TOD_KINDS``, then, for
+        ``TOD_KINDS`` only and only with an RNG, the coin that catches
+        the timing leaf instead of the progress engine.
+        """
+        kind = state.kind
+        depth = 0
+        tod = False
+        if kind in self.DEPTH_KINDS or kind in self.TOD_KINDS:
+            depth = _draw_depth(rng, *self.DEPTH_RANGE)
+            if kind in self.TOD_KINDS and rng is not None:
+                tod = rng.random() < self.TOD_THRESHOLD
+        return self.trace_from_parts(kind, state.where, depth, tod,
+                                     thread_id)
 
     def trace_from_parts(self, kind: str, where: str, depth: int,
                          tod: bool, thread_id: int) -> StackTrace:
-        """The trace ``trace_for`` would return for already-drawn values.
+        """The memoized trace for one state and its already-drawn values.
 
-        Shares ``_trace_cache`` with the scalar path (same key tuples), so
-        batch and scalar sampling hand out the *same* memoized
-        :class:`StackTrace` instances.
+        Batch sampling (``trace_id``) and :meth:`trace_for` both resolve
+        here, so they hand out the *same* :class:`StackTrace` instances.
         """
         raise NotImplementedError
 
@@ -168,6 +181,8 @@ class BGLStackModel(StackModel):
     mpi_module = "ring_test_bgl"  # statically linked: one module
 
     DEPTH_KINDS = frozenset({"barrier", "allreduce", "bcast"})
+    #: occasionally the walker catches the timing call instead of the
+    #: messager (the ``__gettimeofday`` leaf in Figure 1)
     TOD_KINDS = frozenset({"waitall", "recv_wait"})
     DEPTH_RANGE = (1, 3)
     TOD_THRESHOLD = 0.15
@@ -181,23 +196,6 @@ class BGLStackModel(StackModel):
             frames += ["BGLML_Messager_CMadvance", "BGLML_Messager_advance"]
         frames.append("BGLML_Messager_CMadvance")
         return frames
-
-    def trace_for(self, state: RankState,
-                  rng: Optional[np.random.Generator] = None,
-                  thread_id: int = 0) -> StackTrace:
-        kind = state.kind
-        depth = 0
-        tod = False
-        if kind in self.DEPTH_KINDS:
-            depth = _draw_depth(rng, *self.DEPTH_RANGE)
-        elif kind in self.TOD_KINDS:
-            depth = _draw_depth(rng, *self.DEPTH_RANGE)
-            # Occasionally the walker catches the timing call instead of
-            # the messager (the __gettimeofday leaf in Figure 1).
-            tod = rng is not None and rng.random() < self.TOD_THRESHOLD
-        key = (kind, state.where, depth, tod, thread_id)
-        return self._cached(key, lambda: self._build(kind, state.where,
-                                                     depth, tod, thread_id))
 
     def trace_from_parts(self, kind: str, where: str, depth: int,
                          tod: bool, thread_id: int) -> StackTrace:
@@ -269,17 +267,6 @@ class LinuxStackModel(StackModel):
             Frame(n, self.app_module if i < n_app else self.mpi_module)
             for i, n in enumerate(names))
         return StackTrace(frames, thread_id=thread_id)
-
-    def trace_for(self, state: RankState,
-                  rng: Optional[np.random.Generator] = None,
-                  thread_id: int = 0) -> StackTrace:
-        kind = state.kind
-        depth = 0
-        if kind in self.DEPTH_KINDS:
-            depth = _draw_depth(rng, *self.DEPTH_RANGE)
-        key = (kind, state.where, depth, False, thread_id)
-        return self._cached(key, lambda: self._build(kind, state.where,
-                                                     depth, thread_id))
 
     def trace_from_parts(self, kind: str, where: str, depth: int,
                          tod: bool, thread_id: int) -> StackTrace:

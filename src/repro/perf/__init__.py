@@ -1,14 +1,9 @@
-"""Performance measurement subsystem.
+"""Performance counters.
 
-* :mod:`repro.perf.counters` — lightweight process-wide counters and
-  timers threaded through the merge kernels, the TBO̅N network, and the
-  session pipeline phases.
-* :mod:`repro.perf.reference` — the retained pre-vectorization merge
-  kernels, kept as the equivalence/benchmark baseline.
-* :mod:`repro.perf.bench` — the ``stat-repro bench {merge,build,stream}``
-  harness: kernel benchmarks at fig07 full scale (and the million-task
-  sweep points), written to ``BENCH_<kind>.json`` so the perf
-  trajectory is tracked across PRs.
+:mod:`repro.perf.counters` holds lightweight process-wide counters and
+timers threaded through the merge kernels, the TBO̅N network, and the
+session pipeline phases.  The kernel benchmarks that read them live
+beside their baselines, in ``benchmarks/kernels/run.py``.
 """
 
 from repro.perf.counters import PERF, PerfCounters

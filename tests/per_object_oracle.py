@@ -1,36 +1,78 @@
-"""The STAT tool daemon (back end).
+"""Frozen per-object oracles for the sampler and the merge kernels.
 
-Each daemon gathers stack traces from its co-located application processes
-and performs the *local* part of the analysis: per-sample 2D trace-space
-trees and the accumulated 3D trace-space-time tree, both labelled with the
-configured representation's leaf labels.  The locally merged trees are
-what flows into the TBO̅N (Section III's second measured phase).
+These are the implementations the package shipped before its array
+kernels, moved here verbatim:
 
-Implementation note: during sampling the daemon accumulates **slot sets**
-(plain Python sets of daemon-local task indices) on its trees and converts
-them to the configured label representation once, when the trees are
-handed to the network.  This is behaviour-preserving — union of slot sets
-then one label build equals label builds then unions — and avoids
-re-allocating job-width bit vectors on every insertion, which matters when
-emulating 1,664 daemons with the *original* (dense) representation.
+* :class:`StackWalker` — one ``StackModel.trace_for`` call per
+  (process, thread), drawing from the daemon's RNG one walk at a time;
+* :class:`STATDaemon` — a daemon that walks its slots into slot-set
+  :class:`~repro.core.prefix_tree.PrefixTree` objects and materializes
+  labels per node; :func:`reference_daemon_trees` drives one;
+* :func:`reference_dense_merge` / :func:`reference_hierarchical_merge`
+  — the recursive pairwise-union merges.
+
+They live under ``tests/`` — not in the package — and exist only so
+``test_build_equivalence.py`` and ``test_merge_equivalence.py`` can
+demand bit-identical trees from :func:`repro.core.forest.build_forest`
+and ``LabelScheme.merge``, and so ``benchmarks/kernels/run.py`` can time
+the kernels against them.  Do not optimise them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
-from repro.core.frames import StackTrace
+from repro.core.frames import Frame, StackTrace
 from repro.core.merge import DenseLabelScheme, LabelScheme
-from repro.core.prefix_tree import PrefixTree
-from repro.core.stackwalk import StackWalker
-from repro.core.taskset import DaemonLayout, TaskMap
+from repro.core.prefix_tree import PrefixTree, PrefixTreeNode
+from repro.core.taskset import DaemonLayout, HierarchicalTaskSet, TaskMap
 from repro.core.treearrays import KIND_DENSE, KIND_HIER, TreeArrays
+from repro.lint.contracts import exempt
 from repro.mpi.runtime import RankState
 from repro.mpi.stacks import StackModel
+from repro.sim.random import SeedStream
 
-__all__ = ["STATDaemon"]
+__all__ = [
+    "StackWalker",
+    "STATDaemon",
+    "reference_dense_merge",
+    "reference_hierarchical_merge",
+    "reference_merge",
+    "reference_daemon_trees",
+]
+
+
+class StackWalker:
+    """One daemon's walker over its co-located processes."""
+
+    def __init__(self, stack_model: StackModel,
+                 rng: Optional[np.random.Generator] = None) -> None:
+        self.stack_model = stack_model
+        self.rng = rng
+        self.walks_performed = 0
+
+    def walk(self, state: RankState, thread_id: int = 0) -> StackTrace:
+        """Acquire one trace from one (process, thread)."""
+        self.walks_performed += 1
+        return self.stack_model.trace_for(state, self.rng,
+                                          thread_id=thread_id)
+
+    def walk_all(self, states: Iterable[RankState],
+                 threads_per_process: int = 1) -> List[StackTrace]:
+        """One sampling instant over every local process (and thread).
+
+        Per Section VII's plan, thread traces stay associated with their
+        *process*: the returned traces carry thread ids but the caller
+        labels them all with the owning process's task slot.
+        """
+        traces: List[StackTrace] = []
+        for state in states:
+            for tid in range(threads_per_process):
+                traces.append(self.walk(state, thread_id=tid))
+        return traces
 
 
 def _slot_union(a: set, b: set) -> set:
@@ -200,3 +242,107 @@ class STATDaemon:
     def __repr__(self) -> str:
         return (f"<STATDaemon {self.daemon_id} tasks={self.width} "
                 f"samples={self.samples_taken}>")
+
+
+def _ordered_frame_union(nodes: Sequence[PrefixTreeNode]) -> List[Frame]:
+    """Union of children frames, preserving first-seen order."""
+    seen: Dict[Frame, None] = {}
+    for node in nodes:
+        for frame in node.children:
+            if frame not in seen:
+                seen[frame] = None
+    return list(seen)
+
+
+@exempt
+def reference_dense_merge(trees: Sequence[PrefixTree]) -> PrefixTree:
+    """Recursive structure merge; label merge is pairwise bitwise OR."""
+    out = PrefixTree()
+
+    def rec(dst: PrefixTreeNode, srcs: List[PrefixTreeNode]) -> None:
+        for frame in _ordered_frame_union(srcs):
+            contributors = [n.children[frame] for n in srcs
+                            if frame in n.children]
+            label = contributors[0].tasks.copy()
+            for other in contributors[1:]:
+                label.union_inplace(other.tasks)
+            node = PrefixTreeNode(frame, label)
+            dst.children[frame] = node
+            rec(node, contributors)
+
+    rec(out.root, [t.root for t in trees])
+    return out
+
+
+def _tree_layout(tree: PrefixTree) -> DaemonLayout:
+    for _, label in tree.edges():
+        if not isinstance(label, HierarchicalTaskSet):
+            raise TypeError("tree does not carry hierarchical labels")
+        return label.layout
+    raise ValueError("cannot determine layout of an empty tree")
+
+
+@exempt
+def reference_hierarchical_merge(trees: Sequence[PrefixTree]) -> PrefixTree:
+    """Recursive concatenation merge: per-node zero-fill plus pastes."""
+    if not trees:
+        raise ValueError("merge of zero trees")
+    layouts = [_tree_layout(t) for t in trees]
+    merged_layout = DaemonLayout.concat(layouts)
+    offsets = np.concatenate(
+        ([0], np.cumsum([lay.nbytes for lay in layouts])))[:-1]
+
+    out = PrefixTree()
+
+    def rec(dst: PrefixTreeNode,
+            srcs: List[Tuple[int, PrefixTreeNode]]) -> None:
+        for frame in _ordered_frame_union([n for _, n in srcs]):
+            contributors = [(i, n.children[frame]) for i, n in srcs
+                            if frame in n.children]
+            data = np.zeros(merged_layout.nbytes, dtype=np.uint8)
+            for i, node in contributors:
+                off = int(offsets[i])
+                data[off:off + layouts[i].nbytes] = node.tasks.data
+            child = PrefixTreeNode(
+                frame, HierarchicalTaskSet(merged_layout, data))
+            dst.children[frame] = child
+            rec(child, contributors)
+
+    rec(out.root, list(enumerate(t.root for t in trees)))
+    return out
+
+
+@exempt
+def reference_merge(scheme_name: str,
+                    trees: Sequence[PrefixTree]) -> PrefixTree:
+    """Dispatch by scheme name ("original" / "optimized")."""
+    if scheme_name == "original":
+        return reference_dense_merge(trees)
+    if scheme_name == "optimized":
+        return reference_hierarchical_merge(trees)
+    raise ValueError(f"unknown scheme name {scheme_name!r}")
+
+
+@exempt
+def reference_daemon_trees(daemon_id: int, task_map, scheme, stack_model,
+                           state_of: Callable, num_samples: int = 10,
+                           threads_per_process: int = 1,
+                           seed: int = 208_000):
+    """Build one daemon's ``(2D, 3D)`` trees through the per-object path.
+
+    This is the frozen pre-vectorization emulator hot path: scalar walks
+    (one RNG draw sequence per slot/thread) into slot-set prefix trees,
+    then object-level label materialization.  The per-daemon RNG is
+    derived exactly as :class:`~repro.statbench.emulator.STATBenchEmulator`
+    derives it (``SeedStream(seed).rng(f"daemon-{id}")``), so for any
+    state provider the forest kernel's result
+    (:func:`repro.core.forest.build_forest`) must be bit-identical to
+    this one for the same arguments.  ``state_of`` is always consumed through its
+    scalar ``__call__`` — a provider's batch API is deliberately ignored.
+    """
+    daemon = STATDaemon(
+        daemon_id, task_map, scheme, stack_model,
+        rng=SeedStream(seed).rng(f"daemon-{daemon_id}"),
+        threads_per_process=threads_per_process)
+    daemon.collect_samples(state_of, num_samples)
+    return daemon.trees_arrays()

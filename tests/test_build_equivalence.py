@@ -3,7 +3,7 @@
 :func:`repro.core.forest.build_forest` (reached via
 :meth:`STATBenchEmulator.build_forest`) is the only production build
 path; the frozen per-object oracle
-(:func:`repro.perf.reference.reference_daemon_trees`) walks one
+(:func:`per_object_oracle.reference_daemon_trees`) walks one
 ``StackWalker.walk`` per slot and thread.  The two must agree bit for
 bit for any (seed, provider, map, scheme, model, thread count, daemon
 selection) combination.
@@ -16,12 +16,12 @@ kernel to the exact construction the per-object code performs.
 import numpy as np
 import pytest
 
+from per_object_oracle import reference_daemon_trees
 from repro.core.forest import build_forest
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
 from repro.core.taskset import TaskMap
 from repro.mpi.runtime import STATES
 from repro.mpi.stacks import BGLStackModel, LinuxStackModel
-from repro.perf.reference import reference_daemon_trees
 from repro.sim.random import SeedStream
 from repro.statbench.emulator import STATBenchEmulator
 from repro.statbench.generator import (
@@ -192,6 +192,66 @@ class TestForestVsPerDaemon:
             build_forest(task_map, scheme, BGLStackModel(),
                          lambda ranks: np.zeros(2, dtype=np.int64), 1,
                          lambda d: seeds.rng(f"daemon-{d}"))
+
+
+class _RecordingRng:
+    """A generator that logs every method it hands out (every draw)."""
+
+    def __init__(self, rng, log):
+        self._rng = rng
+        self._log = log
+
+    def __getattr__(self, name):
+        self._log.append(("draw", name))
+        return getattr(self._rng, name)
+
+
+class TestProviderContract:
+    """``states_array`` is called exactly ``num_samples`` times, in
+    instant order, before any RNG draw — what lets a live provider
+    advance its application between calls."""
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_one_query_per_instant_before_any_draw(self, threads):
+        task_map = TaskMap.cyclic(4, 5)
+        daemon_ids = [2, 0, 3]
+        log, queried = [], []
+
+        def states_array(ranks):
+            instant = len(queried)
+            queried.append(ranks.copy())
+            log.append(("states", instant))
+            # drawing (depth, depth + coin) and non-drawing states, with
+            # the instant in the stalled ranks' frame
+            return np.asarray(
+                [STATES.intern("waitall") if r % 3 == 0
+                 else STATES.intern("barrier") if r % 3 == 1
+                 else STATES.intern("stall", f"instant{instant}")
+                 for r in ranks.tolist()], dtype=np.int64)
+
+        seeds = SeedStream(5)
+        pairs = build_forest(
+            task_map, HierarchicalLabelScheme(), BGLStackModel(),
+            states_array, 3,
+            lambda d: _RecordingRng(seeds.rng(f"daemon-{d}"), log),
+            daemon_ids=daemon_ids, threads_per_process=threads)
+
+        assert [entry for entry in log if entry[0] == "states"] == \
+            [("states", 0), ("states", 1), ("states", 2)]
+        first_draw = next(i for i, entry in enumerate(log)
+                          if entry[0] == "draw")
+        assert first_draw == 3, "a draw came before the last query"
+        want = np.concatenate([task_map.ranks_of(d) for d in daemon_ids])
+        assert len(queried) == 3
+        for ranks in queried:
+            np.testing.assert_array_equal(ranks, want)
+        # the last query is the last instant (2D); all three are in 3D
+        for tree_2d, tree_3d in pairs:
+            leaves_2d = {p.leaf.function for p, _ in tree_2d.leaf_paths()}
+            leaves_3d = {p.leaf.function for p, _ in tree_3d.leaf_paths()}
+            assert {"instant0", "instant1"}.isdisjoint(leaves_2d)
+            assert "instant2" in leaves_2d
+            assert {"instant0", "instant1", "instant2"} <= leaves_3d
 
 
 class TestProviderBatchScalarAgreement:

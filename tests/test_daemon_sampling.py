@@ -1,17 +1,28 @@
-"""Unit tests for the tool daemon, stack walker, and sampling cost model."""
+"""Unit tests for the sampler, its cost model, and the per-object oracle.
+
+``TestStackWalker`` and ``TestSTATDaemon`` pin the frozen oracle in
+``per_object_oracle.py`` that the build kernel is held to.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.daemon import STATDaemon
+from per_object_oracle import STATDaemon, StackWalker
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
-from repro.core.sampling import SamplingConfig, time_sampling_phase
-from repro.core.stackwalk import StackWalker, cpu_dilation
+from repro.core.sampling import (
+    BatchWalkSampler,
+    SamplingConfig,
+    cpu_dilation,
+    time_sampling_phase,
+    walk_seconds,
+)
 from repro.core.taskset import TaskMap
 from repro.fs import MountTable, NFSServer, RamDisk, stage_binaries
 from repro.machine.atlas import AtlasMachine, atlas_binary_spec
 from repro.machine.bgl import BGLMachine
-from repro.mpi.runtime import RankState
+from repro.mpi.runtime import STATES, RankState
 from repro.mpi.stacks import BGLStackModel, LinuxStackModel
 from repro.sim.engine import Engine
 from repro.statbench import ring_hang_states
@@ -47,9 +58,49 @@ class TestStackWalker:
 
     def test_walk_seconds_scales_with_depth_and_dilation(self):
         machine = AtlasMachine.with_nodes(4)
-        base = StackWalker.walk_seconds(machine, 10.0, 1.0)
-        assert StackWalker.walk_seconds(machine, 20.0, 1.0) == 2 * base
-        assert StackWalker.walk_seconds(machine, 10.0, 2.0) == 2 * base
+        base = walk_seconds(machine, 10.0, 1.0)
+        assert walk_seconds(machine, 20.0, 1.0) == 2 * base
+        assert walk_seconds(machine, 10.0, 2.0) == 2 * base
+
+
+#: every sampler-visible state kind (``RankState``) plus the collectives
+KINDS = sorted({"init", "compute", "isend", "irecv", "waitall", "barrier",
+                "stall", "recv_wait", "done"}
+               | BGLStackModel.DEPTH_KINDS | BGLStackModel.TOD_KINDS
+               | LinuxStackModel.DEPTH_KINDS)
+
+
+class TestOneDrawDecision:
+    """``StackModel.trace_for`` and the batch sampler draw alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(states=st.lists(st.tuples(st.sampled_from(KINDS),
+                                     st.sampled_from(["main", "f"])),
+                           min_size=1, max_size=12),
+           linux=st.booleans(), threads=st.integers(1, 3),
+           seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    def test_scalar_walks_equal_batch_walks(self, states, linux, threads,
+                                            seed):
+        model = LinuxStackModel() if linux else BGLStackModel()
+        scalar_rng = None if seed is None else np.random.default_rng(seed)
+        batch_rng = None if seed is None else np.random.default_rng(seed)
+        scalar = [model.trace_for(RankState(kind, where), scalar_rng,
+                                  thread_id=tid)
+                  for kind, where in states for tid in range(threads)]
+        sids = np.asarray([STATES.intern(kind, where)
+                           for kind, where in states], dtype=np.int64)
+        ids = BatchWalkSampler(model, batch_rng, threads).trace_ids(sids)
+        key_of = {tid: key for key, tid in model._trace_ids.items()}
+        batch = []
+        for trace_id in ids.tolist():
+            sid, depth, tod, tid = key_of[trace_id]
+            batch.append(model.trace_from_parts(*STATES.key_of(sid), depth,
+                                                tod, tid))
+        assert batch == scalar
+        assert all(b is s for b, s in zip(batch, scalar))
+        if seed is not None:
+            assert batch_rng.bit_generator.state == \
+                scalar_rng.bit_generator.state
 
 
 class TestSTATDaemon:

@@ -10,6 +10,10 @@ Regenerate (only when a change to the bits is intended and explained)::
 
     PYTHONPATH=src python tests/test_golden_digests.py
 
+``TIMELINES`` pins :class:`~repro.core.timeline.TimelineSampler` runs
+of a live application the same way, one digest for the merged trees
+and one for the state kinds seen at each instant.
+
 A spec named ``<x>+dead`` declares its dead daemons through
 ``SessionSpec.dead_daemons`` and has a twin ``<x>+crash`` declaring the
 same set as ``FaultPlan`` crashes at t=0.  The two spellings parse into
@@ -24,8 +28,13 @@ import pytest
 
 from repro.api.pipeline import SessionPipeline
 from repro.api.spec import SessionSpec
+from repro.apps import ring_program
+from repro.apps.bugs import NO_BUG, HangBeforeSend
 from repro.core.codec import pack_tree
+from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
 from repro.core.sampling import SamplingConfig
+from repro.core.taskset import TaskMap
+from repro.core.timeline import TimelineSampler
 from repro.faults.plan import (
     DaemonCrash,
     DaemonStall,
@@ -34,9 +43,11 @@ from repro.faults.plan import (
     RetryPolicy,
     Straggler,
 )
+from repro.machine.atlas import AtlasMachine
+from repro.machine.bgl import BGLMachine
+from repro.mpi.stacks import BGLStackModel, LinuxStackModel
 
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "golden_digests.json"
-PARTS = ("trees", "classes", "timings", "degradation")
 SEED = 208_000
 
 _LINKS = FaultPlan(seed=7, links=(LinkFault(drop_p=0.25, corrupt_p=0.25),),
@@ -118,6 +129,25 @@ SPECS = {
         "bgl", 64, mode="vn", scheme="dense", topology="bgl-2deep",
         workload="uniform:64", mapping="block",
         dead_daemons=(0, 5, 40, 63), stream=True),
+    "atlas16-hier-2deep-uniform8-threads3-stream": _spec(
+        "atlas", 16, topology="balanced:2", workload="uniform:8",
+        sampling=SamplingConfig(num_samples=3, threads_per_process=3),
+        stream=True),
+}
+
+#: name -> (machine, scheme ("dense" = job-width), stack model, bug,
+#: sample times).  The ring's exchange runs at ~0.2 ms, so the instants
+#: catch compute, waitall, barrier and exit.
+TIMELINES = {
+    "timeline-atlas4-hier-healthy-ring-3": (
+        AtlasMachine.with_nodes(4), "hierarchical", LinuxStackModel,
+        NO_BUG, (1e-4, 2.015e-4, 2.05e-4)),
+    "timeline-bgl8vn-dense-hang-2": (
+        BGLMachine.with_io_nodes(8, "vn"), "dense", BGLStackModel,
+        HangBeforeSend(rank=1), (0.5, 1.0)),
+    "timeline-bgl8vn-hier-healthy-ring-6": (
+        BGLMachine.with_io_nodes(8, "vn"), "hierarchical", BGLStackModel,
+        NO_BUG, (1e-4, 2.015e-4, 2.05e-4, 2.1e-4, 2.2e-4, 1.0)),
 }
 
 
@@ -142,19 +172,38 @@ def digests(name: str) -> dict:
     }
 
 
+def timeline_digests(name: str) -> dict:
+    """Run ``TIMELINES[name]`` and digest its trees and observed states."""
+    machine, scheme, model, bug, times = TIMELINES[name]
+    scheme = DenseLabelScheme(machine.total_tasks) if scheme == "dense" \
+        else HierarchicalLabelScheme()
+    task_map = TaskMap.block(machine.num_daemons, machine.tasks_per_daemon)
+    result = TimelineSampler(machine, task_map, scheme, model(),
+                             seed=SEED).run(
+        ring_program(bug=bug, compute_seconds=2.0e-4), times)
+    return {
+        "trees": _sha(pack_tree(result.tree_2d) + pack_tree(result.tree_3d)),
+        "states": _sha(repr([sorted(s) for s in result.states_seen])),
+    }
+
+
+def all_digests(name: str) -> dict:
+    return timeline_digests(name) if name in TIMELINES else digests(name)
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
 def test_every_spec_has_a_golden(golden):
-    assert sorted(golden) == sorted(SPECS)
+    assert sorted(golden) == sorted([*SPECS, *TIMELINES])
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("name", sorted([*SPECS, *TIMELINES]))
 def test_digests_match_golden(name, golden):
-    got = digests(name)
-    moved = [part for part in PARTS if got[part] != golden[name][part]]
+    got = all_digests(name)
+    moved = [part for part in got if got[part] != golden[name].get(part)]
     assert not moved, f"{name}: {', '.join(moved)} moved"
 
 
@@ -166,6 +215,6 @@ def test_dead_daemons_and_crash_plan_are_one_spelling(name, golden):
 
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(json.dumps(
-        {name: digests(name) for name in sorted(SPECS)},
+        {name: all_digests(name) for name in sorted([*SPECS, *TIMELINES])},
         indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")

@@ -132,7 +132,7 @@ class TestRuntime:
 
     def test_real_kernels_are_decorated(self):
         from repro.core.buildarrays import dedup_segments
-        from repro.perf.reference import reference_merge
+        from per_object_oracle import reference_merge
         assert dedup_segments.__contract_text__.startswith("bounds")
         assert reference_merge.__contract_exempt__ is True
 
