@@ -10,11 +10,11 @@ launches to forest scope:
 
 * rank states are fetched with **one** provider call per sampling
   instant, over exactly the requested daemons' ranks;
-* progress-engine depth draws still come from each daemon's own RNG
-  (bit-exactness demands it) but land in one ``(daemons, elements)``
-  matrix, and state+draw tuples resolve to interned trace ids through a
-  dense composite-key table (``StackModel.ukey_lut``) with a single
-  gather;
+* progress-engine depth and time-of-day draws still come from each
+  daemon's own RNG (bit-exactness demands it) — one batched call per
+  daemon row — but land in one ``(daemons, elements)`` matrix, and
+  state+draw tuples resolve to interned trace ids through a dense
+  composite-key table (``StackModel.ukey_lut``) with a single gather;
 * the per-daemon "group elements by trace" step becomes one row-wise
   stable ``argsort`` of the whole matrix plus flat segment-boundary
   scans, and every segment's slot set is packed to label bits by
@@ -35,8 +35,9 @@ Every population shape takes this pipeline, never an approximation:
 ragged task maps run it once per distinct daemon width (zero-width
 daemons get empty trees); rows whose states draw interleaved
 depth+time-of-day coins (``SIG_DEPTH_TOD``) or mix drawing and
-non-drawing states, and every row of a multi-threaded population,
-replay the exact scalar draw sequence through the batch sampler.
+non-drawing states decode their exact scalar draw sequence in one
+batch (:func:`~repro.core.sampling.draw_walks`), and every row of a
+multi-threaded population resolves through the batch sampler.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from repro.core.buildarrays import TreeStructure, build_structure
 from repro.core.merge import DenseLabelScheme, LabelScheme
-from repro.core.sampling import BatchWalkSampler
+from repro.core.sampling import BatchWalkSampler, draw_walks
 from repro.core.taskset import DaemonLayout, TaskMap, _pack_indices
 from repro.core.treearrays import KIND_DENSE, KIND_HIER, TreeArrays
 from repro.lint.contracts import contract
@@ -77,11 +78,11 @@ _MASK_BLOCK_BOOLS = 1 << 26
 
 @contract("ukeys:(m):int64 -> ids:(m):int64")
 def _lut_resolve(model: StackModel, ukeys: np.ndarray) -> np.ndarray:
-    """Trace ids for composite ``(state, depth)`` keys via a dense table.
+    """Trace ids for composite ``(state, depth, tod)`` keys via a dense table.
 
-    ``ukey = (sid * (high + 1) + depth) * 2`` (time-of-day bit clear —
-    rows that draw it bypass this path).  The table is grown and filled
-    lazily; only never-seen keys pay the registry lookup.
+    ``ukey = (sid * (high + 1) + depth) * 2 + tod`` for single-threaded
+    walks.  The table is grown and filled lazily; only never-seen keys
+    pay the registry lookup.
     """
     lut = model.ukey_lut
     top = int(ukeys.max()) + 1 if ukeys.size else 1
@@ -326,39 +327,34 @@ def _sample_elements(chunk: List[int], sids_matrix: np.ndarray,
 
     Row ``i`` holds daemon ``chunk[i]``'s walks in ``(instant, slot,
     thread)`` order, drawn from that daemon's own generator exactly as
-    the scalar walker would.  Rows that draw nothing, or progress-engine
-    depths only, resolve through the dense ``(state, depth)`` table in
-    one gather.  Mixed-signature and time-of-day rows replay the scalar
-    draw sequence through the batch sampler instead, and so does every
-    row of a threaded population — there the trace id depends on the
-    thread id even for non-drawing states, which the table cannot key.
+    the scalar walker would.  A row of progress-engine depth draws only
+    is one batched ``integers`` call; any other drawing row goes through
+    :func:`~repro.core.sampling.draw_walks`.  Every single-threaded row
+    then resolves through the dense ``(state, depth, tod)`` table in one
+    gather.  A threaded population's rows go through the batch sampler
+    instead — there the trace id depends on the thread id even for
+    non-drawing states, which the table cannot key.
     """
     rows, n = sids_matrix.shape
     if threads > 1:
-        replay = np.ones(rows, dtype=bool)
         elems = np.empty((rows, n * threads), dtype=np.int64)
-    else:
-        low, high = model.DEPTH_RANGE
-        sigs = model.state_signatures()[sids_matrix]
-        draws = sigs.any(axis=1)
-        replay = draws & ~(sigs == SIG_DEPTH).all(axis=1)
-        depths = np.zeros((rows, n), dtype=np.int64)
-        for i in np.flatnonzero(draws & ~replay).tolist():  # per drawing daemon: RNG draws must come from each daemon's own generator
-            rng = rng_of(chunk[i])
-            if rng is not None and high > low:
-                depths[i] = rng.integers(low, high + 1, size=n)
-            else:
-                depths[i] = low
-        ukeys = (sids_matrix * (high + 1) + depths) * 2
-        if not replay.any():
-            return _lut_resolve(model, ukeys.ravel()).reshape(rows, n)
-        elems = np.empty((rows, n), dtype=np.int64)
-        elems[~replay] = _lut_resolve(
-            model, ukeys[~replay].ravel()).reshape(-1, n)
-    for i in np.flatnonzero(replay).tolist():  # per exact-replay row: rare single-threaded, every row when threaded
-        elems[i] = BatchWalkSampler(
-            model, rng_of(chunk[i]), threads).trace_ids(sids_matrix[i])
-    return elems
+        for i in range(rows):  # per daemon: each draws from its own generator
+            elems[i] = BatchWalkSampler(
+                model, rng_of(chunk[i]), threads).trace_ids(sids_matrix[i])
+        return elems
+    low, high = model.DEPTH_RANGE
+    sigs = model.state_signatures()[sids_matrix]
+    depth_only = (sigs == SIG_DEPTH).all(axis=1)
+    depths = np.zeros((rows, n), dtype=np.int64)
+    tods = np.zeros((rows, n), dtype=bool)
+    for i in np.flatnonzero(sigs.any(axis=1)).tolist():  # per drawing daemon: RNG draws must come from each daemon's own generator
+        rng = rng_of(chunk[i])
+        if depth_only[i] and rng is not None and high > low:
+            depths[i] = rng.integers(low, high + 1, size=n)
+        else:
+            depths[i], tods[i] = draw_walks(model, rng, sigs[i])
+    ukeys = (sids_matrix * (high + 1) + depths) * 2 + tods
+    return _lut_resolve(model, ukeys.ravel()).reshape(rows, n)
 
 
 def _empty_tree(daemon_id: int, fscheme: _ForestScheme) -> TreeArrays:

@@ -2,15 +2,17 @@
 
 STAT daemons use "the StackWalker API, a lightweight API that lets each
 back-end daemon take stack traces of the co-located processes on a node"
-(Section VI-A).  Two things live here.  :class:`BatchWalkSampler` is the
-*data* side's array kernel — it turns one daemon's interned state ids
-into interned trace ids for a whole sampling instant at once, reading
-each rank's :class:`~repro.mpi.runtime.RankState` through a platform
-:class:`~repro.mpi.stacks.StackModel` and consuming the daemon's RNG
-bit-for-bit like one ``StackModel.trace_for`` call per (process,
-thread) would (:mod:`repro.core.forest` builds trees from its output
-without instantiating a single ``StackTrace``).  The rest of the
-module computes how long the phase takes on the simulated platform.  Per
+(Section VI-A).  Two things live here.  The *data* side's array
+kernels: :func:`draw_walks` draws every walk's progress-engine depth
+and timing-leaf coin for a whole daemon row at once, consuming the
+daemon's RNG bit-for-bit like one ``StackModel.trace_for`` call per
+(process, thread) would — for numpy's default ``PCG64`` generator it
+decodes the interleaved ``integers``/``random`` draws from one block of
+raw words — and :class:`BatchWalkSampler` turns one daemon's interned
+state ids into interned trace ids through it
+(:mod:`repro.core.forest` builds trees from their output without
+instantiating a single ``StackTrace``).  The rest of the module
+computes how long the phase takes on the simulated platform.  Per
 daemon the cost has three parts:
 
 1. **Symbol tables** — before a walk, the daemon reads the symbol table
@@ -36,7 +38,7 @@ suffers performance variations larger than 20%" (Section VI-A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,13 +48,14 @@ from repro.fs.cache import PageCache
 from repro.fs.mtab import MountTable
 from repro.fs.server import FileServer, LocalDisk
 from repro.machine.base import MachineModel
-from repro.mpi.stacks import SIG_DEPTH, SIG_DEPTH_TOD, SIG_NONE, StackModel
+from repro.mpi.stacks import SIG_DEPTH_TOD, SIG_NONE, StackModel
 from repro.sim.engine import Engine
 from repro.sim.process import Process
 from repro.sim.random import SeedStream
 
 __all__ = ["BatchWalkSampler", "SamplingConfig", "SamplingTimeReport",
-           "cpu_dilation", "time_sampling_phase", "walk_seconds"]
+           "cpu_dilation", "draw_walks", "time_sampling_phase",
+           "walk_seconds"]
 
 
 def cpu_dilation(machine: MachineModel, application_stopped: bool) -> float:
@@ -78,20 +81,102 @@ def walk_seconds(machine: MachineModel, trace_depth: float,
     return machine.stackwalk_seconds_per_frame * trace_depth * dilation
 
 
+_MASK32 = np.uint64(0xFFFFFFFF)
+
+
+def _decode_pcg64(bit_generator: np.random.PCG64, tod_after: np.ndarray,
+                  range_excl: int
+                  ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Replay bounded draws, each optionally followed by one ``random()``.
+
+    Draw ``i`` is ``Generator.integers(0, range_excl)``, with
+    ``2 <= range_excl <= 2**32`` and at least one draw; when
+    ``tod_after[i]`` a ``Generator.random()`` follows it.  Returns the
+    draws and the ``random()`` values of the flagged draws, and leaves
+    ``bit_generator`` in the state the scalar calls would — or returns
+    ``None`` with the state untouched if any draw would hit Lemire
+    rejection (probability ``~range_excl / 2**32`` per draw), which only
+    the scalar calls replay exactly.
+
+    This mirrors numpy's C routines: a bounded draw takes 32 bits
+    through the generator's one-word buffer (``has_uint32`` /
+    ``uinteger``) — the low half of a fresh 64-bit word, buffering the
+    high half for the next bounded draw — and maps them by Lemire's
+    multiply-shift; ``random()`` takes a whole word of its own and leaves
+    the buffer alone.
+    """
+    k = tod_after.size
+    saved = bit_generator.state
+    carry = saved["has_uint32"]
+    fresh = ((carry + np.arange(k)) & 1) == 0
+    # Words consumed through draw i; a fresh draw's word is the last of
+    # them, or the one before its ``random()`` word.
+    ends = np.cumsum(fresh.astype(np.int64) + tod_after)
+    words = bit_generator.random_raw(int(ends[-1]))
+    lo_words = words[(ends - tod_after - 1)[fresh]]
+    highs = lo_words >> np.uint64(32)
+    if carry:
+        highs = np.concatenate(([np.uint64(saved["uinteger"])], highs))
+    u32 = np.empty(k, dtype=np.uint64)
+    u32[fresh] = lo_words & _MASK32
+    u32[~fresh] = highs[:k - lo_words.size]
+    m = u32 * np.uint64(range_excl)
+    if ((m & _MASK32) < (2**32 - range_excl) % range_excl).any():
+        bit_generator.state = saved
+        return None
+    state = bit_generator.state
+    state["has_uint32"] = (carry + k) & 1
+    if lo_words.size:
+        state["uinteger"] = int(highs[-1])
+    bit_generator.state = state
+    coins = (words[ends[tod_after] - 1] >> np.uint64(11)) * 2.0**-53
+    return (m >> np.uint64(32)).astype(np.int64), coins
+
+
+def draw_walks(model: StackModel, rng: Optional[np.random.Generator],
+               sigs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each walk's progress-engine depth and timing-leaf coin, in order.
+
+    ``sigs`` holds one draw signature per walk; the draws consume ``rng``
+    exactly as one ``StackModel.trace_for`` call per walk would.  A
+    ``PCG64`` generator decodes them all from one block of raw words;
+    any other bit generator, or a rejected bounded draw, replays the
+    scalar calls.
+    """
+    low, high = model.DEPTH_RANGE
+    depths = np.zeros(sigs.size, dtype=np.int64)
+    tods = np.zeros(sigs.size, dtype=bool)
+    drawing = np.flatnonzero(sigs != SIG_NONE)
+    if rng is None or high <= low or not drawing.size:
+        depths[drawing] = low
+        return depths, tods
+    tod_after = sigs[drawing] == SIG_DEPTH_TOD
+    decoded = None
+    if type(rng.bit_generator) is np.random.PCG64:
+        decoded = _decode_pcg64(rng.bit_generator, tod_after, high - low + 1)
+    if decoded is None:
+        for j in range(drawing.size):  # per walk: the exact scalar sequence
+            depths[drawing[j]] = rng.integers(low, high + 1)
+            if tod_after[j]:
+                tods[drawing[j]] = rng.random() < model.TOD_THRESHOLD
+        return depths, tods
+    offsets, coins = decoded
+    depths[drawing] = low + offsets
+    tods[drawing[tod_after]] = coins < model.TOD_THRESHOLD
+    return depths, tods
+
+
 class BatchWalkSampler:
     """One daemon's walks over its processes for one sampling instant.
 
     One :meth:`trace_ids` call covers ``width x threads_per_process``
     scalar ``StackModel.trace_for`` calls: drawing each walk's
     progress-engine depth (and timing-leaf coin) from the daemon's RNG
-    and resolving the resulting trace.  The RNG is consumed
-    **bit-for-bit identically** to the scalar loop — batched
-    ``Generator.integers(size=n)`` advances the bit generator exactly as
-    ``n`` scalar calls do — so array-built and object-built trees match
-    exactly.  States whose walks interleave two draw kinds per element
-    (``SIG_DEPTH_TOD``) cannot batch across elements and fall back to a
-    scalar loop over just those elements; in the paper's populations they
-    are rare (one ``Waitall`` rank per hang).
+    through :func:`draw_walks` and resolving the resulting trace.  The
+    RNG is consumed **bit-for-bit identically** to the scalar loop, so
+    array-built and object-built trees match exactly.  The build kernel
+    keys single-threaded walks through its own table and uses this class
+    for threaded populations, whose trace ids also depend on the thread.
     """
 
     __slots__ = ("stack_model", "rng", "threads_per_process")
@@ -122,43 +207,11 @@ class BatchWalkSampler:
                            state_ids.size)
         else:
             sids, sigs, tids = state_ids, sig_slot, None
-        n = sids.size
-        low, high = model.DEPTH_RANGE
-        depths = np.zeros(n, dtype=np.int64)
-        tods = np.zeros(n, dtype=bool)
-        rng = self.rng
-        if rng is None or high <= low:
-            depths[sigs != SIG_NONE] = low
-        elif n and sigs[0] == sigs[-1] and (sigs == sigs[0]).all():
-            # Uniform population (the common case at scale): one run.
-            sig = sigs[0]
-            if sig == SIG_DEPTH:
-                depths[:] = rng.integers(low, high + 1, size=n)
-            elif sig == SIG_DEPTH_TOD:
-                for j in range(n):
-                    depths[j] = int(rng.integers(low, high + 1))
-                    tods[j] = rng.random() < model.TOD_THRESHOLD
-        else:
-            # Maximal same-signature runs, in element order: each run
-            # consumes the RNG exactly as its scalar walks would.
-            cuts = np.flatnonzero(np.diff(sigs)) + 1
-            starts = np.concatenate(([0], cuts))
-            ends = np.concatenate((cuts, [n]))
-            for lo, hi in zip(starts, ends):
-                sig = sigs[lo]
-                if sig == SIG_NONE:
-                    continue
-                if sig == SIG_DEPTH:
-                    depths[lo:hi] = rng.integers(low, high + 1,
-                                                 size=hi - lo)
-                else:  # SIG_DEPTH_TOD: two interleaved draws per element
-                    for j in range(lo, hi):
-                        depths[j] = int(rng.integers(low, high + 1))
-                        tods[j] = rng.random() < model.TOD_THRESHOLD
+        depths, tods = draw_walks(model, self.rng, sigs)
         # Map (state, depth, tod, thread) tuples to dense trace ids via
         # one composite integer key; only the few distinct tuples pay the
         # per-trace registry lookup.
-        depth_base = high + 1
+        depth_base = model.DEPTH_RANGE[1] + 1
         ukeys = (sids * depth_base + depths) * 2 + tods
         if threads > 1:
             ukeys = ukeys * threads + tids

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from per_object_oracle import STATDaemon, StackWalker
+from per_object_oracle import STATDaemon, StackWalker, reference_daemon_trees
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
 from repro.core.sampling import (
     BatchWalkSampler,
     SamplingConfig,
+    _decode_pcg64,
     cpu_dilation,
+    draw_walks,
     time_sampling_phase,
     walk_seconds,
 )
@@ -23,9 +25,16 @@ from repro.fs import MountTable, NFSServer, RamDisk, stage_binaries
 from repro.machine.atlas import AtlasMachine, atlas_binary_spec
 from repro.machine.bgl import BGLMachine
 from repro.mpi.runtime import STATES, RankState
-from repro.mpi.stacks import BGLStackModel, LinuxStackModel
+from repro.mpi.stacks import (
+    SIG_DEPTH,
+    SIG_DEPTH_TOD,
+    SIG_NONE,
+    BGLStackModel,
+    LinuxStackModel,
+)
 from repro.sim.engine import Engine
 from repro.statbench import ring_hang_states
+from repro.statbench.emulator import STATBenchEmulator
 
 
 class TestCpuDilation:
@@ -70,20 +79,56 @@ KINDS = sorted({"init", "compute", "isend", "irecv", "waitall", "barrier",
                | LinuxStackModel.DEPTH_KINDS)
 
 
-class TestOneDrawDecision:
-    """``StackModel.trace_for`` and the batch sampler draw alike."""
+def _twin_rngs(seed, carry):
+    """Two equal generators; ``carry`` leaves half a word buffered."""
+    if seed is None:
+        return None, None
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    if carry:
+        for rng in rngs:
+            rng.integers(1, 4)
+    return rngs
 
-    @settings(max_examples=150, deadline=None)
+
+def _next_draws(rng):
+    """Five draws that read the bounded-draw buffer and the word stream."""
+    return [rng.integers(1, 4), rng.random(), rng.integers(0, 7),
+            rng.integers(0, 7), rng.random()]
+
+
+def _scalar_draws(model, rng, sigs):
+    """The draws of one scalar ``trace_for`` call per signature."""
+    low, high = model.DEPTH_RANGE
+    depths = np.zeros(sigs.size, dtype=np.int64)
+    tods = np.zeros(sigs.size, dtype=bool)
+    for j, sig in enumerate(sigs.tolist()):
+        if sig != SIG_NONE:
+            depths[j] = rng.integers(low, high + 1)
+            if sig == SIG_DEPTH_TOD:
+                tods[j] = rng.random() < model.TOD_THRESHOLD
+    return depths, tods
+
+
+class TestOneDrawDecision:
+    """``StackModel.trace_for`` and the batch sampler draw alike.
+
+    The sampler draws through :func:`draw_walks`, so this is also the
+    oracle test of the batch decoder: odd and even draw counts, a
+    half-word carried in, and the generator's whole state and next
+    draws afterwards.
+    """
+
+    @settings(max_examples=200, deadline=None)
     @given(states=st.lists(st.tuples(st.sampled_from(KINDS),
                                      st.sampled_from(["main", "f"])),
-                           min_size=1, max_size=12),
+                           min_size=1, max_size=30),
            linux=st.booleans(), threads=st.integers(1, 3),
-           seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+           seed=st.one_of(st.none(), st.integers(0, 2**64 - 1)),
+           carry=st.booleans())
     def test_scalar_walks_equal_batch_walks(self, states, linux, threads,
-                                            seed):
+                                            seed, carry):
         model = LinuxStackModel() if linux else BGLStackModel()
-        scalar_rng = None if seed is None else np.random.default_rng(seed)
-        batch_rng = None if seed is None else np.random.default_rng(seed)
+        scalar_rng, batch_rng = _twin_rngs(seed, carry)
         scalar = [model.trace_for(RankState(kind, where), scalar_rng,
                                   thread_id=tid)
                   for kind, where in states for tid in range(threads)]
@@ -101,6 +146,88 @@ class TestOneDrawDecision:
         if seed is not None:
             assert batch_rng.bit_generator.state == \
                 scalar_rng.bit_generator.state
+            assert _next_draws(batch_rng) == _next_draws(scalar_rng)
+
+
+class _WideDraws(BGLStackModel):
+    """A depth range so wide that a quarter of bounded draws reject."""
+
+    DEPTH_RANGE = (0, 3 * 2**30 - 1)
+
+
+class TestBatchDecode:
+    """``draw_walks`` decodes the scalar draw sequence bit for bit."""
+
+    @pytest.mark.parametrize("carry", [False, True])
+    @pytest.mark.parametrize("count", [999, 1000])
+    def test_decoder_replays_a_long_row(self, count, carry):
+        scalar_rng, batch_rng = _twin_rngs(208_000, carry)
+        model = BGLStackModel()
+        sigs = np.random.default_rng(count).integers(
+            0, 3, size=count).astype(np.int8)
+        drawing = sigs != SIG_NONE
+        decoded = _decode_pcg64(batch_rng.bit_generator,
+                                sigs[drawing] == SIG_DEPTH_TOD, 3)
+        assert decoded is not None
+        want_depths, want_tods = _scalar_draws(model, scalar_rng, sigs)
+        offsets, coins = decoded
+        assert (1 + offsets == want_depths[drawing]).all()
+        assert ((coins < model.TOD_THRESHOLD)
+                == want_tods[sigs == SIG_DEPTH_TOD]).all()
+        assert batch_rng.bit_generator.state == \
+            scalar_rng.bit_generator.state
+
+    def test_rejection_restores_state_and_replays(self):
+        model = _WideDraws()
+        sigs = np.asarray([SIG_DEPTH, SIG_DEPTH_TOD, SIG_NONE] * 6,
+                          dtype=np.int8)
+        tod_after = sigs[sigs != SIG_NONE] == SIG_DEPTH_TOD
+        rng = np.random.default_rng(11)
+        before = rng.bit_generator.state
+        assert _decode_pcg64(rng.bit_generator, tod_after,
+                             3 * 2**30) is None
+        assert rng.bit_generator.state == before
+        scalar_rng, batch_rng = _twin_rngs(11, False)
+        got = draw_walks(model, batch_rng, sigs)
+        want = _scalar_draws(model, scalar_rng, sigs)
+        assert all((g == w).all() for g, w in zip(got, want))
+        assert batch_rng.bit_generator.state == \
+            scalar_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_other_bit_generators_replay_the_scalar_calls(self, seed):
+        model = BGLStackModel()
+        sigs = np.asarray([SIG_DEPTH_TOD, SIG_NONE, SIG_DEPTH] * 7,
+                          dtype=np.int8)
+        scalar_rng, batch_rng = (np.random.Generator(np.random.Philox(seed))
+                                 for _ in range(2))
+        got = draw_walks(model, batch_rng, sigs)
+        want = _scalar_draws(model, scalar_rng, sigs)
+        assert all((g == w).all() for g, w in zip(got, want))
+        # Philox's state holds arrays: compare their printed form.
+        assert repr(batch_rng.bit_generator.state) == \
+            repr(scalar_rng.bit_generator.state)
+        assert _next_draws(batch_rng) == _next_draws(scalar_rng)
+
+    def test_forest_row_of_every_signature_matches_oracle(self):
+        kinds = ("stall", "barrier", "waitall")  # none, depth, depth+tod
+        model = BGLStackModel()
+        assert [model.state_signatures()[STATES.intern(k, "main")]
+                for k in kinds] == [SIG_NONE, SIG_DEPTH, SIG_DEPTH_TOD]
+        task_map = TaskMap.cyclic(4, 7)
+
+        def state_of(rank):
+            return RankState(kinds[rank % 3])
+
+        for scheme in (HierarchicalLabelScheme(), DenseLabelScheme(28)):
+            emulator = STATBenchEmulator(task_map, scheme, BGLStackModel(),
+                                         state_of, num_samples=9, seed=5)
+            for d, pair in enumerate(emulator.build_forest()):
+                want_2d, want_3d = reference_daemon_trees(
+                    d, task_map, scheme, BGLStackModel(), state_of,
+                    num_samples=9, seed=5)
+                assert pair.tree_2d.arrays_equal(want_2d)
+                assert pair.tree_3d.arrays_equal(want_3d)
 
 
 class TestSTATDaemon:

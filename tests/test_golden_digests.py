@@ -133,6 +133,16 @@ SPECS = {
         "atlas", 16, topology="balanced:2", workload="uniform:8",
         sampling=SamplingConfig(num_samples=3, threads_per_process=3),
         stream=True),
+    # The batch-decoded draws: Linux depth range 2 over an odd count of
+    # walks per row, and BG/L depth + time-of-day pairs through the
+    # streamed fold.
+    "atlas32-hier-flat-uniform64-batch": _spec(
+        "atlas", 32, topology="flat", workload="uniform:64",
+        sampling=SamplingConfig(num_samples=7)),
+    "bgl32vn-dense-2deep-uniform64-stream": _spec(
+        "bgl", 32, mode="vn", scheme="dense", topology="bgl-2deep",
+        workload="uniform:64", sampling=SamplingConfig(num_samples=5),
+        stream=True),
 }
 
 #: name -> (machine, scheme ("dense" = job-width), stack model, bug,
