@@ -19,12 +19,21 @@ launches to forest scope:
   stable ``argsort`` of the whole matrix plus flat segment-boundary
   scans, and every segment's slot set is packed to label bits by
   blockwise ``np.packbits``;
-* daemons are then *grouped by their ordered distinct-trace tuple* —
-  populations have a handful of distinct tuples, and within a group the
-  BFS structure, contributor combinations, and segment permutation are
-  all identical, so label-row unions, first-occurrence dedup, and
-  node-to-row reference mapping run as one batch of matrix ops per
-  group instead of per daemon.
+* daemons are then *grouped by their ordered distinct-trace tuple*;
+  a group shares its BFS structure, contributor combinations and
+  segment permutation.  Each group probes the stack model's structure
+  cache once, and every miss of a block is built in **one**
+  :func:`~repro.core.buildarrays.build_structures` pass (one
+  ``np.unique`` and one ``lexsort`` for all of them; combinations by
+  the chain-head rule stated there);
+* label rows come from one block-wide *label pass*, whatever the
+  grouping: one gather of packed segment words and one
+  ``bitwise_or.reduceat`` give every combination of every daemon its
+  row, one stable ``lexsort`` over the row words keeps each daemon's
+  first occurrence of every distinct row, and one gather maps every
+  node to its daemon-local row.  Populations that share no trace tuple
+  (``uniform:64``: hundreds of groups per block) cost the same handful
+  of array operations as a homogeneous one.
 
 What remains per daemon is a few array views, an optional RNG draw, and
 one ``TreeArrays`` allocation.  Output is bit-identical to a per-object
@@ -42,13 +51,13 @@ multi-threaded population resolves through the batch sampler.
 
 from __future__ import annotations
 
-# Hot path: the build kernel must stay per-forest/per-group.
+# Hot path: the build kernel must stay per-forest/per-block.
 
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.buildarrays import TreeStructure, build_structure
+from repro.core.buildarrays import TreeStructure, build_structures
 from repro.core.merge import DenseLabelScheme, LabelScheme
 from repro.core.sampling import BatchWalkSampler, draw_walks
 from repro.core.taskset import DaemonLayout, TaskMap, _pack_indices
@@ -186,6 +195,31 @@ class _ForestScheme:
         self.nbytes = (width + 7) // 8  # daemon-width label row bytes
 
 
+@contract("ptr:(q):int64, group_of:(r):int64 -> index:(e):int64, "
+          "row_ptr:(p):int64")
+def _per_row(ptr: np.ndarray, group_of: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Lay every row's group slice of a group-concatenated array end to end.
+
+    ``ptr[g]:ptr[g + 1]`` is group ``g``'s slice; returns ``index``, the
+    positions that gather row ``0``'s group slice, then row ``1``'s, and
+    so on, and ``row_ptr``, where each row's copy starts and ends.
+    """
+    lengths = np.diff(ptr)[group_of]
+    row_ptr = np.zeros(group_of.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=row_ptr[1:])
+    index = np.repeat(ptr[:-1][group_of] - row_ptr[:-1], lengths) \
+        + np.arange(int(row_ptr[-1]))
+    return index, row_ptr
+
+
+def _concat(arrays: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """One array and its CSR pointer from a list of 1-D int64 arrays."""
+    ptr = np.zeros(len(arrays) + 1, dtype=np.int64)
+    np.cumsum([a.size for a in arrays], out=ptr[1:])
+    return np.concatenate(arrays), ptr
+
+
 @contract("elems:(r,n):int64, ranks_matrix:(r,w):int64 -> *")
 def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
                     threads: int, model: StackModel,
@@ -195,12 +229,14 @@ def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
                     ) -> List[TreeArrays]:
     """Trees for one chunk of daemons from their element matrix.
 
-    Daemons are grouped by ordered distinct-trace tuple; within a group
-    every per-tree quantity except the label *bits* is shared (same BFS
-    structure, same contributor combinations, same value-order-to-
-    first-seen permutation), so combo unions, first-occurrence row
-    dedup, and node->row reference mapping are computed for all of a
-    group's daemons in a fixed number of array ops.
+    Daemons are grouped by ordered distinct-trace tuple, and a group
+    shares its BFS structure, contributor combinations and value-order-
+    to-first-seen permutation.  Structures missing from the model's
+    cache are built in one :func:`build_structures` call; then every
+    combination of every daemon gets its label row from one
+    ``bitwise_or.reduceat``, first-occurrence row dedup is one
+    ``lexsort`` over the row words, and node->row references
+    are one gather — for the whole chunk, whatever its grouping.
     """
     rows = len(chunk)
     seg_ptr, first, vals, packed = _segment_rows(elems, width, threads)
@@ -217,68 +253,82 @@ def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
     fmat[seg_row, seg_col] = first
     perm2d = np.argsort(fmat, axis=1, kind="stable")
     okeys = np.take_along_axis(kmat, perm2d, axis=1)
-    _, ginv = np.unique(okeys, axis=0, return_inverse=True)
+    _, rep, ginv = np.unique(okeys, axis=0, return_index=True,
+                             return_inverse=True)
     ginv = np.asarray(ginv).reshape(-1)
-    order = np.argsort(ginv, kind="stable")
-    bounds = np.searchsorted(ginv[order],
-                             np.arange(int(ginv[order[-1]]) + 2))
+    rep_counts = seg_counts[rep]
 
+    # One cache probe per group; one structure pass for every miss.
+    cache = model.struct_cache
+    keys = [tuple(okeys[r, :k].tolist())
+            for r, k in zip(rep.tolist(), rep_counts.tolist())]  # per group: the cache key
+    structs: List[Optional[TreeStructure]] = [cache.get(k) for k in keys]
+    missing = [g for g, s in enumerate(structs) if s is None]  # per group
+    PERF.add(BUILD_STRUCT_HITS, rows - len(missing))
+    if missing:
+        PERF.add(BUILD_STRUCT_MISSES, len(missing))
+        tuples = okeys[rep[missing]]
+        built = build_structures(model.trace_paths(), tuples[tuples >= 0],
+                                 rep_counts[missing])
+        for g, struct in zip(missing, built):  # per missing group: cache insert
+            structs[g] = cache[keys[g]] = struct
+
+    # Every combination of every row: its members' segments, OR-ed.
+    pos_all, pos_ptr = _concat([s.combo_pos for s in structs])
+    seg_of_pos = perm2d[np.repeat(rep, np.diff(pos_ptr)), pos_all]
+    pos_index, pos_row_ptr = _per_row(pos_ptr, ginv)
+    members = np.repeat(seg_ptr[:-1], np.diff(pos_row_ptr)) \
+        + seg_of_pos[pos_index]
+    sizes_all, combo_ptr = _concat([np.diff(s.combo_ptr) for s in structs])
+    combo_index, combo_row_ptr = _per_row(combo_ptr, ginv)
+    sizes = sizes_all[combo_index]
     words = packed.shape[1] // 8
     packed64 = packed.view(np.uint64).reshape(nseg, words)
-    out: List[Optional[TreeArrays]] = [None] * rows
-    for g in range(bounds.size - 1):  # per distinct trace-tuple group; populations have a handful
-        rows_g = order[bounds[g]:bounds[g + 1]]
-        r0 = int(rows_g[0])
-        k = int(seg_counts[r0])
-        vperm = perm2d[r0, :k]
-        okey = tuple(okeys[r0, :k].tolist())
-        struct: Optional[TreeStructure] = model.struct_cache.get(okey)
-        if struct is None:
-            struct = model.struct_cache[okey] = build_structure(
-                model.trace_paths()[np.asarray(okey, dtype=np.int64)])
-            PERF.add(BUILD_STRUCT_MISSES)
-            PERF.add(BUILD_STRUCT_HITS, rows_g.size - 1)
+    num_entries = sizes.size
+    bits = np.bitwise_or.reduceat(packed64[members],
+                                  np.cumsum(sizes) - sizes, axis=0) \
+        if num_entries else np.zeros((0, words), dtype=np.uint64)
+    # First-occurrence dedup of each daemon's label rows, exactly
+    # mirroring a per-daemon dict dedup: entries are daemon-major, so a
+    # stable sort by the row words alone keeps each daemon's equal rows
+    # side by side, earliest first.
+    entry_row = np.repeat(np.arange(rows), np.diff(combo_row_ptr))
+    order = np.lexsort(bits.T[::-1])
+    sbits = bits[order]
+    new_run = np.ones(num_entries, dtype=bool)
+    new_run[1:] = (sbits[1:] != sbits[:-1]).any(axis=1) \
+        | (entry_row[order[1:]] != entry_row[order[:-1]])
+    first_occ = np.empty(num_entries, dtype=np.int64)
+    first_occ[order] = order[np.flatnonzero(new_run)][np.cumsum(new_run) - 1]
+    is_first = first_occ == np.arange(num_entries)
+    kept = np.ascontiguousarray(
+        bits[is_first].view(np.uint8)[:, :fscheme.nbytes])
+    kept_ptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(entry_row[is_first], minlength=rows),
+              out=kept_ptr[1:])
+    local_id = (np.cumsum(is_first) - 1)[first_occ] - kept_ptr[entry_row]
+    refs_all, refs_ptr = _concat([s.combo_refs for s in structs])
+    ref_index, ref_row_ptr = _per_row(refs_ptr, ginv)
+    refs = local_id[np.repeat(combo_row_ptr[:-1], np.diff(ref_row_ptr))
+                    + refs_all[ref_index]]
+
+    out: List[TreeArrays] = []
+    kept_cut = kept_ptr.tolist()
+    ref_cut = ref_row_ptr.tolist()
+    for ri, g in enumerate(ginv.tolist()):  # per daemon: views of the chunk arrays into one TreeArrays
+        struct = structs[g]
+        labels = kept[kept_cut[ri]:kept_cut[ri + 1]]
+        label_refs = refs[ref_cut[ri]:ref_cut[ri + 1]]
+        if fscheme.dense:
+            out.append(_dense_tree(
+                struct, labels, label_refs, width, fscheme,
+                ranks_matrix[ri], row_caches[ri]))
         else:
-            PERF.add(BUILD_STRUCT_HITS, rows_g.size)
-        seg_base = seg_ptr[rows_g]
-        num_combos = len(struct.combos)
-        parts: List[np.ndarray] = []
-        for combo in struct.combos:  # per distinct contributor combination of the group's shared structure
-            vids = vperm[combo]
-            if combo.size == 1:
-                parts.append(packed64[seg_base + int(vids[0])])
-            else:
-                parts.append(np.bitwise_or.reduce(
-                    packed64[seg_base[:, None] + vids[None, :]], axis=1))
-        bits = np.stack(parts, axis=1)  # (group, combos, words)
-        # First-occurrence dedup of label rows, batched over the group:
-        # row c maps to the unique-row id of its first equal
-        # predecessor, exactly mirroring the per-daemon dict dedup.
-        eq = (bits[:, :, None, :] == bits[:, None, :, :]).all(axis=3)
-        first_occ = np.argmax(eq, axis=2)
-        is_first = first_occ == np.arange(num_combos)
-        new_ids = np.cumsum(is_first, axis=1) - 1
-        row_map = np.take_along_axis(new_ids, first_occ, axis=1)
-        refs = row_map[:, struct.combo_refs] if struct.combo_refs.size \
-            else np.zeros((rows_g.size, 0), dtype=np.int64)
-        rsel, csel = np.nonzero(is_first)
-        kept = np.ascontiguousarray(
-            bits.view(np.uint8).reshape(rows_g.size, num_combos, -1)
-            [rsel, csel][:, :fscheme.nbytes])
-        offs = np.concatenate(([0], np.cumsum(is_first.sum(axis=1))))
-        for j, ri in enumerate(rows_g.tolist()):  # per daemon: slices shared group arrays into one TreeArrays
-            daemon_id = chunk[ri]
-            labels = kept[offs[j]:offs[j + 1]]
-            if fscheme.dense:
-                out[ri] = _dense_tree(
-                    struct, labels, refs[j], width, fscheme,
-                    ranks_matrix[ri], row_caches[ri])
-            else:
-                out[ri] = TreeArrays._trusted(
-                    KIND_HIER, struct.frame_ids, struct.parents,
-                    refs[j], struct.level_offsets, labels,
-                    layout=DaemonLayout.shared(daemon_id, width),
-                    path_ids=struct.path_ids)
+            out.append(TreeArrays._trusted(
+                KIND_HIER, struct.frame_ids, struct.parents, label_refs,
+                struct.level_offsets, labels,
+                layout=DaemonLayout.shared(chunk[ri], width),
+                path_ids=struct.path_ids))
     return out
 
 
