@@ -1,8 +1,11 @@
 """Golden digests: the refactor-safety gate (ROADMAP 6a).
 
-Every spec below runs one whole session and is reduced to four sha256
+Every spec below runs one whole session and is reduced to six sha256
 digests, one **per part** — finalized trees, equivalence classes,
-simulated timings, degradation report — so a failure names what moved.
+simulated timings, degradation report, renders (``to_ascii`` and
+``to_dot`` of both trees, plus the 6-level 3D view the CLI prints) and
+the archive (every file ``save_session`` writes) — so a failure names
+what moved.
 The goldens live in ``tests/fixtures/golden_digests.json``; a refactor
 whose acceptance is "same bits" must leave that file alone.
 
@@ -11,17 +14,20 @@ Regenerate (only when a change to the bits is intended and explained)::
     PYTHONPATH=src python tests/test_golden_digests.py
 
 ``TIMELINES`` pins :class:`~repro.core.timeline.TimelineSampler` runs
-of a live application the same way, one digest for the merged trees
-and one for the state kinds seen at each instant.
+of a live application the same way, one digest for the merged trees,
+one for their renders and one for the state kinds seen at each instant
+(a timeline has no session result, so no archive part).
 
 A spec named ``<x>+dead`` declares its dead daemons through
 ``SessionSpec.dead_daemons`` and has a twin ``<x>+crash`` declaring the
 same set as ``FaultPlan`` crashes at t=0.  The two spellings parse into
-the same plan, so every part of their digests must agree.
+the same plan, so every part of their digests must agree except the
+archive, whose ``session.json`` embeds the spec as spelled.
 """
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -33,8 +39,10 @@ from repro.apps.bugs import NO_BUG, HangBeforeSend
 from repro.core.codec import pack_tree
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
 from repro.core.sampling import SamplingConfig
+from repro.core.session import save_session
 from repro.core.taskset import TaskMap
 from repro.core.timeline import TimelineSampler
+from repro.core.visualize import to_ascii, to_dot
 from repro.faults.plan import (
     DaemonCrash,
     DaemonStall,
@@ -167,6 +175,23 @@ def _sha(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _render(tree_2d, tree_3d) -> str:
+    """Every rendering a user sees, as the CLI and the archive print them."""
+    return "\n\0\n".join([
+        to_ascii(tree_2d), to_dot(tree_2d),
+        to_ascii(tree_3d), to_dot(tree_3d, graph_name="stat_3d_tree"),
+        to_ascii(tree_3d.truncated_at_depth(6)),
+    ])
+
+
+def _archive(result, spec) -> str:
+    """sha256 of each file ``save_session`` writes, by file name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = save_session(result, Path(tmp) / "session", spec=spec)
+        files = {f.name: _sha(f.read_bytes()) for f in out.iterdir()}
+    return json.dumps(files, sort_keys=True)
+
+
 def digests(name: str) -> dict:
     """Run ``SPECS[name]`` and digest each part of its result."""
     spec, stream = SPECS[name]
@@ -179,6 +204,8 @@ def digests(name: str) -> dict:
         "timings": _sha(repr(sorted(result.timings.items()))),
         "degradation": _sha(json.dumps(result.degradation.to_dict(),
                                        sort_keys=True)),
+        "render": _sha(_render(result.tree_2d, result.tree_3d)),
+        "archive": _sha(_archive(result, spec)),
     }
 
 
@@ -193,6 +220,7 @@ def timeline_digests(name: str) -> dict:
         ring_program(bug=bug, compute_seconds=2.0e-4), times)
     return {
         "trees": _sha(pack_tree(result.tree_2d) + pack_tree(result.tree_3d)),
+        "render": _sha(_render(result.tree_2d, result.tree_3d)),
         "states": _sha(repr([sorted(s) for s in result.states_seen])),
     }
 
@@ -220,7 +248,10 @@ def test_digests_match_golden(name, golden):
 @pytest.mark.parametrize(
     "name", sorted(n for n in SPECS if n.endswith("+dead")))
 def test_dead_daemons_and_crash_plan_are_one_spelling(name, golden):
-    assert golden[name] == golden[name[:-len("+dead")] + "+crash"]
+    # The archive embeds the spec as written, so only it may differ.
+    twin = golden[name[:-len("+dead")] + "+crash"]
+    assert {k: v for k, v in golden[name].items() if k != "archive"} == \
+        {k: v for k, v in twin.items() if k != "archive"}
 
 
 if __name__ == "__main__":

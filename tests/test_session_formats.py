@@ -1,11 +1,28 @@
 """Session archive formats: v2 writes, v1 read compatibility, spec replay."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.api import SessionSpec
+from repro.core.codec import pack_tree
 from repro.core.session import load_session, save_session
+from repro.core.visualize import to_dot
+
+#: A v2 archive saved once and committed as text: a 16-daemon BG/L ring
+#: hang with daemons 3 and 11 crashed at t=0 (its spec is inside).  The
+#: two ``.stpt`` trees are kept as hex strings in ``stpt_hex.json``.
+SAVED_V2 = Path(__file__).parent / "fixtures" / "session_v2_bgl16_crash"
+
+
+def saved_v2_files() -> dict:
+    """Every file of the saved archive, by name, as bytes."""
+    files = {name: (SAVED_V2 / name).read_bytes()
+             for name in ("session.json", "tree_3d.dot")}
+    hexed = json.loads((SAVED_V2 / "stpt_hex.json").read_text())
+    files.update((name, bytes.fromhex(h)) for name, h in hexed.items())
+    return files
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +101,42 @@ class TestV1ReadCompatibility:
     def test_missing_meta_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_session(tmp_path)
+
+
+class TestSavedV2Archive:
+    """A committed archive reads back to the session that wrote it."""
+
+    @pytest.fixture(scope="class")
+    def saved(self):
+        return saved_v2_files()
+
+    @pytest.fixture(scope="class")
+    def archive(self, saved, tmp_path_factory):
+        root = tmp_path_factory.mktemp("session_v2_bgl16_crash")
+        for name, data in saved.items():
+            (root / name).write_bytes(data)
+        return load_session(root)
+
+    def test_classes_equal_a_fresh_run_of_its_spec(self, archive):
+        replay = archive.spec.run().result
+        assert archive.classes == replay.classes
+        assert [(c.label(), c.size, c.representative)
+                for c in archive.classes] == \
+            [(c["label"], c["size"], c["representative"])
+             for c in archive.meta["classes"]]
+        assert list(replay.merge.missing_daemons) == \
+            archive.meta["missing_daemons"] == [3, 11]
+
+    def test_trees_reencode_to_the_saved_bytes(self, archive, saved):
+        for name in ("tree_2d", "tree_3d"):
+            assert pack_tree(getattr(archive, name)) == saved[f"{name}.stpt"]
+        assert to_dot(archive.tree_3d, graph_name="stat_3d_tree") == \
+            saved["tree_3d.dot"].decode()
+
+    def test_resaving_a_replay_writes_the_same_files(self, archive, saved,
+                                                     tmp_path):
+        spec = archive.spec
+        out = save_session(spec.run().result, tmp_path / "again", spec=spec)
+        assert sorted(f.name for f in out.iterdir()) == sorted(saved)
+        for name, data in saved.items():
+            assert (out / name).read_bytes() == data, name
