@@ -59,6 +59,7 @@ ROOT = Path(__file__).resolve().parent.parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from per_object_oracle import (  # noqa: E402
+    object_tree,
     reference_daemon_trees,
     reference_merge,
 )
@@ -285,8 +286,8 @@ def _bench_merge(scheme: LabelScheme, daemons: int, samples: int,
     build_seconds = time.perf_counter() - start
     arrays_2d = [p.tree_2d for p in pairs]
     arrays_3d = [p.tree_3d for p in pairs]
-    objects_2d = [a.to_prefix_tree() for a in arrays_2d]
-    objects_3d = [a.to_prefix_tree() for a in arrays_3d]
+    objects_2d = [object_tree(a) for a in arrays_2d]
+    objects_3d = [object_tree(a) for a in arrays_3d]
 
     reference_seconds, (ref_2d, ref_3d) = _best(
         lambda: (reference_merge(scheme.name, objects_2d),
@@ -311,8 +312,9 @@ def _bench_merge(scheme: LabelScheme, daemons: int, samples: int,
         reference_seconds=reference_seconds,
         vectorized_seconds=vectorized_seconds,
         speedup=_ratio(reference_seconds, vectorized_seconds),
-        equal=(merged_2d.structurally_equal(ref_2d)
-               and merged_3d.structurally_equal(ref_3d)),
+        equal=(merged_2d.structurally_equal(ref_2d.to_arrays(scheme.kind))
+               and merged_3d.structurally_equal(
+                   ref_3d.to_arrays(scheme.kind))),
         counters=counters,
     )
 

@@ -41,7 +41,6 @@ from repro.core.equivalence import EquivalenceClass, equivalence_classes
 from repro.core.frontend import STATFrontEnd, STATResult
 from repro.core.frames import Frame, StackTrace
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
-from repro.core.prefix_tree import PrefixTree
 from repro.core.taskset import (
     DaemonLayout,
     DenseBitVector,
@@ -65,7 +64,6 @@ __all__ = [
     "RingApp",
     "Frame",
     "StackTrace",
-    "PrefixTree",
     "DenseBitVector",
     "HierarchicalTaskSet",
     "DaemonLayout",

@@ -9,8 +9,8 @@ Analysis Tool itself:
   :class:`HierarchicalTaskSet` with front-end :class:`RankRemapper`.
 * :mod:`repro.core.ranklist` — compressed rank lists for edge labels
   (``"1022:[0,3-1023]"`` as in Figure 1).
-* :mod:`repro.core.frames` / :mod:`repro.core.prefix_tree` — stack frames and
-  the 2D trace-space / 3D trace-space-time call graph prefix trees.
+* :mod:`repro.core.frames` / :mod:`repro.core.treearrays` — stack frames
+  and the 2D trace-space / 3D trace-space-time call graph prefix trees.
 * :mod:`repro.core.merge` — the STAT filter kernel that merges trees.
 * :mod:`repro.core.equivalence` — process equivalence classes and
   representative-task selection.
@@ -25,7 +25,6 @@ from repro.core.codec import pack_tree, unpack_tree
 from repro.core.equivalence import EquivalenceClass, equivalence_classes, \
     triage_classes
 from repro.core.frames import Frame, StackTrace
-from repro.core.prefix_tree import PrefixTree, PrefixTreeNode
 from repro.core.queries import TreeQuery
 from repro.core.ranklist import format_rank_list, parse_rank_list
 from repro.core.session import load_session, save_session
@@ -36,6 +35,7 @@ from repro.core.taskset import (
     RankRemapper,
     TaskMap,
 )
+from repro.core.treearrays import TreeArrays
 
 __all__ = [
     "DenseBitVector",
@@ -45,8 +45,7 @@ __all__ = [
     "RankRemapper",
     "Frame",
     "StackTrace",
-    "PrefixTree",
-    "PrefixTreeNode",
+    "TreeArrays",
     "EquivalenceClass",
     "equivalence_classes",
     "triage_classes",

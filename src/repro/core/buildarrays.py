@@ -1,8 +1,8 @@
 """Vectorized BFS construction of daemon tree structures from trace ids.
 
-A per-object build inserts every sampled trace into a
-:class:`~repro.core.prefix_tree.PrefixTree` and flattens it level by
-level (the frozen oracle in ``tests/per_object_oracle.py``).
+A per-object build inserts every sampled trace into a linked object
+tree and flattens it level by level (the frozen oracle in
+``tests/per_object_oracle.py``).
 :func:`build_structures` produces the same BFS-level arrays for a whole
 batch of *distinct-trace tuples* at once — each tuple one daemon's
 traces in first-seen order, each trace a padded **path-id** row

@@ -11,15 +11,17 @@ and a GUI or later analysis can reload it.
 Wire format (all integers little-endian):
 
 * tree header: magic ``b'STPT'``, u8 version, u8 label kind, u16 reserved
-* recursively, per node (preorder): frame (u32 function length + bytes,
-  u16 module length + bytes), label, u32 child count
+* u32 child count of the root, then per node in
+  :meth:`~repro.core.treearrays.TreeArrays.preorder`: frame (u32
+  function length + bytes, u16 module length + bytes), label, u32 child
+  count
 * dense label: u32 width in bits + packed bytes
 * hierarchical label: u32 chunk count, per chunk (u32 daemon id, u32 width)
   — the 64-bit header per chunk of the wire model — then packed bytes
 
-The per-node ``+8`` in :meth:`PrefixTree.serialized_bytes` covers the
-child count plus framing; the codec matches it exactly, which is asserted
-by tests and by :func:`verify_size_model`.
+The per-node ``+8`` in :meth:`TreeArrays.serialized_bytes` covers the
+child count plus framing; :func:`verify_size_model` holds the model to
+the real encoding.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ from typing import Any, List, Tuple
 
 import numpy as np
 
+from repro.core.buildarrays import segment_bounds
 from repro.core.frames import Frame
-from repro.core.prefix_tree import PrefixTree, PrefixTreeNode
-from repro.core.taskset import DaemonLayout, DenseBitVector, \
-    HierarchicalTaskSet
+from repro.core.interning import FRAMES
+from repro.core.taskset import DaemonLayout
+from repro.core.treearrays import KIND_DENSE, KIND_HIER, TreeArrays
 
 __all__ = ["pack_tree", "unpack_tree", "verify_size_model", "CodecError"]
 
@@ -46,16 +49,6 @@ class CodecError(ValueError):
     """Malformed buffer or unsupported label type."""
 
 
-def _label_kind(tree: PrefixTree) -> int:
-    for _, label in tree.edges():
-        if isinstance(label, DenseBitVector):
-            return _KIND_DENSE
-        if isinstance(label, HierarchicalTaskSet):
-            return _KIND_HIERARCHICAL
-        raise CodecError(f"unsupported label type {type(label).__name__}")
-    return _KIND_DENSE  # empty tree: kind is irrelevant
-
-
 def _pack_frame(out: List[bytes], frame: Frame) -> None:
     fn = frame.function.encode()
     mod = frame.module.encode()
@@ -65,35 +58,37 @@ def _pack_frame(out: List[bytes], frame: Frame) -> None:
     out.append(mod)
 
 
-def _pack_label(out: List[bytes], label: Any, kind: int) -> None:
-    if kind == _KIND_DENSE:
-        if not isinstance(label, DenseBitVector):
-            raise CodecError("mixed label types in one tree")
-        out.append(struct.pack("<I", label.width))
-        out.append(label.data.tobytes())
-    else:
-        if not isinstance(label, HierarchicalTaskSet):
-            raise CodecError("mixed label types in one tree")
-        layout = label.layout
-        out.append(struct.pack("<I", len(layout)))
-        for daemon_id, width in zip(layout.daemon_ids, layout.widths):
-            out.append(struct.pack("<II", daemon_id, width))
-        out.append(label.data.tobytes())
+def _label_header(tree: TreeArrays) -> bytes:
+    """The bytes every label of ``tree`` starts with: a dense label's
+    width, or a hierarchical label's chunk table."""
+    if tree.kind == KIND_DENSE:
+        width = tree.width if tree.width is not None \
+            else tree.labels.shape[1] * 8
+        return struct.pack("<I", width)
+    layout = tree.layout
+    return struct.pack("<I", len(layout)) + b"".join(
+        struct.pack("<II", daemon_id, width)
+        for daemon_id, width in zip(layout.daemon_ids, layout.widths))
 
 
-def pack_tree(tree: PrefixTree) -> bytes:
-    """Serialize a tree (and its labels) to bytes."""
-    kind = _label_kind(tree)
-    out: List[bytes] = [_MAGIC, struct.pack("<BBH", _VERSION, kind, 0)]
-
-    def rec(node: PrefixTreeNode) -> None:
-        out.append(struct.pack("<I", len(node.children)))
-        for frame, child in node.children.items():
-            _pack_frame(out, frame)
-            _pack_label(out, child.tasks, kind)
-            rec(child)
-
-    rec(tree.root)
+def pack_tree(tree: TreeArrays) -> bytes:
+    """Serialize a tree (and its labels) to bytes, nodes in preorder."""
+    if not isinstance(tree, TreeArrays):
+        raise CodecError(f"cannot pack a {type(tree).__name__}")
+    # An empty tree has no labels, so its kind byte is irrelevant.
+    kind = _KIND_HIERARCHICAL if tree.kind == KIND_HIER \
+        and tree.node_count() else _KIND_DENSE
+    header = _label_header(tree)
+    rows = [header + row.tobytes() for row in tree.labels]
+    refs = tree.label_refs.tolist()
+    frames = FRAMES.frames_of(tree.frame_ids)
+    kids = tree.children()
+    out: List[bytes] = [_MAGIC, struct.pack("<BBH", _VERSION, kind, 0),
+                        struct.pack("<I", len(kids[-1]))]
+    for node in tree.preorder():
+        _pack_frame(out, frames[node])
+        out.append(rows[refs[node]])
+        out.append(struct.pack("<I", len(kids[node])))
     return b"".join(out)
 
 
@@ -131,26 +126,23 @@ def _unpack_frame(r: _Reader) -> Frame:
     return Frame(fn, mod)
 
 
-def _unpack_label(r: _Reader, kind: int) -> Any:
+def _unpack_label(r: _Reader, kind: int) -> Tuple[Any, np.ndarray]:
+    """One label as ``(width or layout, packed bytes)``."""
     if kind == _KIND_DENSE:
         width = r.u32()
-        nbytes = (width + 7) // 8
-        data = np.frombuffer(r.take(nbytes), dtype=np.uint8).copy()
-        return DenseBitVector(width, data)
-    chunks = r.u32()
-    ids: List[int] = []
-    widths: List[int] = []
-    for _ in range(chunks):
-        daemon_id, width = struct.unpack("<II", r.take(8))
-        ids.append(daemon_id)
-        widths.append(width)
-    layout = DaemonLayout(ids, widths)
-    data = np.frombuffer(r.take(layout.nbytes), dtype=np.uint8).copy()
-    return HierarchicalTaskSet(layout, data)
+        return width, np.frombuffer(r.take((width + 7) // 8), dtype=np.uint8)
+    table = np.frombuffer(r.take(8 * r.u32()), dtype="<u4").reshape(-1, 2)
+    layout = DaemonLayout(table[:, 0].tolist(), table[:, 1].tolist())
+    return layout, np.frombuffer(r.take(layout.nbytes), dtype=np.uint8)
 
 
-def unpack_tree(buf: bytes) -> PrefixTree:
-    """Inverse of :func:`pack_tree`; validates framing strictly."""
+def unpack_tree(buf: bytes) -> TreeArrays:
+    """Inverse of :func:`pack_tree`; validates framing strictly.
+
+    Returns the tree in BFS order (a stable sort of the preorder by
+    depth, so :meth:`TreeArrays.preorder` gives the packed order back)
+    with one label row per node.
+    """
     r = _Reader(buf)
     if r.take(4) != _MAGIC:
         raise CodecError("bad magic: not a packed prefix tree")
@@ -161,23 +153,45 @@ def unpack_tree(buf: bytes) -> PrefixTree:
     if kind not in (_KIND_DENSE, _KIND_HIERARCHICAL):
         raise CodecError(f"unknown label kind {kind}")
 
-    tree = PrefixTree()
+    frame_ids: List[int] = []
+    parents: List[int] = []
+    depths: List[int] = []
+    labels: List[Tuple[Any, np.ndarray]] = []
 
-    def rec(node: PrefixTreeNode) -> None:
+    def rec(parent: int, depth: int) -> None:
         for _ in range(r.u32()):
-            frame = _unpack_frame(r)
-            label = _unpack_label(r, kind)
-            child = PrefixTreeNode(frame, label)
-            node.children[frame] = child
-            rec(child)
+            node = len(frame_ids)
+            frame_ids.append(_unpack_frame(r).id)
+            parents.append(parent)
+            depths.append(depth)
+            labels.append(_unpack_label(r, kind))
+            rec(node, depth + 1)
 
-    rec(tree.root)
+    rec(-1, 0)
     if not r.done():
         raise CodecError(f"{len(buf) - r.pos} trailing bytes")
-    return tree
+    shapes = {shape for shape, _ in labels}
+    if len(shapes) > 1:
+        raise CodecError("labels of one tree disagree on their shape")
+
+    if not labels:
+        return TreeArrays.empty(KIND_DENSE, width=0)
+    shape = shapes.pop()
+    hier = kind == _KIND_HIERARCHICAL
+    depth = np.asarray(depths, dtype=np.int64)
+    order = np.argsort(depth, kind="stable")  # preorder -> BFS
+    index = np.argsort(order)
+    up = np.asarray(parents, dtype=np.int64)[order]
+    return TreeArrays(
+        KIND_HIER if hier else KIND_DENSE,
+        np.asarray(frame_ids, dtype=np.int64)[order],
+        np.where(up >= 0, index[up], -1), np.arange(order.size),
+        segment_bounds(depth, int(depth.max()) + 1),
+        np.stack([row for _, row in labels])[order],
+        width=None if hier else shape, layout=shape if hier else None)
 
 
-def verify_size_model(tree: PrefixTree, tolerance: float = 0.15) -> Tuple[int, int]:
+def verify_size_model(tree: TreeArrays, tolerance: float = 0.15) -> Tuple[int, int]:
     """Check the analytic wire-size model against the real encoding.
 
     Returns ``(modelled, actual)`` byte counts; raises ``AssertionError``

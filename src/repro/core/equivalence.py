@@ -19,8 +19,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.core.frames import StackTrace
-from repro.core.prefix_tree import PrefixTree
 from repro.core.ranklist import format_edge_label, normalize_ranks
+from repro.core.treearrays import TreeArrays
 from repro.lint.contracts import contract
 
 __all__ = ["EquivalenceClass", "equivalence_classes", "representatives"]
@@ -108,7 +108,7 @@ def _group_pairs(ranks: np.ndarray, nodes: np.ndarray,
             in zip(first[starts].tolist(), count[starts].tolist(), members)]
 
 
-def equivalence_classes(tree: PrefixTree) -> List[EquivalenceClass]:
+def equivalence_classes(tree: TreeArrays) -> List[EquivalenceClass]:
     """Extract equivalence classes from a merged, finalized prefix tree.
 
     Parameters
@@ -134,31 +134,33 @@ def equivalence_classes(tree: PrefixTree) -> List[EquivalenceClass]:
     stable sort of the ``(rank, preorder node)`` pairs split where a
     rank's node set changes (:func:`_group_pairs`), and only the finished
     classes become tuples of Python ``int``.  Memory is proportional to
-    the summed terminal-set sizes, never to ``nodes x tasks``.
+    the summed terminal-set sizes, never to ``nodes x tasks``.  The
+    preorder (:meth:`TreeArrays.preorder`) fixes the tie order of a
+    class's ``paths``, which are sorted by function names only.
     """
-    paths: List[StackTrace] = []
+    refs = tree.label_refs.tolist()
+    ranks_of = {ref: normalize_ranks(tree.make_label(ref).to_ranks())
+                for ref in np.unique(tree.label_refs).tolist()}
+    top = max((int(a[-1]) for a in ranks_of.values() if a.size), default=-1)
+    mask = np.zeros(top + 1, dtype=bool)
+    kids = tree.children()
+    order = tree.preorder()
     terminals: List[np.ndarray] = []
-    mask = np.zeros(0, dtype=bool)
-    for path, node in tree.walk():
-        ranks = normalize_ranks(node.tasks.to_ranks())
-        if node.children:
-            children = [normalize_ranks(child.tasks.to_ranks())
-                        for child in node.children.values()]
-            top = max((int(a[-1]) for a in (ranks, *children) if a.size),
-                      default=-1)
-            if top >= mask.size:
-                mask = np.zeros(top + 1, dtype=bool)
-            ranks = _terminal_ranks(ranks, children, mask)
-        paths.append(path)
+    for node in order:
+        ranks = ranks_of[refs[node]]
+        if kids[node]:
+            ranks = _terminal_ranks(
+                ranks, [ranks_of[refs[c]] for c in kids[node]], mask)
         terminals.append(ranks)
     sizes = [ranks.size for ranks in terminals]
     if not any(sizes):
         return []
 
+    paths = tree.paths()
     nodes = np.repeat(np.arange(len(terminals)), sizes)
     classes = [
         EquivalenceClass(
-            paths=tuple(sorted((paths[i] for i in node_ids.tolist()),
+            paths=tuple(sorted((paths[order[i]] for i in node_ids.tolist()),
                                key=lambda p: tuple(f.function for f in p))),
             ranks=tuple(members.tolist()),
         )
@@ -178,7 +180,7 @@ def mpi_api_boundary(path: StackTrace, frame) -> bool:
     return frame.function.startswith(("PMPI_", "MPI_"))
 
 
-def triage_classes(tree: PrefixTree) -> List[EquivalenceClass]:
+def triage_classes(tree: TreeArrays) -> List[EquivalenceClass]:
     """Equivalence classes at the MPI API boundary (the triage view)."""
     return equivalence_classes(tree.truncated(mpi_api_boundary))
 

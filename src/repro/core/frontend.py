@@ -28,9 +28,9 @@ from repro.core.merge import (
     HierarchicalLabelScheme,
     LabelScheme,
 )
-from repro.core.prefix_tree import PrefixTree
 from repro.core.sampling import SamplingConfig, SamplingTimeReport
 from repro.core.taskset import TaskMap
+from repro.core.treearrays import TreeArrays
 from repro.fs.sbrs import RelocationReport
 from repro.launch.base import Launcher, LaunchResult
 from repro.launch.ciod import BglSystemLauncher
@@ -57,9 +57,9 @@ class STATResult:
     """Everything one STAT session produced."""
 
     #: rank-ordered, dense-labelled 2D tree (last sample)
-    tree_2d: PrefixTree
+    tree_2d: TreeArrays
     #: rank-ordered, dense-labelled 3D tree (all samples)
-    tree_3d: PrefixTree
+    tree_3d: TreeArrays
     #: equivalence classes from the 2D tree, largest first
     classes: List[EquivalenceClass]
     launch: LaunchResult

@@ -26,17 +26,15 @@ span-limited ``|=`` pass per source tree (dense) or one zero-filled
 slice-assignment pass per source tree (hierarchical), k-way instead of
 pairwise, with no per-node allocation.
 
-**Tree model.**  :class:`~repro.core.treearrays.TreeArrays` is the only
-tree type this module merges: daemons build arrays, every TBO̅N level
-merges arrays into arrays, and a scheme's :meth:`~LabelScheme.finalize`
-is the single place a :class:`~repro.core.prefix_tree.PrefixTree` is
-built — the finalized, dense-labelled presentation object the front end
-hands to equivalence classes, queries, rendering and the archive codec.
-Callers holding an object tree (tests, the frozen oracles) convert with
-:meth:`TreeArrays.from_prefix_tree` before they call in.  The
-pre-vectorization recursive kernels live on as test oracles
-(``tests/per_object_oracle.py``), and the equivalence property tests
-assert bit-identical trees between old and new on randomized inputs.
+**One tree type.**  :class:`~repro.core.treearrays.TreeArrays` is the
+only tree type here: daemons build arrays, every TBO̅N level merges
+arrays into arrays, and a scheme's :meth:`~LabelScheme.finalize` returns
+arrays with dense, rank-ordered labels, which the front end hands to
+equivalence classes, queries, rendering and the archive codec.  The
+pre-vectorization recursive kernels, and the object tree they merge,
+live on as test oracles (``tests/per_object_oracle.py``), and the
+equivalence property tests assert equal trees between old and new on
+randomized inputs.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from typing import Any, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.prefix_tree import PrefixTree
 from repro.lint.contracts import contract
 from repro.core.taskset import (
     DaemonLayout,
@@ -140,9 +137,9 @@ class LabelScheme:
         raise NotImplementedError
 
     def finalize(self, root_tree: TreeArrays,
-                 task_map: TaskMap) -> PrefixTree:
-        """Front-end post-processing to a rank-ordered, dense-labelled
-        :class:`PrefixTree` — the one array->object conversion."""
+                 task_map: TaskMap) -> TreeArrays:
+        """Front-end post-processing to the rank-ordered tree with dense
+        labels (kind ``"dense"``) that the front end keeps."""
         raise NotImplementedError
 
 
@@ -282,10 +279,10 @@ class DenseLabelScheme(LabelScheme):
                           path_ids=path_ids)
 
     def finalize(self, root_tree: TreeArrays,
-                 task_map: TaskMap) -> PrefixTree:
-        """Dense labels are already global and rank-ordered: the object
-        view of the arrays is the finalized tree."""
-        return root_tree.to_prefix_tree()
+                 task_map: TaskMap) -> TreeArrays:
+        """Dense labels are already global and rank-ordered: the merged
+        tree is the finalized tree."""
+        return root_tree
 
 
 class HierarchicalLabelScheme(LabelScheme):
@@ -351,13 +348,13 @@ class HierarchicalLabelScheme(LabelScheme):
                           path_ids=path_ids)
 
     def finalize(self, root_tree: TreeArrays,
-                 task_map: TaskMap) -> PrefixTree:
+                 task_map: TaskMap) -> TreeArrays:
         """The front-end **remap** (Section V-C; 0.66 s at 208K tasks).
 
         Rearranges every distinct concatenation-ordered label row into
-        MPI rank order in one pass over the label matrix, returning a
-        dense-labelled tree suitable for rendering and equivalence-class
-        extraction.
+        MPI rank order in one pass over the label matrix, returning the
+        same nodes with dense labels, ready for rendering and
+        equivalence-class extraction.
         """
         if root_tree.kind != KIND_HIER:
             raise TypeError("tree does not carry hierarchical labels")
@@ -366,4 +363,4 @@ class HierarchicalLabelScheme(LabelScheme):
             KIND_DENSE, root_tree.frame_ids, root_tree.parents,
             root_tree.label_refs, root_tree.level_offsets,
             remapper.remap_rows(root_tree.labels),
-            width=remapper.total_tasks).to_prefix_tree()
+            width=remapper.total_tasks, path_ids=root_tree.path_ids)

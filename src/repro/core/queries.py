@@ -12,11 +12,15 @@ rule that "tools must avoid global views of all tasks" anywhere else.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.equivalence import EquivalenceClass, equivalence_classes
 from repro.core.frames import StackTrace
-from repro.core.prefix_tree import PrefixTree
+from repro.core.interning import FRAMES
 from repro.core.taskset import DenseBitVector
+from repro.core.treearrays import KIND_DENSE, TreeArrays
 
 __all__ = ["TreeQuery"]
 
@@ -24,43 +28,41 @@ __all__ = ["TreeQuery"]
 class TreeQuery:
     """Set-algebra queries over one finalized tree."""
 
-    def __init__(self, tree: PrefixTree) -> None:
-        self.tree = tree
-        widths = {label.width for _, label in tree.edges()
-                  if isinstance(label, DenseBitVector)}
-        if not widths:
+    def __init__(self, tree: TreeArrays) -> None:
+        if tree.kind != KIND_DENSE or not tree.node_count():
             raise ValueError(
                 "TreeQuery needs a finalized tree with dense labels "
                 "(run scheme.finalize first)")
-        if len(widths) != 1:
-            raise ValueError(f"inconsistent label widths: {widths}")
-        self.total_tasks = widths.pop()
+        self.tree = tree
+        self.total_tasks = tree.label_of(0).width
+        self._paths = tree.paths()
+        self._classes: Optional[List[EquivalenceClass]] = None
+
+    def _union(self, nodes) -> DenseBitVector:
+        """The union of the edge labels into ``nodes``."""
+        rows = self.tree.labels[self.tree.label_refs[nodes]]
+        return DenseBitVector(self.total_tasks,
+                              np.bitwise_or.reduce(rows, axis=0))
 
     # -- basic selectors ------------------------------------------------------
     def all_tasks(self) -> DenseBitVector:
         """Every task observed anywhere in the tree."""
-        out = DenseBitVector.empty(self.total_tasks)
-        for child in self.tree.root.children.values():
-            out.union_inplace(child.tasks)
-        return out
+        return self._union(self.tree.children()[-1])
 
     def tasks_at(self, path: StackTrace) -> DenseBitVector:
         """Tasks whose traces pass through exactly this call path."""
-        node = self.tree.find(path)
-        if node is None:
-            return DenseBitVector.empty(self.total_tasks)
-        return node.tasks.copy()
+        node = self.tree.node_at(path)
+        return DenseBitVector.empty(self.total_tasks) if node is None \
+            else self.tree.label_of(node).copy()
 
     def tasks_in_function(self, function: str,
                           module: Optional[str] = None) -> DenseBitVector:
         """Tasks with ``function`` anywhere on their sampled stacks."""
-        out = DenseBitVector.empty(self.total_tasks)
-        for path, node in self.tree.walk():
-            frame = path.leaf
-            if frame.function == function and \
-                    (module is None or frame.module == module):
-                out.union_inplace(node.tasks)
-        return out
+        nodes = [node for node, frame in
+                 enumerate(FRAMES.frames_of(self.tree.frame_ids))
+                 if frame.function == function
+                 and (module is None or frame.module == module)]
+        return self._union(nodes)
 
     # -- composite triage questions ---------------------------------------------
     def reached_but_not(self, reached: str, not_reached: str) -> DenseBitVector:
@@ -83,13 +85,9 @@ class TreeQuery:
         returns ``(path, ranks)`` sorted by set size then path.
         """
         found: List[Tuple[StackTrace, List[int]]] = []
-        for path, node in self.tree.walk():
-            terminal = node.tasks.copy()
-            for child in node.children.values():
-                terminal = terminal - child.tasks
-            count = terminal.count()
-            if 0 < count <= max_class_size:
-                found.append((path, terminal.to_ranks().tolist()))
+        for node, terminal in self._terminals():
+            if 0 < terminal.count() <= max_class_size:
+                found.append((self._paths[node], terminal.to_ranks().tolist()))
         found.sort(key=lambda item: (len(item[1]),
                                      tuple(f.function for f in item[0])))
         return found
@@ -98,26 +96,32 @@ class TreeQuery:
         """Every call path a specific rank was observed on.
 
         The question a user asks right before attaching the heavyweight
-        debugger: "what was rank 1 actually doing?"
+        debugger: "what was rank 1 actually doing?"  (Where its traces
+        end: a leaf, or an internal node no child of which carries it.)
         """
-        paths = [path for path, node in self.tree.walk()
-                 if rank in node.tasks and node.is_leaf()]
-        # include internal terminal positions
-        for path, node in self.tree.walk():
-            if node.is_leaf() or rank not in node.tasks:
-                continue
-            if not any(rank in child.tasks
-                       for child in node.children.values()):
-                paths.append(path)
+        paths = [self._paths[node] for node, terminal in self._terminals()
+                 if rank in terminal]
         return sorted(paths, key=lambda p: tuple(f.function for f in p))
 
     def class_of(self, rank: int) -> DenseBitVector:
-        """All tasks behaviourally identical to ``rank`` (same paths)."""
-        mine = {str(p) for p in self.where_is(rank)}
-        out = DenseBitVector.empty(self.total_tasks)
-        if not mine:
-            return out
-        candidates = self.all_tasks().to_ranks()
-        members = [int(r) for r in candidates
-                   if {str(p) for p in self.where_is(int(r))} == mine]
-        return DenseBitVector.from_ranks(members, self.total_tasks)
+        """All tasks behaviourally identical to ``rank`` (same paths).
+
+        That is the member of :func:`equivalence_classes` holding
+        ``rank``, or no task if ``rank`` was never observed.
+        """
+        if self._classes is None:
+            self._classes = equivalence_classes(self.tree)
+        for cls in self._classes:
+            if rank in cls.ranks:
+                return DenseBitVector.from_ranks(cls.ranks, self.total_tasks)
+        return DenseBitVector.empty(self.total_tasks)
+
+    def _terminals(self) -> Iterator[Tuple[int, DenseBitVector]]:
+        """``(node, tasks whose traces end there)`` in preorder."""
+        tree = self.tree
+        kids = tree.children()
+        for node in tree.preorder():
+            terminal = tree.label_of(node)
+            if kids[node]:
+                terminal = terminal - self._union(kids[node])
+            yield node, terminal

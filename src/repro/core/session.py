@@ -5,13 +5,13 @@ the equivalence classes to a *separate* heavyweight debugger, so the
 merged trees must survive on disk.  A saved session directory contains:
 
 * ``tree_2d.stpt`` / ``tree_3d.stpt`` — the finalized trees in the binary
-  codec of :mod:`repro.core.codec`;
+  codec of :mod:`repro.core.codec` (nodes in preorder);
 * ``session.json`` — machine description, phase timings, class summary;
 * ``tree_3d.dot`` — ready-to-render Graphviz output.
 
-``load_session`` restores the trees and re-derives the classes, so the
-triage queries (:mod:`repro.core.queries`) work on archived sessions
-exactly as on live ones.  Re-deriving is an array pass over the 2D tree
+``load_session`` restores the trees (as ``TreeArrays``, like a live
+session's) and re-derives the classes, so the triage queries
+(:mod:`repro.core.queries`) work on archived sessions as on live ones.  Re-deriving is an array pass over the 2D tree
 (milliseconds at 208K tasks), which is why the archive stores only the
 class *summary* and no class file that could disagree with the trees.
 
@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING, Union
 from repro.core.codec import pack_tree, unpack_tree
 from repro.core.equivalence import EquivalenceClass, triage_classes
 from repro.core.frontend import STATResult
-from repro.core.prefix_tree import PrefixTree
+from repro.core.treearrays import TreeArrays
 from repro.core.visualize import to_dot
 
 if TYPE_CHECKING:  # imported lazily at runtime: core.__init__ loads this
@@ -54,7 +54,7 @@ _READABLE_VERSIONS = (1, 2)
 class SessionArchive:
     """A reloaded session: trees, timings, and re-derived classes."""
 
-    def __init__(self, tree_2d: PrefixTree, tree_3d: PrefixTree,
+    def __init__(self, tree_2d: TreeArrays, tree_3d: TreeArrays,
                  meta: Dict) -> None:
         self.tree_2d = tree_2d
         self.tree_3d = tree_3d

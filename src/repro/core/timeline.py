@@ -24,8 +24,8 @@ import numpy as np
 
 from repro.core.forest import build_forest
 from repro.core.merge import LabelScheme
-from repro.core.prefix_tree import PrefixTree
 from repro.core.taskset import TaskMap
+from repro.core.treearrays import TreeArrays
 from repro.machine.base import MachineModel
 from repro.mpi.runtime import MPIRuntime
 from repro.mpi.stacks import StackModel
@@ -44,7 +44,7 @@ class TimelineResult:
                  "states_seen")
 
     def __init__(self, runtime: MPIRuntime, sample_times: List[float],
-                 tree_2d: PrefixTree, tree_3d: PrefixTree,
+                 tree_2d: TreeArrays, tree_3d: TreeArrays,
                  states_seen: List[set]) -> None:
         self.runtime = runtime
         self.sample_times = sample_times

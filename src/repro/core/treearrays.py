@@ -1,11 +1,12 @@
-"""Array-backed prefix trees: the merge hot path's data representation.
+"""Array-backed call-graph prefix trees: the one tree type.
 
-A :class:`TreeArrays` stores one call-graph prefix tree as flat NumPy
-arrays instead of linked :class:`~repro.core.prefix_tree.PrefixTreeNode`
-objects:
+Every sampled stack trace is inserted root-first; traces sharing a
+prefix share nodes, and each edge carries a task-set label naming the
+MPI ranks whose traces traverse it.  A :class:`TreeArrays` stores one
+such tree as flat NumPy arrays:
 
 * ``frame_ids[n]`` — interned frame id per node, in BFS (level) order,
-  each level in first-seen order (matching object-tree insertion order);
+  each level in first-seen (insertion) order;
 * ``parents[n]`` — index of the parent *node* in the same array
   (``-1`` for depth-1 nodes, whose parent is the artificial root);
 * ``label_refs[n]`` — row into ``labels`` for the node's edge label;
@@ -26,16 +27,16 @@ objects:
   never serialized, derived from ``(frame_ids, parents)`` when a tree
   arrives without it.
 
-**Model and view.**  ``TreeArrays`` is the tree model from the daemons to
-the front end's finalize step; a
-:class:`~repro.core.prefix_tree.PrefixTree` is a *view* of one.
-:meth:`to_prefix_tree` builds that view — called once per result tree by
-``LabelScheme.finalize``, whose output is the presentation object the
-front end keeps — and the read API
-(``walk``/``edges``/``leaf_paths``/``find``/``structurally_equal``)
-delegates to a cached copy of it for inspection and tests.
-:meth:`from_prefix_tree` is the way in for code that builds object trees
-(tests and their frozen oracles); no kernel accepts an object tree.
+**One tree type.**  Daemons build ``TreeArrays`` (labels in either
+scheme's form), every TBO̅N level merges them, and
+``LabelScheme.finalize`` returns one with dense, rank-ordered labels,
+which the front end reads directly: :meth:`preorder` is the node order
+of the codec, the renderers and the equivalence classes.
+
+In the paper's terms, a **2D trace-space** tree holds one sampling
+instant, so a task lies on exactly one root-to-leaf path; a **3D
+trace-space-time** tree is the union over instants, so a task may lie on
+several (Figure 1, where the progress-engine recursion depth varies).
 
 Interned frame ids are process-local, so pickling translates ids to
 ``(function, module)`` pairs and re-interns on load; path ids are
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 # Hot path: array kernels must stay per-array, not per-node.
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +55,6 @@ from repro.core.buildarrays import group_members, segment_bounds
 from repro.lint.contracts import contract
 from repro.core.frames import Frame, StackTrace
 from repro.core.interning import FRAMES, PATHS
-from repro.core.prefix_tree import PrefixTree, PrefixTreeNode
 from repro.core.taskset import (
     CHUNK_HEADER_BITS,
     DaemonLayout,
@@ -75,7 +75,7 @@ class TreeArrays:
 
     __slots__ = ("kind", "frame_ids", "parents", "label_refs",
                  "level_offsets", "labels", "spans", "width", "layout",
-                 "_prefix", "_ospan", "_path_ids")
+                 "_ospan", "_path_ids")
 
     def __init__(self, kind: str,
                  frame_ids: np.ndarray,
@@ -103,7 +103,6 @@ class TreeArrays:
             else np.asarray(spans, dtype=np.int64)
         self.width = None if width is None else int(width)
         self.layout = layout
-        self._prefix: Optional[PrefixTree] = None
         self._ospan: Optional[Tuple[int, int]] = None
         self._path_ids = None if path_ids is None \
             else np.asarray(path_ids, dtype=np.int64)
@@ -141,7 +140,6 @@ class TreeArrays:
         self.spans = spans
         self.width = width
         self.layout = layout
-        self._prefix = None
         self._ospan = None
         self._path_ids = path_ids
         return self
@@ -165,71 +163,8 @@ class TreeArrays:
                    np.zeros((0, nbytes), dtype=np.uint8),
                    spans=spans, width=width, layout=layout)
 
-    @classmethod
-    def from_prefix_tree(cls, tree: PrefixTree,
-                         kind: Optional[str] = None,
-                         width: Optional[int] = None,
-                         layout: Optional[DaemonLayout] = None) -> "TreeArrays":
-        """Flatten an object tree (labels deduplicated by object identity)."""
-        frame_ids: List[int] = []
-        parents: List[int] = []
-        label_refs: List[int] = []
-        level_offsets = [0]
-        rows: List[np.ndarray] = []
-        row_of: dict = {}
-
-        level: List[Tuple[int, PrefixTreeNode]] = \
-            [(-1, child) for child in tree.root.children.values()]
-        first_label: Any = None
-        while level:  # object->array boundary conversion, per level
-            nxt: List[Tuple[int, PrefixTreeNode]] = []
-            for parent_gid, node in level:  # boundary conversion, inherently per node
-                gid = len(frame_ids)
-                frame_ids.append(node.frame.id)
-                parents.append(parent_gid)
-                label = node.tasks
-                if first_label is None:
-                    first_label = label
-                ref = row_of.get(id(label))  # identity-keyed dedup: shared label objects collapse to one row; the ref indices come from traversal order, never from id() values, so output is reproducible
-                if ref is None:
-                    ref = row_of[id(label)] = len(rows)  # same identity-keyed dedup as above
-                    rows.append(label.data)
-                label_refs.append(ref)
-                for child in node.children.values():  # boundary conversion, inherently per node
-                    nxt.append((gid, child))
-            level_offsets.append(len(frame_ids))
-            level = nxt
-
-        if kind is None:
-            if isinstance(first_label, DenseBitVector):
-                kind = KIND_DENSE
-            elif isinstance(first_label, HierarchicalTaskSet):
-                kind = KIND_HIER
-            elif first_label is None:
-                kind = KIND_DENSE
-            else:
-                raise TypeError(
-                    f"unsupported label type {type(first_label).__name__}")
-        if kind == KIND_DENSE and width is None and first_label is not None:
-            width = first_label.width
-        if kind == KIND_HIER and layout is None:
-            if first_label is None:
-                raise ValueError("cannot determine layout of an empty tree")
-            layout = first_label.layout
-
-        if kind == KIND_HIER:
-            nbytes = layout.nbytes
-        else:
-            nbytes = 0 if width is None else (width + 7) // 8
-        labels = np.stack(rows) if rows \
-            else np.zeros((0, nbytes), dtype=np.uint8)
-        return cls(kind, np.asarray(frame_ids, dtype=np.int64),
-                   np.asarray(parents, dtype=np.int64),
-                   np.asarray(label_refs, dtype=np.int64),
-                   np.asarray(level_offsets, dtype=np.int64),
-                   labels, width=width, layout=layout)
-
-    # -- object view -------------------------------------------------------
+    # -- front-end reads: a finalized tree has tens of nodes (20 / 23 at
+    # 208K tasks), so these walk nodes in Python, never in a merge/build.
     def make_label(self, row: int) -> Any:
         """A label object over row ``row`` (shares the row's storage)."""
         if self.kind == KIND_DENSE:
@@ -238,56 +173,89 @@ class TreeArrays:
             return DenseBitVector(width, self.labels[row])
         return HierarchicalTaskSet(self.layout, self.labels[row])
 
-    def to_prefix_tree(self) -> PrefixTree:
-        """Materialize the object view (fresh tree; label rows shared).
+    def label_of(self, node: int) -> Any:
+        """The edge label into ``node`` (treat it as immutable)."""
+        return self.make_label(int(self.label_refs[node]))
 
-        Nodes on call chains share one label *object* (they carried the
-        same task set), so treat the returned tree's labels as
-        immutable — use ``tree.copy()`` before in-place label surgery.
+    def children(self) -> List[List[int]]:
+        """Child indices per node, ascending; the extra last entry (the
+        root's ``parents`` value, ``-1``) lists the depth-1 nodes."""
+        kids: List[List[int]] = [[] for _ in range(self.node_count() + 1)]
+        for node, parent in enumerate(self.parents.tolist()):
+            kids[parent].append(node)
+        return kids
+
+    def preorder(self) -> List[int]:
+        """Node indices in preorder, siblings in ascending (first-seen)
+        index: the one node order of the codec, the renderers and the
+        class extraction, which fixes ``.stpt``/``.dot`` bytes, DOT node
+        ids and the tie order of ``EquivalenceClass.paths``."""
+        kids = self.children()
+        order: List[int] = []
+        stack = kids[-1][::-1]
+        while stack:
+            order.append(stack.pop())
+            stack.extend(kids[order[-1]][::-1])
+        return order
+
+    def paths(self) -> List[StackTrace]:
+        """The root-anchored call path of every node, by node index."""
+        chains: List[Tuple[Frame, ...]] = []
+        for frame, parent in zip(FRAMES.frames_of(self.frame_ids),
+                                 self.parents.tolist()):
+            chains.append((chains[parent] if parent >= 0 else ()) + (frame,))
+        return [StackTrace(chain) for chain in chains]
+
+    def node_at(self, path: StackTrace) -> Optional[int]:
+        """Index of the node at exactly ``path``, or None."""
+        return {p: node for node, p in enumerate(self.paths())}.get(path)
+
+    def truncated(self, stop: Callable[[StackTrace, Frame], bool]
+                  ) -> "TreeArrays":
+        """A copy with the subtrees below matching nodes cut off.
+
+        A node stays iff no strict ancestor matched ``stop(path,
+        frame)``; node order and label rows carry over, and labels stay
+        right (an edge label is the union of the traces through it).
+        Cut at the MPI API boundary, Figure 1's tree shows its three-way
+        split instead of the per-progress-depth sub-classes below.
         """
-        tree = PrefixTree()
-        label_objs = [self.make_label(j) for j in range(len(self.labels))]
-        nodes: List[PrefixTreeNode] = []
-        root = tree.root
-        frames = FRAMES.frames_of(self.frame_ids)
-        parents = self.parents
-        refs = self.label_refs
-        for i, frame in enumerate(frames):  # array->object boundary materialization
-            node = PrefixTreeNode(frame, label_objs[refs[i]])
-            parent = root if parents[i] < 0 else nodes[parents[i]]
-            parent.children[frame] = node
-            nodes.append(node)
-        return tree
+        paths = self.paths()
+        keep = np.zeros(self.node_count(), dtype=bool)
+        cut = np.zeros_like(keep)
+        for node, parent in enumerate(self.parents.tolist()):  # BFS: parents first
+            keep[node] = parent < 0 or (keep[parent] and not cut[parent])
+            cut[node] = keep[node] and stop(paths[node], paths[node].leaf)
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        parents = self.parents[keep]
+        return TreeArrays(
+            self.kind, self.frame_ids[keep],
+            np.where(parents >= 0, kept[parents + 1] - 1, -1),
+            self.label_refs[keep], np.unique(kept[self.level_offsets]),
+            self.labels, spans=self.spans, width=self.width,
+            layout=self.layout, path_ids=self.path_ids[keep])
 
-    def _prefix_view(self) -> PrefixTree:
-        view = self._prefix
-        if view is None:
-            view = self._prefix = self.to_prefix_tree()
-        return view
+    def truncated_at_depth(self, max_depth: int) -> "TreeArrays":
+        """A copy keeping only the first ``max_depth`` frame levels."""
+        if max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        return self.truncated(lambda path, frame: len(path) >= max_depth)
 
-    # Read API shared with PrefixTree (delegates to the cached object view;
-    # the hot paths below never touch it).
-    def walk(self) -> Iterator[Tuple[StackTrace, PrefixTreeNode]]:
-        """Preorder ``(path, node)`` traversal of the object view."""
-        return self._prefix_view().walk()
-
-    def edges(self):
-        """All ``(path, edge label)`` pairs."""
-        return self._prefix_view().edges()
-
-    def leaf_paths(self):
-        """``(path, label)`` for every leaf."""
-        return self._prefix_view().leaf_paths()
-
-    def find(self, path: StackTrace):
-        """Node at exactly ``path``, or None."""
-        return self._prefix_view().find(path)
-
-    def structurally_equal(self, other) -> bool:
-        """Same shape and equal labels everywhere (order-insensitive)."""
-        if isinstance(other, TreeArrays):
-            other = other._prefix_view()
-        return self._prefix_view().structurally_equal(other)
+    def structurally_equal(self, other: "TreeArrays") -> bool:
+        """Same path ids with equal label values (kind, width or layout,
+        bytes) on each; node order and row sharing do not matter."""
+        if self.node_count() != other.node_count():
+            return False
+        if not self.node_count():
+            return True
+        mine = np.argsort(self.path_ids)
+        theirs = np.argsort(other.path_ids)
+        same_labels = self.width == other.width if self.kind == KIND_DENSE \
+            else self.layout == other.layout
+        return (self.kind == other.kind and same_labels
+                and np.array_equal(self.path_ids[mine], other.path_ids[theirs])
+                and np.array_equal(self.labels[self.label_refs[mine]],
+                                   other.labels[other.label_refs[theirs]]))
 
     def arrays_equal(self, other: "TreeArrays") -> bool:
         """Exact array-level equality — every array, order included.
@@ -360,7 +328,13 @@ class TreeArrays:
         return (bits + 7) // 8
 
     def serialized_bytes(self) -> int:
-        """Wire-size model — exactly :meth:`PrefixTree.serialized_bytes`."""
+        """Wire-size model: frames + structure + every edge label.
+
+        This is what the TBO̅N timing model charges to links, and it is
+        what differs between the two label representations;
+        :func:`~repro.core.codec.verify_size_model` holds it to the
+        codec's real encoding.
+        """
         n = self.node_count()
         return (8 + 8 * n
                 + FRAMES.serialized_bytes_of(self.frame_ids)

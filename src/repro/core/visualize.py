@@ -12,10 +12,13 @@ from typing import Any, Callable, List, Optional
 
 import numpy as np
 
-from repro.core.prefix_tree import PrefixTree, PrefixTreeNode
+from repro.core.frames import ROOT_FRAME
+from repro.core.interning import FRAMES
 from repro.core.ranklist import format_edge_label
+from repro.core.treearrays import TreeArrays
 
 __all__ = ["to_dot", "to_ascii"]
+
 
 def _default_resolve(label: Any) -> np.ndarray:
     """Default label-to-ranks resolver (dense labels)."""
@@ -26,7 +29,18 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(tree: PrefixTree,
+def _edge_labels(tree: TreeArrays,
+                 rank_resolver: Optional[Callable[[Any], np.ndarray]],
+                 max_runs: int) -> List[str]:
+    """``count:[ranks]`` per node, formatted once per distinct label row."""
+    resolve = rank_resolver or _default_resolve
+    rows = {ref: format_edge_label(resolve(tree.make_label(ref)),
+                                   max_runs=max_runs)
+            for ref in np.unique(tree.label_refs).tolist()}
+    return [rows[ref] for ref in tree.label_refs.tolist()]
+
+
+def to_dot(tree: TreeArrays,
            rank_resolver: Optional[Callable[[Any], np.ndarray]] = None,
            max_runs: int = 4,
            graph_name: str = "stat_prefix_tree") -> str:
@@ -36,31 +50,27 @@ def to_dot(tree: PrefixTree,
     the compressed rank lists.  The output is valid input for ``dot -Tpng``
     and matches the visual structure of the paper's Figure 1.
     """
-    resolve = rank_resolver or _default_resolve
+    labels = _edge_labels(tree, rank_resolver, max_runs)
+    frames = FRAMES.frames_of(tree.frame_ids)
     lines: List[str] = [
         f'digraph "{_escape(graph_name)}" {{',
         '  node [shape=box, fontname="Helvetica"];',
         '  edge [fontname="Helvetica", fontsize=10];',
-        f'  n0 [label="{_escape(tree.root.frame.function)}"];',
+        f'  n0 [label="{_escape(ROOT_FRAME.function)}"];',
     ]
-    counter = [0]
-
-    def rec(node: PrefixTreeNode, node_id: int) -> None:
-        for frame, child in node.children.items():
-            counter[0] += 1
-            child_id = counter[0]
-            label = format_edge_label(resolve(child.tasks), max_runs=max_runs)
-            lines.append(f'  n{child_id} [label="{_escape(frame.function)}"];')
-            lines.append(
-                f'  n{node_id} -> n{child_id} [label="{_escape(label)}"];')
-            rec(child, child_id)
-
-    rec(tree.root, 0)
+    dot_id = {-1: 0}
+    for node in tree.preorder():
+        dot_id[node] = len(dot_id)
+        parent = int(tree.parents[node])
+        lines.append(f'  n{dot_id[node]} '
+                     f'[label="{_escape(frames[node].function)}"];')
+        lines.append(f'  n{dot_id[parent]} -> n{dot_id[node]} '
+                     f'[label="{_escape(labels[node])}"];')
     lines.append("}")
     return "\n".join(lines)
 
 
-def to_ascii(tree: PrefixTree,
+def to_ascii(tree: TreeArrays,
              rank_resolver: Optional[Callable[[Any], np.ndarray]] = None,
              max_runs: int = 4) -> str:
     """Render the tree with box-drawing characters for terminals.
@@ -74,17 +84,15 @@ def to_ascii(tree: PrefixTree,
                 ├── do_SendOrStall  1:[1]
                 └── PMPI_Waitall  1:[2]
     """
-    resolve = rank_resolver or _default_resolve
-    lines: List[str] = [tree.root.frame.function]
-
-    def rec(node: PrefixTreeNode, prefix: str) -> None:
-        children = list(node.children.items())
-        for i, (frame, child) in enumerate(children):
-            last = i == len(children) - 1
-            connector = "└── " if last else "├── "
-            label = format_edge_label(resolve(child.tasks), max_runs=max_runs)
-            lines.append(f"{prefix}{connector}{frame.function}  {label}")
-            rec(child, prefix + ("    " if last else "│   "))
-
-    rec(tree.root, "")
+    labels = _edge_labels(tree, rank_resolver, max_runs)
+    frames = FRAMES.frames_of(tree.frame_ids)
+    last = {kids[-1] for kids in tree.children() if kids}
+    indent = {-1: ""}  # prefix of each node's children's lines
+    lines: List[str] = [ROOT_FRAME.function]
+    for node in tree.preorder():
+        prefix = indent[int(tree.parents[node])]
+        connector = "└── " if node in last else "├── "
+        lines.append(f"{prefix}{connector}{frames[node].function}  "
+                     f"{labels[node]}")
+        indent[node] = prefix + ("    " if node in last else "│   ")
     return "\n".join(lines)

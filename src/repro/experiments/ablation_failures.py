@@ -65,9 +65,8 @@ def run(quick: bool = False,
                            failure_detect_s=5.0,
                            faults=plan.bind(daemons))
         final = scheme.finalize(merge.payload.tree_3d, task_map)
-        covered: set = set()
-        for _, label in final.edges():
-            covered.update(label.to_ranks().tolist())
+        covered = {rank for node in range(final.node_count())
+                   for rank in final.label_of(node).to_ranks().tolist()}
         expected = machine.total_tasks - sum(
             task_map.tasks_of(d) for d in dead)
         result.rows.append(Row("merge time", fraction, merge.sim_time,

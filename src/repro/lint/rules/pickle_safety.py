@@ -1,8 +1,8 @@
 """Rule ``pickle-safety``: callables that cannot cross a process pool.
 
-PR 1 shipped exactly this bug: ``PrefixTree``'s default label callables
-were lambdas, so every ``ScenarioSuite`` result died in pickling on the
-way back from the ``ProcessPoolExecutor``.  Lambdas, closures, and
+An early version shipped exactly this bug: the object tree's default
+label callables were lambdas, so every ``ScenarioSuite`` result died in
+pickling on the way back from the ``ProcessPoolExecutor``.  Lambdas, closures, and
 locally-defined classes pickle by *qualified name*, so anything not
 importable at module level breaks the moment it (or an object holding
 it) crosses a pool boundary.
@@ -10,8 +10,8 @@ it) crosses a pool boundary.
 Flagged patterns:
 
 * a lambda or locally-defined function/class passed to a pickle
-  boundary: ``PrefixTree(label_union=..., label_copy=...)``,
-  ``register_workload(...)``, or ``<pool/executor>.submit/map(...)``;
+  boundary: ``register_workload(...)`` or
+  ``<pool/executor>.submit/map(...)``;
 * a ``-> StateProvider`` factory returning a lambda or nested function
   — providers are carried by workload objects that ride specs into the
   pool, so they must be module-level callables (e.g. a frozen dataclass
@@ -26,7 +26,7 @@ from typing import Iterable, List, Set
 from repro.lint.engine import Finding, ModuleContext, Rule, register
 
 #: call targets whose callable arguments must be module-level
-_SINK_NAMES = {"PrefixTree", "register_workload"}
+_SINK_NAMES = {"register_workload"}
 #: attribute receivers treated as process pools for ``.submit``/``.map``
 _POOL_HINTS = ("pool", "executor")
 
@@ -60,7 +60,7 @@ def _returns_state_provider(fn: ast.AST) -> bool:
 class PickleSafetyRule(Rule):
     rule_id = "pickle-safety"
     summary = ("lambdas/closures/local classes must not flow into "
-               "process-pool or label-slot boundaries")
+               "process-pool boundaries")
 
     def check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
         findings: List[Finding] = []

@@ -33,10 +33,8 @@ class DaemonTrees:
     trees through the MRNet tree" — both travel in one packet, so the wire
     size is the sum.
 
-    Both trees are :class:`~repro.core.treearrays.TreeArrays`, the only
-    tree type the scheme kernels merge; a
-    :class:`~repro.core.prefix_tree.PrefixTree` exists only as the
-    finalized front-end view.
+    Both trees are :class:`~repro.core.treearrays.TreeArrays`, the one
+    tree type from the daemons to the front end.
     """
 
     __slots__ = ("tree_2d", "tree_3d")

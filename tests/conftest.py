@@ -22,7 +22,6 @@ from repro.core.merge import (  # noqa: E402
     HierarchicalLabelScheme,
 )
 from repro.core.taskset import TaskMap  # noqa: E402
-from repro.core.treearrays import TreeArrays  # noqa: E402
 from repro.machine.atlas import AtlasMachine  # noqa: E402
 from repro.machine.bgl import BGLMachine  # noqa: E402
 from repro.mpi.stacks import BGLStackModel, LinuxStackModel  # noqa: E402
@@ -32,11 +31,24 @@ from repro.sim.engine import Engine  # noqa: E402
 def as_arrays(scheme, trees):
     """Object trees -> the ``TreeArrays`` a scheme merges (test boundary).
 
-    Tests build their inputs with ``PrefixTree.insert`` and keep feeding
+    Tests build their inputs with ``ObjectTree.insert`` and keep feeding
     the reference kernels those objects; the production kernels take
     arrays only.
     """
-    return [TreeArrays.from_prefix_tree(t, kind=scheme.kind) for t in trees]
+    return [t.to_arrays(kind=scheme.kind) for t in trees]
+
+
+def edges(tree):
+    """``(path, edge label)`` for every node of a tree, in preorder."""
+    paths = tree.paths()
+    return [(paths[node], tree.label_of(node)) for node in tree.preorder()]
+
+
+def leaf_paths(tree):
+    """``(path, edge label)`` for every leaf of a tree, in preorder."""
+    kids = tree.children()
+    return [(path, label) for (path, label), node
+            in zip(edges(tree), tree.preorder()) if not kids[node]]
 
 
 @pytest.fixture

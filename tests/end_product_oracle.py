@@ -1,22 +1,27 @@
 """Frozen per-rank oracles for the end product (classes and edge labels).
 
-These are the bodies ``repro.core.equivalence.equivalence_classes`` and
+These are the bodies ``repro.core.equivalence.equivalence_classes``,
 ``repro.core.ranklist.compress_ranks`` / ``format_rank_list`` /
-``format_edge_label`` had before they became array kernels, moved here
-verbatim.  They live under ``tests/`` — not in the package — and exist
-only so ``test_end_product.py`` can demand bit-identical output from
-the production code.  Do not optimise them.
+``format_edge_label``, the object tree's ``truncated`` and
+``TreeQuery.class_of`` had before they became array code, moved here
+nearly verbatim: the tree ones walk the linked
+:class:`~per_object_oracle.ObjectTree`.  They live under ``tests/`` —
+not in the package — and exist only so the tests can demand
+bit-identical output from the production code.  Do not optimise them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Sequence, Tuple)
 
 import numpy as np
 
+from per_object_oracle import ObjectNode, ObjectTree
 from repro.core.equivalence import EquivalenceClass, mpi_api_boundary
-from repro.core.frames import StackTrace
-from repro.core.prefix_tree import PrefixTree
+from repro.core.frames import Frame, StackTrace
+from repro.core.queries import TreeQuery
+from repro.core.taskset import DenseBitVector
 
 __all__ = [
     "oracle_compress_ranks",
@@ -24,6 +29,8 @@ __all__ = [
     "oracle_format_edge_label",
     "oracle_equivalence_classes",
     "oracle_triage_classes",
+    "oracle_truncated",
+    "oracle_class_of",
 ]
 
 
@@ -56,9 +63,36 @@ def oracle_format_edge_label(ranks: Sequence[int],
     return f"{len(ranks)}:{oracle_format_rank_list(ranks, max_runs=max_runs)}"
 
 
-def oracle_equivalence_classes(tree: PrefixTree) -> List[EquivalenceClass]:
+def _walk(tree: ObjectTree) -> Iterator[Tuple[StackTrace, ObjectNode]]:
+    """Preorder ``(path, node)`` below the root, children in insertion
+    order."""
+    def rec(node: ObjectNode, path: Tuple[Frame, ...]):
+        for frame, child in node.children.items():
+            yield StackTrace(path + (frame,)), child
+            yield from rec(child, path + (frame,))
+    return rec(tree.root, ())
+
+
+def oracle_truncated(tree: ObjectTree,
+                     stop: Callable[[StackTrace, Frame], bool]) -> ObjectTree:
+    clone = ObjectTree()
+
+    def rec(src: ObjectNode, dst: ObjectNode,
+            path: Tuple[Frame, ...]) -> None:
+        for frame, child in src.children.items():
+            child_path = path + (frame,)
+            new = ObjectNode(frame, child.tasks.copy())
+            dst.children[frame] = new
+            if not stop(StackTrace(child_path), frame):
+                rec(child, new, child_path)
+
+    rec(tree.root, clone.root, ())
+    return clone
+
+
+def oracle_equivalence_classes(tree: ObjectTree) -> List[EquivalenceClass]:
     membership: Dict[int, List[StackTrace]] = {}
-    for path, node in tree.walk():
+    for path, node in _walk(tree):
         ranks = node.tasks.to_ranks()
         if node.children:
             child_ranks = np.unique(np.concatenate(
@@ -84,5 +118,19 @@ def oracle_equivalence_classes(tree: PrefixTree) -> List[EquivalenceClass]:
     return classes
 
 
-def oracle_triage_classes(tree: PrefixTree) -> List[EquivalenceClass]:
-    return oracle_equivalence_classes(tree.truncated(mpi_api_boundary))
+def oracle_triage_classes(tree: ObjectTree) -> List[EquivalenceClass]:
+    return oracle_equivalence_classes(
+        oracle_truncated(tree, mpi_api_boundary))
+
+
+def oracle_class_of(query: TreeQuery, rank: int) -> DenseBitVector:
+    """All tasks whose ``where_is`` paths equal ``rank``'s: one scan of
+    the tree per observed rank."""
+    mine = {str(p) for p in query.where_is(rank)}
+    out = DenseBitVector.empty(query.total_tasks)
+    if not mine:
+        return out
+    candidates = query.all_tasks().to_ranks()
+    members = [int(r) for r in candidates
+               if {str(p) for p in query.where_is(int(r))} == mine]
+    return DenseBitVector.from_ranks(members, query.total_tasks)

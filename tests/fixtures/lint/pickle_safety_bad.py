@@ -1,15 +1,6 @@
 """Known-bad pickle-safety fixture (linted as AST, never imported)."""
 
 
-def build_tree():
-    def local_union(a, b):
-        a.update(b)
-        return a
-
-    return PrefixTree(label_union=local_union,
-                      label_copy=lambda s: set(s))
-
-
 def submit_work(executor, items):
     return executor.map(lambda item: item * 2, items)
 

@@ -1,21 +1,12 @@
 """Known-clean pickle-safety fixture: module-level callables only."""
 
 
-def slot_union(a, b):
-    a.update(b)
-    return a
-
-
 class Provider:
     def __init__(self, total):
         self.total = total
 
     def __call__(self, rank):
         return rank % self.total
-
-
-def build_tree():
-    return PrefixTree(label_union=slot_union, label_copy=set)
 
 
 def make_provider(total) -> StateProvider:

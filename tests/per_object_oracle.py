@@ -5,9 +5,14 @@ kernels, moved here verbatim:
 
 * :class:`StackWalker` — one ``StackModel.trace_for`` call per
   (process, thread), drawing from the daemon's RNG one walk at a time;
+* :class:`ObjectTree` — the linked prefix tree (one object per node,
+  children keyed by frame in insertion order) that the oracles below
+  build and merge, with :meth:`ObjectTree.to_arrays` and
+  :func:`object_tree` to cross to and from
+  :class:`~repro.core.treearrays.TreeArrays`;
 * :class:`STATDaemon` — a daemon that walks its slots into slot-set
-  :class:`~repro.core.prefix_tree.PrefixTree` objects and materializes
-  labels per node; :func:`reference_daemon_trees` drives one;
+  object trees and materializes labels per node;
+  :func:`reference_daemon_trees` drives one;
 * :func:`reference_dense_merge` / :func:`reference_hierarchical_merge`
   — the recursive pairwise-union merges.
 
@@ -25,9 +30,8 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional,
 
 import numpy as np
 
-from repro.core.frames import Frame, StackTrace
+from repro.core.frames import ROOT_FRAME, Frame, StackTrace
 from repro.core.merge import DenseLabelScheme, LabelScheme
-from repro.core.prefix_tree import PrefixTree, PrefixTreeNode
 from repro.core.taskset import DaemonLayout, HierarchicalTaskSet, TaskMap
 from repro.core.treearrays import KIND_DENSE, KIND_HIER, TreeArrays
 from repro.lint.contracts import exempt
@@ -36,6 +40,9 @@ from repro.mpi.stacks import StackModel
 from repro.sim.random import SeedStream
 
 __all__ = [
+    "ObjectNode",
+    "ObjectTree",
+    "object_tree",
     "StackWalker",
     "STATDaemon",
     "reference_dense_merge",
@@ -43,6 +50,112 @@ __all__ = [
     "reference_merge",
     "reference_daemon_trees",
 ]
+
+
+def _label_union(a: Any, b: Any) -> Any:
+    """In-place union for the built-in label types (module-level: must
+    pickle)."""
+    return a.union_inplace(b)
+
+
+def _label_copy(a: Any) -> Any:
+    return a.copy()
+
+
+class ObjectNode:
+    """One call-path node; ``tasks`` is the edge label from its parent
+    (None on the root).  Children keep insertion order."""
+
+    __slots__ = ("frame", "tasks", "children")
+
+    def __init__(self, frame: Frame, tasks: Any = None) -> None:
+        self.frame = frame
+        self.tasks = tasks
+        self.children: Dict[Frame, "ObjectNode"] = {}
+
+
+class ObjectTree:
+    """A linked prefix tree: every trace inserted root-first, each edge
+    labelled with the union of the labels of the traces through it."""
+
+    def __init__(self, label_union: Callable[[Any, Any], Any] = _label_union,
+                 label_copy: Callable[[Any], Any] = _label_copy) -> None:
+        self.root = ObjectNode(ROOT_FRAME)
+        self._label_union = label_union
+        self._label_copy = label_copy
+
+    def insert(self, trace: StackTrace, label: Any) -> None:
+        """Union ``label`` into every edge along ``trace`` (copied on
+        first placement, so callers may reuse it)."""
+        node = self.root
+        for frame in trace:
+            child = node.children.get(frame)
+            if child is None:
+                child = ObjectNode(frame, self._label_copy(label))
+                node.children[frame] = child
+            else:
+                child.tasks = self._label_union(child.tasks, label)
+            node = child
+
+    def to_arrays(self, kind: Optional[str] = None,
+                  width: Optional[int] = None,
+                  layout: Optional[DaemonLayout] = None) -> TreeArrays:
+        """Flatten to BFS arrays, one label row per distinct label
+        object (the kind, width and layout default to the labels')."""
+        frame_ids: List[int] = []
+        parents: List[int] = []
+        label_refs: List[int] = []
+        level_offsets = [0]
+        rows: List[np.ndarray] = []
+        row_of: Dict[int, int] = {}
+        labels: List[Any] = []
+        level = [(-1, child) for child in self.root.children.values()]
+        while level:
+            nxt = []
+            for parent, node in level:
+                gid = len(frame_ids)
+                frame_ids.append(node.frame.id)
+                parents.append(parent)
+                ref = row_of.setdefault(id(node.tasks), len(rows))
+                if ref == len(rows):
+                    rows.append(node.tasks.data)
+                    labels.append(node.tasks)
+                label_refs.append(ref)
+                nxt.extend((gid, child) for child in node.children.values())
+            level_offsets.append(len(frame_ids))
+            level = nxt
+        first = labels[0] if labels else None
+        if kind is None:
+            kind = KIND_HIER if isinstance(first, HierarchicalTaskSet) \
+                else KIND_DENSE
+        if kind == KIND_DENSE and width is None and first is not None:
+            width = first.width
+        if kind == KIND_HIER and layout is None:
+            if first is None:
+                raise ValueError("cannot determine layout of an empty tree")
+            layout = first.layout
+        nbytes = layout.nbytes if kind == KIND_HIER \
+            else ((width or 0) + 7) // 8
+        return TreeArrays(
+            kind, np.asarray(frame_ids, dtype=np.int64),
+            np.asarray(parents, dtype=np.int64),
+            np.asarray(label_refs, dtype=np.int64),
+            np.asarray(level_offsets, dtype=np.int64),
+            np.stack(rows) if rows else np.zeros((0, nbytes), np.uint8),
+            width=width, layout=layout)
+
+
+def object_tree(tree: TreeArrays) -> ObjectTree:
+    """The object tree with ``tree``'s nodes, labels and child order.
+
+    Inserting every node's own path and label in index (BFS) order
+    rebuilds it exactly: an edge label already contains the labels of
+    the edges below it, so the unions into ancestors change nothing.
+    """
+    out = ObjectTree()
+    for node, path in enumerate(tree.paths()):
+        out.insert(path, tree.label_of(node))
+    return out
 
 
 class StackWalker:
@@ -81,9 +194,9 @@ def _slot_union(a: set, b: set) -> set:
     return a
 
 
-def _slot_tree() -> PrefixTree:
+def _slot_tree() -> ObjectTree:
     """A prefix tree whose labels are mutable slot sets."""
-    return PrefixTree(
+    return ObjectTree(
         label_union=_slot_union,
         label_copy=set,
     )
@@ -105,7 +218,7 @@ class STATDaemon:
         self.local_ranks = task_map.ranks_of(daemon_id)
         self.width = int(self.local_ranks.size)
         self._tree_3d = _slot_tree()
-        self._tree_2d: Optional[PrefixTree] = None
+        self._tree_2d: Optional[ObjectTree] = None
         self.samples_taken = 0
 
     def sample_once(self, state_of: Callable[[int], RankState]) -> int:
@@ -158,7 +271,7 @@ class STATDaemon:
                 self.daemon_id, self.width, sorted(slots), self.task_map)
         return label
 
-    def _materialize_arrays(self, slot_tree: PrefixTree,
+    def _materialize_arrays(self, slot_tree: ObjectTree,
                             cache: Dict[frozenset, Any]) -> TreeArrays:
         """Convert a slot-set tree into the scheme's array-backed tree.
 
@@ -244,7 +357,7 @@ class STATDaemon:
                 f"samples={self.samples_taken}>")
 
 
-def _ordered_frame_union(nodes: Sequence[PrefixTreeNode]) -> List[Frame]:
+def _ordered_frame_union(nodes: Sequence[ObjectNode]) -> List[Frame]:
     """Union of children frames, preserving first-seen order."""
     seen: Dict[Frame, None] = {}
     for node in nodes:
@@ -255,18 +368,18 @@ def _ordered_frame_union(nodes: Sequence[PrefixTreeNode]) -> List[Frame]:
 
 
 @exempt
-def reference_dense_merge(trees: Sequence[PrefixTree]) -> PrefixTree:
+def reference_dense_merge(trees: Sequence[ObjectTree]) -> ObjectTree:
     """Recursive structure merge; label merge is pairwise bitwise OR."""
-    out = PrefixTree()
+    out = ObjectTree()
 
-    def rec(dst: PrefixTreeNode, srcs: List[PrefixTreeNode]) -> None:
+    def rec(dst: ObjectNode, srcs: List[ObjectNode]) -> None:
         for frame in _ordered_frame_union(srcs):
             contributors = [n.children[frame] for n in srcs
                             if frame in n.children]
             label = contributors[0].tasks.copy()
             for other in contributors[1:]:
                 label.union_inplace(other.tasks)
-            node = PrefixTreeNode(frame, label)
+            node = ObjectNode(frame, label)
             dst.children[frame] = node
             rec(node, contributors)
 
@@ -274,16 +387,16 @@ def reference_dense_merge(trees: Sequence[PrefixTree]) -> PrefixTree:
     return out
 
 
-def _tree_layout(tree: PrefixTree) -> DaemonLayout:
-    for _, label in tree.edges():
-        if not isinstance(label, HierarchicalTaskSet):
+def _tree_layout(tree: ObjectTree) -> DaemonLayout:
+    for node in tree.root.children.values():
+        if not isinstance(node.tasks, HierarchicalTaskSet):
             raise TypeError("tree does not carry hierarchical labels")
-        return label.layout
+        return node.tasks.layout
     raise ValueError("cannot determine layout of an empty tree")
 
 
 @exempt
-def reference_hierarchical_merge(trees: Sequence[PrefixTree]) -> PrefixTree:
+def reference_hierarchical_merge(trees: Sequence[ObjectTree]) -> ObjectTree:
     """Recursive concatenation merge: per-node zero-fill plus pastes."""
     if not trees:
         raise ValueError("merge of zero trees")
@@ -292,10 +405,10 @@ def reference_hierarchical_merge(trees: Sequence[PrefixTree]) -> PrefixTree:
     offsets = np.concatenate(
         ([0], np.cumsum([lay.nbytes for lay in layouts])))[:-1]
 
-    out = PrefixTree()
+    out = ObjectTree()
 
-    def rec(dst: PrefixTreeNode,
-            srcs: List[Tuple[int, PrefixTreeNode]]) -> None:
+    def rec(dst: ObjectNode,
+            srcs: List[Tuple[int, ObjectNode]]) -> None:
         for frame in _ordered_frame_union([n for _, n in srcs]):
             contributors = [(i, n.children[frame]) for i, n in srcs
                             if frame in n.children]
@@ -303,7 +416,7 @@ def reference_hierarchical_merge(trees: Sequence[PrefixTree]) -> PrefixTree:
             for i, node in contributors:
                 off = int(offsets[i])
                 data[off:off + layouts[i].nbytes] = node.tasks.data
-            child = PrefixTreeNode(
+            child = ObjectNode(
                 frame, HierarchicalTaskSet(merged_layout, data))
             dst.children[frame] = child
             rec(child, contributors)
@@ -314,7 +427,7 @@ def reference_hierarchical_merge(trees: Sequence[PrefixTree]) -> PrefixTree:
 
 @exempt
 def reference_merge(scheme_name: str,
-                    trees: Sequence[PrefixTree]) -> PrefixTree:
+                    trees: Sequence[ObjectTree]) -> ObjectTree:
     """Dispatch by scheme name ("original" / "optimized")."""
     if scheme_name == "original":
         return reference_dense_merge(trees)

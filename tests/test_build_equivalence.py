@@ -16,6 +16,7 @@ kernel to the exact construction the per-object code performs.
 import numpy as np
 import pytest
 
+from conftest import leaf_paths
 from per_object_oracle import reference_daemon_trees
 from repro.core.forest import build_forest
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
@@ -247,8 +248,8 @@ class TestProviderContract:
             np.testing.assert_array_equal(ranks, want)
         # the last query is the last instant (2D); all three are in 3D
         for tree_2d, tree_3d in pairs:
-            leaves_2d = {p.leaf.function for p, _ in tree_2d.leaf_paths()}
-            leaves_3d = {p.leaf.function for p, _ in tree_3d.leaf_paths()}
+            leaves_2d = {p.leaf.function for p, _ in leaf_paths(tree_2d)}
+            leaves_3d = {p.leaf.function for p, _ in leaf_paths(tree_3d)}
             assert {"instant0", "instant1"}.isdisjoint(leaves_2d)
             assert "instant2" in leaves_2d
             assert {"instant0", "instant1", "instant2"} <= leaves_3d

@@ -1,18 +1,22 @@
 """Tests for the binary prefix-tree codec."""
 
+import struct
+
 import pytest
 
 from conftest import as_arrays
+from per_object_oracle import ObjectTree
 from repro.core.codec import CodecError, pack_tree, unpack_tree, \
     verify_size_model
 from repro.core.frames import StackTrace
-from repro.core.merge import HierarchicalLabelScheme
-from repro.core.prefix_tree import PrefixTree
+from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
 from repro.core.taskset import DenseBitVector, HierarchicalTaskSet, TaskMap
+from repro.core.treearrays import TreeArrays
+from repro.core.visualize import to_ascii, to_dot
 
 
-def dense_tree() -> PrefixTree:
-    tree = PrefixTree()
+def dense_tree() -> TreeArrays:
+    tree = ObjectTree()
     w = 1024
     tree.insert(StackTrace.from_names(["_start", "main", "PMPI_Barrier"]),
                 DenseBitVector.from_ranks([0] + list(range(3, 1024)), w))
@@ -21,21 +25,28 @@ def dense_tree() -> PrefixTree:
     tree.insert(StackTrace.from_names(["_start", "main", "PMPI_Waitall"],
                                       module="libmpi.so"),
                 DenseBitVector.from_ranks([2], w))
-    return tree
+    return tree.to_arrays()
 
 
-def hierarchical_tree() -> PrefixTree:
+def hierarchical_tree() -> TreeArrays:
     scheme = HierarchicalLabelScheme()
     tm = TaskMap.cyclic(4, 8)
     trees = []
     for d in range(4):
-        t = PrefixTree()
+        t = ObjectTree()
         t.insert(StackTrace.from_names(["main", "barrier"]),
                  scheme.daemon_label(d, 8, range(0, 8, 2), tm))
         t.insert(StackTrace.from_names(["main", "wait"]),
                  scheme.daemon_label(d, 8, [1], tm))
         trees.append(t)
-    return scheme.merge(as_arrays(scheme, trees)).to_prefix_tree()
+    return scheme.merge(as_arrays(scheme, trees))
+
+
+def one_node_tree(name: str, width: int) -> TreeArrays:
+    tree = ObjectTree()
+    tree.insert(StackTrace.from_names([name]),
+                DenseBitVector.from_ranks([0], width))
+    return tree.to_arrays()
 
 
 class TestRoundTrip:
@@ -49,27 +60,46 @@ class TestRoundTrip:
         clone = unpack_tree(pack_tree(tree))
         assert tree.structurally_equal(clone)
         # layouts survive
-        _, label = next(iter(clone.edges()))
+        label = clone.label_of(0)
         assert isinstance(label, HierarchicalTaskSet)
         assert label.layout.daemon_ids == (0, 1, 2, 3)
 
     def test_empty_tree_roundtrip(self):
-        tree = PrefixTree()
+        tree = TreeArrays.empty("dense", width=8)
         clone = unpack_tree(pack_tree(tree))
         assert clone.node_count() == 0
 
     def test_module_names_preserved(self):
         clone = unpack_tree(pack_tree(dense_tree()))
-        frames = {(p.leaf.function, p.leaf.module)
-                  for p, _ in clone.walk()}
+        frames = {(p.leaf.function, p.leaf.module) for p in clone.paths()}
         assert ("PMPI_Waitall", "libmpi.so") in frames
 
     def test_unicode_function_names(self):
-        tree = PrefixTree()
-        tree.insert(StackTrace.from_names(["método_á"]),
-                    DenseBitVector.from_ranks([0], 8))
-        clone = unpack_tree(pack_tree(tree))
-        assert clone.find(StackTrace.from_names(["método_á"])) is not None
+        clone = unpack_tree(pack_tree(one_node_tree("método_á", 8)))
+        assert clone.node_at(StackTrace.from_names(["método_á"])) is not None
+
+    def test_repack_is_byte_identical_when_bfs_and_preorder_disagree(self):
+        """A merged level ordered by first occurrence need not follow
+        its parents' order: here ``y > d`` precedes ``x > c`` although
+        ``x`` precedes ``y``.  Unpacking re-derives the BFS order from
+        the preorder, so the arrays differ but every byte comes back."""
+        scheme = DenseLabelScheme(4)
+        tm = TaskMap.block(2, 2)
+        first, second = ObjectTree(), ObjectTree()
+        first.insert(StackTrace.from_names(["main", "x"]),
+                     scheme.daemon_label(0, 2, [0], tm))
+        first.insert(StackTrace.from_names(["main", "y", "d"]),
+                     scheme.daemon_label(0, 2, [1], tm))
+        second.insert(StackTrace.from_names(["main", "x", "c"]),
+                      scheme.daemon_label(1, 2, [0, 1], tm))
+        merged = scheme.merge(as_arrays(scheme, [first, second]))
+        packed = pack_tree(merged)
+        clone = unpack_tree(packed)
+        assert not clone.arrays_equal(merged)
+        assert clone.structurally_equal(merged)
+        assert pack_tree(clone) == packed
+        assert to_dot(clone) == to_dot(merged)
+        assert to_ascii(clone) == to_ascii(merged)
 
 
 class TestSizeModel:
@@ -82,8 +112,7 @@ class TestSizeModel:
     def test_large_dense_tree_size_dominated_by_labels(self):
         tree = dense_tree()
         packed = pack_tree(tree)
-        label_bytes = sum(n.tasks.serialized_bytes()
-                          for _, n in tree.walk())
+        label_bytes = tree.node_count() * tree.label_serialized_bytes()
         assert len(packed) > label_bytes  # labels + structure
 
 
@@ -102,11 +131,19 @@ class TestErrors:
         with pytest.raises(CodecError, match="trailing"):
             unpack_tree(packed + b"xx")
 
-    def test_unsupported_label_type(self):
-        tree = PrefixTree(label_union=lambda a, b: a, label_copy=set)
-        tree.insert(StackTrace.from_names(["main"]), {1, 2})
-        with pytest.raises(CodecError, match="unsupported"):
+    def test_only_tree_arrays_pack(self):
+        tree = ObjectTree()
+        tree.insert(StackTrace.from_names(["main"]),
+                    DenseBitVector.from_ranks([0], 8))
+        with pytest.raises(CodecError, match="cannot pack"):
             pack_tree(tree)
+
+    def test_labels_of_two_widths_rejected(self):
+        narrow = pack_tree(one_node_tree("a", 8))
+        wide = pack_tree(one_node_tree("b", 16))
+        spliced = narrow[:8] + struct.pack("<I", 2) + narrow[12:] + wide[12:]
+        with pytest.raises(CodecError, match="disagree on their shape"):
+            unpack_tree(spliced)
 
     def test_bad_version(self):
         packed = bytearray(pack_tree(dense_tree()))

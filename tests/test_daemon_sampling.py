@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import leaf_paths
 from per_object_oracle import STATDaemon, StackWalker, reference_daemon_trees
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
 from repro.core.sampling import (
@@ -249,8 +250,8 @@ class TestSTATDaemon:
     def test_uniform_states_make_single_path_tree(self, daemon):
         daemon.sample_once(lambda r: RankState("stall", "f"))
         tree, _ = daemon.trees_arrays()
-        assert len(tree.leaf_paths()) == 1
-        path, label = tree.leaf_paths()[0]
+        assert len(leaf_paths(tree)) == 1
+        path, label = leaf_paths(tree)[0]
         assert label.count() == 8
 
     def test_3d_accumulates_2d_replaced(self, daemon):
@@ -262,8 +263,8 @@ class TestSTATDaemon:
         flip["i"] = 1
         daemon.sample_once(state_of)
         tree_2d, tree_3d = daemon.trees_arrays()
-        assert len(tree_2d.leaf_paths()) == 1   # last sample only
-        assert len(tree_3d.leaf_paths()) == 2   # union over time
+        assert len(leaf_paths(tree_2d)) == 1   # last sample only
+        assert len(leaf_paths(tree_3d)) == 2   # union over time
 
     def test_collect_samples_accumulates_both_trees(self, daemon):
         daemon.collect_samples(lambda r: RankState("barrier"), 5)
@@ -288,7 +289,7 @@ class TestSTATDaemon:
             d = STATDaemon(0, tm, scheme, bgl_stacks,
                            rng=np.random.default_rng(1))
             d.sample_once(state_of)
-            path, label = d.trees_arrays()[0].leaf_paths()[0]
+            path, label = leaf_paths(d.trees_arrays()[0])[0]
             if scheme.name == "original":
                 labels["dense"] = set(label.to_ranks().tolist())
             else:

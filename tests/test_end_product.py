@@ -16,16 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import end_product_oracle as oracle
+from per_object_oracle import ObjectTree, object_tree
 from repro.api.pipeline import SessionPipeline
 from repro.api.spec import SessionSpec
-from repro.core import equivalence, prefix_tree, visualize
+from repro.core import equivalence, visualize
 from repro.core.equivalence import (
     equivalence_classes,
     mpi_api_boundary,
     triage_classes,
 )
 from repro.core.frames import StackTrace
-from repro.core.prefix_tree import PrefixTree
 from repro.core.ranklist import (
     compress_ranks,
     format_edge_label,
@@ -34,6 +34,7 @@ from repro.core.ranklist import (
 )
 from repro.core.session import load_session, save_session
 from repro.core.taskset import DenseBitVector
+from repro.core.treearrays import TreeArrays
 from repro.core.visualize import to_ascii, to_dot
 
 # -- strategies ------------------------------------------------------------
@@ -58,7 +59,7 @@ def trees(draw, max_paths_per_rank):
     width = draw(st.integers(1, 48))
     pool = draw(st.lists(traces, min_size=1, max_size=8))
     live = draw(st.sets(st.integers(0, width - 1)))
-    tree = PrefixTree()
+    tree = ObjectTree()
     for rank in sorted(live):
         picks = draw(st.lists(st.sampled_from(pool), min_size=1,
                               max_size=max_paths_per_rank))
@@ -68,9 +69,17 @@ def trees(draw, max_paths_per_rank):
 
 
 def views(tree):
-    """The tree, its triage view and two depth cuts."""
-    return (tree, tree.truncated(mpi_api_boundary),
-            tree.truncated_at_depth(1), tree.truncated_at_depth(3))
+    """``(arrays, object tree)`` pairs: the tree, its triage view and two
+    depth cuts, each cut by ``TreeArrays.truncated`` and by the oracle."""
+    arrays = tree.to_arrays()
+    return [(arrays.truncated(stop), oracle.oracle_truncated(tree, stop))
+            for stop in (lambda path, frame: False, mpi_api_boundary,
+                         lambda path, frame: len(path) >= 1,
+                         lambda path, frame: len(path) >= 3)]
+
+
+def classes_of(tree):
+    return equivalence_classes(tree.to_arrays())
 
 
 def as_pairs(classes):
@@ -83,78 +92,58 @@ class TestClassesMatchOracle:
     @given(trees(max_paths_per_rank=1))
     @settings(max_examples=150, deadline=None)
     def test_2d_trees(self, tree):
-        for view in views(tree):
+        for view, object_view in views(tree):
             assert as_pairs(equivalence_classes(view)) == \
-                as_pairs(oracle.oracle_equivalence_classes(view))
+                as_pairs(oracle.oracle_equivalence_classes(object_view))
 
     @given(trees(max_paths_per_rank=4))
     @settings(max_examples=150, deadline=None)
     def test_3d_trees(self, tree):
-        for view in views(tree):
+        for view, object_view in views(tree):
             assert as_pairs(equivalence_classes(view)) == \
-                as_pairs(oracle.oracle_equivalence_classes(view))
-        assert as_pairs(triage_classes(tree)) == \
+                as_pairs(oracle.oracle_equivalence_classes(object_view))
+            assert view.structurally_equal(object_view.to_arrays())
+        assert as_pairs(triage_classes(tree.to_arrays())) == \
             as_pairs(oracle.oracle_triage_classes(tree))
+        assert tree.to_arrays().truncated_at_depth(3).structurally_equal(
+            views(tree)[3][1].to_arrays())
 
     def test_rank_terminal_at_several_nodes_groups_by_the_whole_set(self):
-        tree = PrefixTree()
+        tree = ObjectTree()
         a, b, c = (StackTrace.from_names(n) for n in
                    (["m", "a"], ["m", "b"], ["m", "c"]))
         for trace, ranks in ((a, [0, 1, 2, 5]), (b, [1, 2, 3]), (c, [2, 5])):
             tree.insert(trace, DenseBitVector.from_ranks(ranks, 8))
-        got = as_pairs(equivalence_classes(tree))
+        got = as_pairs(classes_of(tree))
         assert got == as_pairs(oracle.oracle_equivalence_classes(tree))
         assert got == [((a,), (0,)), ((a, b), (1,)), ((a, b, c), (2,)),
                        ((b,), (3,)), ((a, c), (5,))]
 
     def test_empty_tree_and_empty_labels(self):
-        assert equivalence_classes(PrefixTree()) == []
-        tree = PrefixTree()
+        assert equivalence_classes(TreeArrays.empty("dense", width=4)) == []
+        tree = ObjectTree()
         tree.insert(StackTrace.from_names(["m", "a"]), DenseBitVector.empty(4))
-        assert equivalence_classes(tree) == []
-
-    def test_label_whose_to_ranks_returns_a_list(self):
-        class ListLabel:
-            def __init__(self, ranks):
-                self.ranks = list(ranks)
-
-            def to_ranks(self):
-                return self.ranks
-
-            def union_inplace(self, other):
-                self.ranks += other.ranks
-                return self
-
-            def copy(self):
-                return ListLabel(self.ranks)
-
-        tree = PrefixTree()
-        tree.insert(StackTrace.from_names(["m", "a"]), ListLabel([7, 3, 3]))
-        tree.insert(StackTrace.from_names(["m", "a", "b"]), ListLabel([9]))
-        tree.insert(StackTrace.from_names(["m"]), ListLabel([200]))
-        got = equivalence_classes(tree)
-        assert as_pairs(got) == \
-            as_pairs(oracle.oracle_equivalence_classes(tree))
-        assert [c.ranks for c in got] == [(3, 7), (9,), (200,)]
+        assert classes_of(tree) == []
 
     def test_child_ranks_outside_the_parent_are_ignored(self):
         """A hand-built tree that breaks the label invariant still agrees."""
-        tree = PrefixTree()
+        tree = ObjectTree()
         tree.insert(StackTrace.from_names(["m", "a"]),
                     DenseBitVector.from_ranks([1], 64))
-        tree.find(StackTrace.from_names(["m", "a"])).tasks = \
-            DenseBitVector.from_ranks([1, 40], 64)
-        assert as_pairs(equivalence_classes(tree)) == \
+        (m,) = tree.root.children.values()
+        (a,) = m.children.values()
+        a.tasks = DenseBitVector.from_ranks([1, 40], 64)
+        assert as_pairs(classes_of(tree)) == \
             as_pairs(oracle.oracle_equivalence_classes(tree))
 
     def test_ranks_are_python_ints_and_json_serialisable(self):
-        tree = PrefixTree()
+        tree = ObjectTree()
         for trace, ranks in ((["m", "a"], range(0, 40)),
                              (["m", "a", "b"], range(10, 20)),
                              (["m", "c"], range(15, 50, 3))):
             tree.insert(StackTrace.from_names(trace),
                         DenseBitVector.from_ranks(ranks, 64))
-        classes = equivalence_classes(tree)  # 3D: ranks on several paths
+        classes = classes_of(tree)  # 3D: ranks on several paths
         assert len({r for c in classes for r in c.ranks}) == \
             sum(c.size for c in classes)
         for cls in classes:
@@ -206,7 +195,7 @@ def session():
 def oracle_formatter(monkeypatch):
     """Swap every ``format_edge_label`` binding for the oracle's."""
     def install():
-        for module in (visualize, prefix_tree, equivalence):
+        for module in (visualize, equivalence):
             monkeypatch.setattr(module, "format_edge_label",
                                 oracle.oracle_format_edge_label)
     return install
@@ -219,8 +208,7 @@ class TestBytesMatchOracle:
         def render():
             return [out for tree in (result.tree_2d, result.tree_3d)
                     for out in (to_dot(tree), to_dot(tree, max_runs=None),
-                                to_ascii(tree), tree.render_text(),
-                                tree.render_text(max_runs=2))]
+                                to_ascii(tree), to_ascii(tree, max_runs=2))]
 
         got = render()
         oracle_formatter()
@@ -228,15 +216,16 @@ class TestBytesMatchOracle:
 
     def test_archive(self, session, oracle_formatter, tmp_path):
         spec, result = session
-        assert as_pairs(result.classes) == \
-            as_pairs(oracle.oracle_triage_classes(result.tree_2d))
+        assert as_pairs(result.classes) == as_pairs(
+            oracle.oracle_triage_classes(object_tree(result.tree_2d)))
         save_session(result, tmp_path / "new", spec=spec)
         loaded = load_session(tmp_path / "new")
         assert as_pairs(loaded.classes) == as_pairs(result.classes)
 
         oracle_formatter()
         frozen = dataclasses.replace(
-            result, classes=oracle.oracle_triage_classes(result.tree_2d))
+            result, classes=oracle.oracle_triage_classes(
+                object_tree(result.tree_2d)))
         save_session(frozen, tmp_path / "old", spec=spec)
         for name in ("session.json", "tree_3d.dot",
                      "tree_2d.stpt", "tree_3d.stpt"):

@@ -8,9 +8,10 @@ from repro.core.equivalence import (
     representatives,
     triage_classes,
 )
+from per_object_oracle import ObjectTree
 from repro.core.frames import Frame, StackTrace
-from repro.core.prefix_tree import PrefixTree
 from repro.core.taskset import DenseBitVector
+from repro.core.treearrays import TreeArrays
 
 
 def trace(*names):
@@ -21,15 +22,22 @@ def label(*ranks, width=1024):
     return DenseBitVector.from_ranks(ranks, width)
 
 
-def figure1_tree() -> PrefixTree:
+def tree_of(*inserts) -> TreeArrays:
+    """The tree of ``(trace, label)`` insertions, in order."""
+    tree = ObjectTree()
+    for path, tasks in inserts:
+        tree.insert(path, tasks)
+    return tree.to_arrays()
+
+
+def figure1_tree() -> TreeArrays:
     """The paper's hang population as a dense-labelled tree."""
-    tree = PrefixTree()
     barrier = [0] + list(range(3, 1024))
-    tree.insert(trace("_start", "main", "PMPI_Barrier", "progress"),
-                label(*barrier))
-    tree.insert(trace("_start", "main", "do_SendOrStall"), label(1))
-    tree.insert(trace("_start", "main", "PMPI_Waitall", "wait"), label(2))
-    return tree
+    return tree_of(
+        (trace("_start", "main", "PMPI_Barrier", "progress"),
+         label(*barrier)),
+        (trace("_start", "main", "do_SendOrStall"), label(1)),
+        (trace("_start", "main", "PMPI_Waitall", "wait"), label(2)))
 
 
 class TestEquivalenceClasses:
@@ -40,17 +48,15 @@ class TestEquivalenceClasses:
         assert {classes[1].ranks, classes[2].ranks} == {(1,), (2,)}
 
     def test_classes_sorted_largest_first(self):
-        tree = PrefixTree()
-        tree.insert(trace("m", "a"), label(0))
-        tree.insert(trace("m", "b"), label(1, 2, 3))
+        tree = tree_of((trace("m", "a"), label(0)),
+                       (trace("m", "b"), label(1, 2, 3)))
         classes = equivalence_classes(tree)
         assert classes[0].size == 3
 
     def test_terminal_ranks_at_internal_nodes(self):
         """A shallower trace must not vanish from the classes."""
-        tree = PrefixTree()
-        tree.insert(trace("m", "barrier"), label(0, 1))       # shallow
-        tree.insert(trace("m", "barrier", "poll"), label(1))  # deeper
+        tree = tree_of((trace("m", "barrier"), label(0, 1)),       # shallow
+                       (trace("m", "barrier", "poll"), label(1)))  # deeper
         classes = equivalence_classes(tree)
         all_ranks = sorted(r for c in classes for r in c.ranks)
         assert all_ranks == [0, 1]
@@ -74,9 +80,9 @@ class TestTriage:
         assert not mpi_api_boundary(trace("main"), Frame("do_work"))
 
     def test_triage_collapses_progress_depth(self):
-        tree = PrefixTree()
-        tree.insert(trace("m", "PMPI_Barrier", "poll"), label(0))
-        tree.insert(trace("m", "PMPI_Barrier", "poll", "poll2"), label(1))
+        tree = tree_of((trace("m", "PMPI_Barrier", "poll"), label(0)),
+                       (trace("m", "PMPI_Barrier", "poll", "poll2"),
+                        label(1)))
         assert len(equivalence_classes(tree)) == 2
         assert len(triage_classes(tree)) == 1
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import edges
 from repro.api.spec import SessionSpec, SpecValidationError
 from repro.api.suite import MAX_SPEC_RETRIES, ScenarioSuite
 from repro.core.merge import HierarchicalLabelScheme
@@ -101,7 +102,7 @@ class TestDegradedStatSession:
         final = HierarchicalLabelScheme().finalize(
             res.payload.tree_3d, tm)
         observed = set()
-        for _, label in final.edges():
+        for _, label in edges(final):
             observed.update(label.to_ranks().tolist())
         lost = set(tm.ranks_of(5).tolist())
         # no lost rank can appear anywhere ...

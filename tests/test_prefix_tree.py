@@ -1,10 +1,12 @@
-"""Unit tests for frames, stack traces, and the prefix tree."""
+"""Unit tests for frames, stack traces, and the prefix tree's reads."""
 
 import pytest
 
+from per_object_oracle import ObjectTree
 from repro.core.frames import Frame, ROOT_FRAME, StackTrace
-from repro.core.prefix_tree import PrefixTree
 from repro.core.taskset import DenseBitVector
+from repro.core.treearrays import TreeArrays
+from repro.core.visualize import to_ascii
 
 
 def trace(*names: str) -> StackTrace:
@@ -13,6 +15,14 @@ def trace(*names: str) -> StackTrace:
 
 def label(*ranks: int, width: int = 16) -> DenseBitVector:
     return DenseBitVector.from_ranks(ranks, width)
+
+
+def tree_of(*inserts) -> TreeArrays:
+    """The tree of ``(trace, label)`` insertions, in order."""
+    tree = ObjectTree()
+    for path, tasks in inserts:
+        tree.insert(path, tasks)
+    return tree.to_arrays()
 
 
 class TestFrame:
@@ -66,53 +76,54 @@ class TestStackTrace:
 
 class TestPrefixTreeInsert:
     def test_single_trace(self):
-        tree = PrefixTree()
-        tree.insert(trace("main", "foo"), label(0))
+        tree = tree_of((trace("main", "foo"), label(0)))
         assert tree.node_count() == 2
-        node = tree.find(trace("main", "foo"))
-        assert node is not None and node.tasks.to_ranks().tolist() == [0]
+        node = tree.node_at(trace("main", "foo"))
+        assert node is not None
+        assert tree.label_of(node).to_ranks().tolist() == [0]
 
     def test_shared_prefix_unions_labels(self):
-        tree = PrefixTree()
-        tree.insert(trace("main", "foo"), label(0))
-        tree.insert(trace("main", "bar"), label(1))
-        main = tree.find(trace("main"))
-        assert main.tasks.to_ranks().tolist() == [0, 1]
+        tree = tree_of((trace("main", "foo"), label(0)),
+                       (trace("main", "bar"), label(1)))
+        main = tree.node_at(trace("main"))
+        assert tree.label_of(main).to_ranks().tolist() == [0, 1]
         assert tree.node_count() == 3
 
     def test_same_path_twice_unions(self):
-        tree = PrefixTree()
-        tree.insert(trace("main"), label(0))
-        tree.insert(trace("main"), label(1))
+        tree = tree_of((trace("main"), label(0)), (trace("main"), label(1)))
         assert tree.node_count() == 1
-        assert tree.find(trace("main")).tasks.count() == 2
+        assert tree.label_of(tree.node_at(trace("main"))).count() == 2
 
     def test_label_reuse_is_safe(self):
         """The inserted label object is copied, not aliased."""
-        tree = PrefixTree()
         shared = label(0)
+        tree = ObjectTree()
         tree.insert(trace("a"), shared)
         tree.insert(trace("b"), shared)
-        tree.find(trace("a")).tasks.union_inplace(label(5))
-        assert tree.find(trace("b")).tasks.count() == 1
+        shared.union_inplace(label(5))
+        arrays = tree.to_arrays()
+        assert arrays.label_of(arrays.node_at(trace("b"))).count() == 1
 
 
 class TestPrefixTreeQueries:
-    def make(self) -> PrefixTree:
-        tree = PrefixTree()
-        tree.insert(trace("main", "PMPI_Barrier", "progress"), label(0, 3))
-        tree.insert(trace("main", "PMPI_Waitall"), label(2))
-        tree.insert(trace("main", "do_SendOrStall"), label(1))
-        return tree
+    def make(self) -> TreeArrays:
+        return tree_of(
+            (trace("main", "PMPI_Barrier", "progress"), label(0, 3)),
+            (trace("main", "PMPI_Waitall"), label(2)),
+            (trace("main", "do_SendOrStall"), label(1)))
 
     def test_walk_visits_all_nodes(self):
-        paths = [str(p) for p, _ in self.make().walk()]
-        assert "main" in paths
-        assert "main > PMPI_Barrier > progress" in paths
-        assert len(paths) == 5
+        tree = self.make()
+        paths = [str(tree.paths()[node]) for node in tree.preorder()]
+        assert paths == ["main", "main > PMPI_Barrier",
+                         "main > PMPI_Barrier > progress",
+                         "main > PMPI_Waitall", "main > do_SendOrStall"]
 
     def test_leaf_paths(self):
-        leaves = {str(p) for p, _ in self.make().leaf_paths()}
+        tree = self.make()
+        kids = tree.children()
+        leaves = {str(path) for node, path in enumerate(tree.paths())
+                  if not kids[node]}
         assert leaves == {
             "main > PMPI_Barrier > progress",
             "main > PMPI_Waitall",
@@ -123,50 +134,46 @@ class TestPrefixTreeQueries:
         assert self.make().depth() == 3
 
     def test_find_missing_returns_none(self):
-        assert self.make().find(trace("nope")) is None
+        assert self.make().node_at(trace("nope")) is None
+        assert self.make().node_at(trace("main", "nope")) is None
 
     def test_serialized_bytes_counts_labels_and_frames(self):
         tree = self.make()
         total = tree.serialized_bytes()
-        label_bytes = sum(n.tasks.serialized_bytes()
-                          for _, n in tree.walk())
+        label_bytes = tree.node_count() * tree.label_serialized_bytes()
         assert total > label_bytes  # frames + structure on top
 
     def test_structural_equality_ignores_child_order(self):
-        a = PrefixTree()
-        a.insert(trace("m", "x"), label(0))
-        a.insert(trace("m", "y"), label(1))
-        b = PrefixTree()
-        b.insert(trace("m", "y"), label(1))
-        b.insert(trace("m", "x"), label(0))
+        a = tree_of((trace("m", "x"), label(0)), (trace("m", "y"), label(1)))
+        b = tree_of((trace("m", "y"), label(1)), (trace("m", "x"), label(0)))
+        assert not a.arrays_equal(b)
         assert a.structurally_equal(b)
 
     def test_structural_inequality_on_labels(self):
-        a = PrefixTree()
-        a.insert(trace("m"), label(0))
-        b = PrefixTree()
-        b.insert(trace("m"), label(1))
+        a = tree_of((trace("m"), label(0)))
+        b = tree_of((trace("m"), label(1)))
         assert not a.structurally_equal(b)
+        assert not a.structurally_equal(tree_of((trace("m"), label(0, width=8))))
 
-    def test_copy_deep(self):
+    def test_structural_inequality_on_shape(self):
         a = self.make()
-        b = a.copy()
-        b.find(trace("main")).tasks.union_inplace(label(9))
+        b = tree_of((trace("main", "PMPI_Barrier", "progress"), label(0, 3)),
+                    (trace("main", "PMPI_Waitall"), label(2)),
+                    (trace("main", "do_Send"), label(1)))
         assert not a.structurally_equal(b)
+        assert not a.structurally_equal(a.truncated_at_depth(2))
 
 
 class TestTruncation:
-    def make(self) -> PrefixTree:
-        tree = PrefixTree()
-        tree.insert(trace("main", "PMPI_Barrier", "progress", "poll"),
-                    label(0))
-        tree.insert(trace("main", "do_work"), label(1))
-        return tree
+    def make(self) -> TreeArrays:
+        return tree_of(
+            (trace("main", "PMPI_Barrier", "progress", "poll"), label(0)),
+            (trace("main", "do_work"), label(1)))
 
     def test_truncated_at_depth(self):
         cut = self.make().truncated_at_depth(2)
         assert cut.depth() == 2
-        assert cut.find(trace("main", "PMPI_Barrier")).is_leaf()
+        assert not cut.children()[cut.node_at(trace("main", "PMPI_Barrier"))]
 
     def test_truncated_at_depth_validates(self):
         with pytest.raises(ValueError):
@@ -175,14 +182,16 @@ class TestTruncation:
     def test_truncated_by_predicate(self):
         cut = self.make().truncated(
             lambda path, frame: frame.function.startswith("PMPI_"))
-        barrier = cut.find(trace("main", "PMPI_Barrier"))
-        assert barrier is not None and barrier.is_leaf()
+        barrier = cut.node_at(trace("main", "PMPI_Barrier"))
+        assert barrier is not None and not cut.children()[barrier]
         # untouched branch survives in full
-        assert cut.find(trace("main", "do_work")) is not None
+        assert cut.node_at(trace("main", "do_work")) is not None
+        assert cut.node_count() == 3
 
     def test_truncation_preserves_labels(self):
         cut = self.make().truncated_at_depth(1)
-        assert cut.find(trace("main")).tasks.to_ranks().tolist() == [0, 1]
+        assert cut.label_of(cut.node_at(trace("main"))).to_ranks().tolist() \
+            == [0, 1]
 
     def test_truncation_does_not_mutate_original(self):
         tree = self.make()
@@ -192,14 +201,12 @@ class TestTruncation:
 
 class TestRenderText:
     def test_render_contains_labels(self):
-        tree = PrefixTree()
-        tree.insert(trace("main", "PMPI_Barrier"),
-                    label(*([0] + list(range(3, 16)))))
-        text = tree.render_text()
+        tree = tree_of((trace("main", "PMPI_Barrier"),
+                        label(*([0] + list(range(3, 16))))))
+        text = to_ascii(tree)
         assert "PMPI_Barrier" in text
         assert "14:[0,3-15]" in text
 
     def test_render_root_first_line(self):
-        tree = PrefixTree()
-        tree.insert(trace("main"), label(0))
-        assert tree.render_text().splitlines()[0] == ROOT_FRAME.function
+        tree = tree_of((trace("main"), label(0)))
+        assert to_ascii(tree).splitlines()[0] == ROOT_FRAME.function

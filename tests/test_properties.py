@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import as_arrays
+from per_object_oracle import ObjectTree
 from repro.core.frames import StackTrace
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
-from repro.core.prefix_tree import PrefixTree
 from repro.core.ranklist import format_rank_list, parse_rank_list
 from repro.core.taskset import (
     DaemonLayout,
@@ -163,7 +163,7 @@ class TestRankListProperties:
 # -- merge laws ------------------------------------------------------------------
 
 def _daemon_tree(scheme, daemon, tm, assignment):
-    tree = PrefixTree()
+    tree = ObjectTree()
     width = tm.tasks_of(daemon)
     by_path = {}
     for slot in range(width):

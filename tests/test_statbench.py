@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import edges, leaf_paths
 from repro.core.merge import HierarchicalLabelScheme
 from repro.core.taskset import TaskMap
 from repro.statbench import (
@@ -89,12 +90,12 @@ class TestEmulator:
 
     def test_daemon_with_hang_rank_sees_stall(self, emulator):
         pair = emulator.daemon_trees(0)   # block map: daemon 0 has rank 1
-        leaves = {p.leaf.function for p, _ in pair.tree_3d.leaf_paths()}
+        leaves = {p.leaf.function for p, _ in leaf_paths(pair.tree_3d)}
         assert "do_SendOrStall" in leaves
 
     def test_daemon_without_hang_rank_sees_only_barrier(self, emulator):
         pair = emulator.daemon_trees(3)
-        fns = {f.function for p, _ in pair.tree_3d.edges() for f in p}
+        fns = {f.function for p, _ in edges(pair.tree_3d) for f in p}
         assert "do_SendOrStall" not in fns
         assert "PMPI_Barrier" in fns
 

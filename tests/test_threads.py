@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import edges, leaf_paths
 from repro.core.merge import HierarchicalLabelScheme
 from repro.core.sampling import SamplingConfig
 from repro.core.taskset import TaskMap
@@ -67,7 +68,7 @@ class TestThreadedMerge:
 
     def test_thread_traces_enter_the_tree(self, bgl_stacks):
         res = self._merge_time(4, bgl_stacks)
-        fns = {f.function for p, _ in res.payload.tree_3d.edges()
+        fns = {f.function for p, _ in edges(res.payload.tree_3d)
                for f in p}
         assert "omp_worker_loop" in fns
 
@@ -75,7 +76,7 @@ class TestThreadedMerge:
         """Thread stacks are labelled with the owning process's slots."""
         res = self._merge_time(2, bgl_stacks)
         tree = res.payload.tree_3d
-        worker_paths = [(p, lbl) for p, lbl in tree.leaf_paths()
+        worker_paths = [(p, lbl) for p, lbl in leaf_paths(tree)
                         if p.leaf.function == "do_team_chunk"]
         assert worker_paths
         # every process has a worker thread -> the label covers all tasks

@@ -2,6 +2,9 @@
 
 import pytest
 
+from conftest import leaf_paths
+from end_product_oracle import oracle_class_of
+from repro.api.spec import SessionSpec
 from repro.apps import ring_program
 from repro.apps.bugs import NO_BUG, HangBeforeSend
 from repro.core.frames import StackTrace
@@ -9,7 +12,8 @@ from repro.core.frontend import STATFrontEnd
 from repro.core.merge import HierarchicalLabelScheme
 from repro.core.queries import TreeQuery
 from repro.core.session import load_session, save_session
-from repro.core.taskset import TaskMap
+from repro.core.taskset import DaemonLayout, TaskMap
+from repro.core.treearrays import TreeArrays
 from repro.core.timeline import TimelineSampler
 from repro.statbench import ring_hang_states
 
@@ -41,7 +45,7 @@ class TestTimeline:
             ring_program(bug=HangBeforeSend(rank=1)),
             sample_times=[0.5, 1.0])
         assert result.hung
-        fns = {p.leaf.function for p, _ in result.tree_3d.leaf_paths()}
+        fns = {p.leaf.function for p, _ in leaf_paths(result.tree_3d)}
         assert "do_SendOrStall" in fns
 
     def test_sample_times_validated(self, timeline_sampler):
@@ -63,10 +67,11 @@ def session_result(bgl_small):
 
 
 class TestTreeQuery:
-    def test_requires_dense_labels(self):
-        from repro.core.prefix_tree import PrefixTree
+    def test_requires_dense_labels(self, session_result):
         with pytest.raises(ValueError):
-            TreeQuery(PrefixTree())
+            TreeQuery(TreeArrays.empty("dense", width=4))
+        with pytest.raises(ValueError):
+            TreeQuery(TreeArrays.empty("hier", layout=DaemonLayout([0], [4])))
 
     def test_all_tasks(self, session_result):
         q = TreeQuery(session_result.tree_2d)
@@ -112,6 +117,27 @@ class TestTreeQuery:
     def test_class_of(self, session_result):
         q = TreeQuery(session_result.tree_2d)
         assert q.class_of(1).to_ranks().tolist() == [1]
+
+
+class TestClassOfMatchesOracle:
+    """``class_of`` reads the equivalence classes; the oracle is the
+    definition it replaced, a ``where_is`` scan per observed rank."""
+
+    @pytest.mark.parametrize("scheme", ["dense", "hierarchical"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_rank(self, scheme, seed):
+        spec = SessionSpec(machine="atlas", daemons=4, num_samples=3,
+                           seed=seed, scheme=scheme, workload="uniform:5",
+                           dead_daemons=(2,))
+        result = spec.run().result
+        for tree in (result.tree_2d, result.tree_3d):
+            q = TreeQuery(tree)
+            unobserved = 0
+            for rank in range(q.total_tasks + 2):
+                got = q.class_of(rank)
+                assert got == oracle_class_of(q, rank), rank
+                unobserved += got.is_empty()
+            assert unobserved == 8 + 2  # dead daemon 2's ranks, past the end
 
 
 class TestSessionPersistence:

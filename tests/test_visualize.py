@@ -1,13 +1,14 @@
 """Unit tests for DOT and ASCII tree rendering."""
 
+from per_object_oracle import ObjectTree
 from repro.core.frames import StackTrace
-from repro.core.prefix_tree import PrefixTree
 from repro.core.taskset import DenseBitVector
+from repro.core.treearrays import TreeArrays
 from repro.core.visualize import to_ascii, to_dot
 
 
-def make_tree() -> PrefixTree:
-    tree = PrefixTree()
+def make_tree() -> TreeArrays:
+    tree = ObjectTree()
     w = 8
     tree.insert(StackTrace.from_names(["main", "PMPI_Barrier"]),
                 DenseBitVector.from_ranks([0, 3, 4, 5, 6, 7], w))
@@ -15,7 +16,7 @@ def make_tree() -> PrefixTree:
                 DenseBitVector.from_ranks([1], w))
     tree.insert(StackTrace.from_names(["main", "PMPI_Waitall"]),
                 DenseBitVector.from_ranks([2], w))
-    return tree
+    return tree.to_arrays()
 
 
 class TestDot:
@@ -35,10 +36,10 @@ class TestDot:
         assert 'label="1:[1]"' in dot
 
     def test_quotes_escaped(self):
-        tree = PrefixTree()
+        tree = ObjectTree()
         tree.insert(StackTrace.from_names(['fn"quoted']),
                     DenseBitVector.from_ranks([0], 4))
-        dot = to_dot(tree)
+        dot = to_dot(tree.to_arrays())
         assert '\\"' in dot
 
     def test_node_ids_unique(self):
@@ -72,9 +73,33 @@ class TestAscii:
     def test_custom_rank_resolver(self):
         from repro.core.taskset import HierarchicalTaskSet, TaskMap
         tm = TaskMap.cyclic(2, 2)
-        tree = PrefixTree()
+        tree = ObjectTree()
         tree.insert(StackTrace.from_names(["main"]),
                     HierarchicalTaskSet.for_daemon(0, 2, [0, 1]))
-        text = to_ascii(tree,
+        text = to_ascii(tree.to_arrays(),
                         rank_resolver=lambda t: t.to_global_ranks(tm))
         assert "2:[0,2]" in text
+
+
+class TestNodeOrder:
+    """Both renderings enumerate nodes in preorder, siblings in
+    insertion order, whatever order the BFS arrays keep a level in."""
+
+    def test_dot_ids_and_ascii_lines_follow_preorder(self):
+        tree = ObjectTree()
+        for names, rank in ((["main", "b", "z"], 0), (["main", "a"], 1),
+                            (["main", "b", "y"], 2)):
+            tree.insert(StackTrace.from_names(names),
+                        DenseBitVector.from_ranks([rank], 4))
+        arrays = tree.to_arrays()
+        assert to_ascii(arrays).splitlines() == [
+            "/",
+            "└── main  3:[0-2]",
+            "    ├── b  2:[0,2]",
+            "    │   ├── z  1:[0]",
+            "    │   └── y  1:[2]",
+            "    └── a  1:[1]",
+        ]
+        dot = to_dot(arrays)
+        assert 'n2 [label="b"]' in dot and 'n5 [label="a"]' in dot
+        assert 'n2 -> n4 [label="1:[2]"]' in dot
