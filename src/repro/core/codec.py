@@ -46,7 +46,7 @@ _KIND_HIERARCHICAL = 1
 
 
 class CodecError(ValueError):
-    """Malformed buffer or unsupported label type."""
+    """Malformed or inconsistent buffer."""
 
 
 def _pack_frame(out: List[bytes], frame: Frame) -> None:
@@ -73,8 +73,6 @@ def _label_header(tree: TreeArrays) -> bytes:
 
 def pack_tree(tree: TreeArrays) -> bytes:
     """Serialize a tree (and its labels) to bytes, nodes in preorder."""
-    if not isinstance(tree, TreeArrays):
-        raise CodecError(f"cannot pack a {type(tree).__name__}")
     # An empty tree has no labels, so its kind byte is irrelevant.
     kind = _KIND_HIERARCHICAL if tree.kind == KIND_HIER \
         and tree.node_count() else _KIND_DENSE

@@ -131,13 +131,6 @@ class TestErrors:
         with pytest.raises(CodecError, match="trailing"):
             unpack_tree(packed + b"xx")
 
-    def test_only_tree_arrays_pack(self):
-        tree = ObjectTree()
-        tree.insert(StackTrace.from_names(["main"]),
-                    DenseBitVector.from_ranks([0], 8))
-        with pytest.raises(CodecError, match="cannot pack"):
-            pack_tree(tree)
-
     def test_labels_of_two_widths_rejected(self):
         narrow = pack_tree(one_node_tree("a", 8))
         wide = pack_tree(one_node_tree("b", 16))
