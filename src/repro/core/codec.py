@@ -27,7 +27,7 @@ the real encoding.
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -124,14 +124,14 @@ def _unpack_frame(r: _Reader) -> Frame:
     return Frame(fn, mod)
 
 
-def _unpack_label(r: _Reader, kind: int) -> Tuple[Any, np.ndarray]:
+def _unpack_label(r: _Reader, kind: int) -> Tuple[Any, bytes]:
     """One label as ``(width or layout, packed bytes)``."""
     if kind == _KIND_DENSE:
         width = r.u32()
-        return width, np.frombuffer(r.take((width + 7) // 8), dtype=np.uint8)
+        return width, r.take((width + 7) // 8)
     table = np.frombuffer(r.take(8 * r.u32()), dtype="<u4").reshape(-1, 2)
     layout = DaemonLayout(table[:, 0].tolist(), table[:, 1].tolist())
-    return layout, np.frombuffer(r.take(layout.nbytes), dtype=np.uint8)
+    return layout, r.take(layout.nbytes)
 
 
 def unpack_tree(buf: bytes) -> TreeArrays:
@@ -139,7 +139,7 @@ def unpack_tree(buf: bytes) -> TreeArrays:
 
     Returns the tree in BFS order (a stable sort of the preorder by
     depth, so :meth:`TreeArrays.preorder` gives the packed order back)
-    with one label row per node.
+    with one label row per distinct label, as the kernels share them.
     """
     r = _Reader(buf)
     if r.take(4) != _MAGIC:
@@ -154,7 +154,8 @@ def unpack_tree(buf: bytes) -> TreeArrays:
     frame_ids: List[int] = []
     parents: List[int] = []
     depths: List[int] = []
-    labels: List[Tuple[Any, np.ndarray]] = []
+    refs: List[int] = []
+    rows: Dict[Tuple[Any, bytes], int] = {}
 
     def rec(parent: int, depth: int) -> None:
         for _ in range(r.u32()):
@@ -162,20 +163,22 @@ def unpack_tree(buf: bytes) -> TreeArrays:
             frame_ids.append(_unpack_frame(r).id)
             parents.append(parent)
             depths.append(depth)
-            labels.append(_unpack_label(r, kind))
+            refs.append(rows.setdefault(_unpack_label(r, kind), len(rows)))
             rec(node, depth + 1)
 
     rec(-1, 0)
     if not r.done():
         raise CodecError(f"{len(buf) - r.pos} trailing bytes")
-    shapes = {shape for shape, _ in labels}
+    shapes = {shape for shape, _ in rows}
     if len(shapes) > 1:
         raise CodecError("labels of one tree disagree on their shape")
 
-    if not labels:
+    if not rows:
         return TreeArrays.empty(KIND_DENSE, width=0)
     shape = shapes.pop()
     hier = kind == _KIND_HIERARCHICAL
+    labels = np.frombuffer(bytearray(b"".join(data for _, data in rows)),
+                           dtype=np.uint8).reshape(len(rows), -1)
     depth = np.asarray(depths, dtype=np.int64)
     order = np.argsort(depth, kind="stable")  # preorder -> BFS
     index = np.argsort(order)
@@ -183,9 +186,8 @@ def unpack_tree(buf: bytes) -> TreeArrays:
     return TreeArrays(
         KIND_HIER if hier else KIND_DENSE,
         np.asarray(frame_ids, dtype=np.int64)[order],
-        np.where(up >= 0, index[up], -1), np.arange(order.size),
-        segment_bounds(depth, int(depth.max()) + 1),
-        np.stack([row for _, row in labels])[order],
+        np.where(up >= 0, index[up], -1), np.asarray(refs)[order],
+        segment_bounds(depth, int(depth.max()) + 1), labels,
         width=None if hier else shape, layout=shape if hier else None)
 
 

@@ -2,6 +2,7 @@
 
 import struct
 
+import numpy as np
 import pytest
 
 from conftest import as_arrays
@@ -55,6 +56,12 @@ class TestRoundTrip:
         clone = unpack_tree(pack_tree(tree))
         assert tree.structurally_equal(clone)
 
+    def test_unpacked_nodes_share_equal_label_rows(self):
+        tree = dense_tree()  # _start and main carry the same ranks
+        clone = unpack_tree(pack_tree(tree))
+        distinct = {row.tobytes() for row in tree.labels[tree.label_refs]}
+        assert clone.labels.shape[0] == len(distinct) < clone.node_count()
+
     def test_hierarchical_roundtrip(self):
         tree = hierarchical_tree()
         clone = unpack_tree(pack_tree(tree))
@@ -97,6 +104,10 @@ class TestRoundTrip:
         clone = unpack_tree(packed)
         assert not clone.arrays_equal(merged)
         assert clone.structurally_equal(merged)
+        # BFS arrays: each level's nodes sit between its offsets
+        levels = np.repeat(np.arange(clone.depth()),
+                           np.diff(clone.level_offsets))
+        assert [len(p) - 1 for p in clone.paths()] == levels.tolist()
         assert pack_tree(clone) == packed
         assert to_dot(clone) == to_dot(merged)
         assert to_ascii(clone) == to_ascii(merged)
