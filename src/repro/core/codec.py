@@ -83,7 +83,7 @@ def pack_tree(tree: TreeArrays) -> bytes:
     kids = tree.children()
     out: List[bytes] = [_MAGIC, struct.pack("<BBH", _VERSION, kind, 0),
                         struct.pack("<I", len(kids[-1]))]
-    for node in tree.preorder():
+    for node in tree.preorder(kids):
         _pack_frame(out, frames[node])
         out.append(rows[refs[node]])
         out.append(struct.pack("<I", len(kids[node])))

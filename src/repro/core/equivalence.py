@@ -144,7 +144,7 @@ def equivalence_classes(tree: TreeArrays) -> List[EquivalenceClass]:
     top = max((int(a[-1]) for a in ranks_of.values() if a.size), default=-1)
     mask = np.zeros(top + 1, dtype=bool)
     kids = tree.children()
-    order = tree.preorder()
+    order = tree.preorder(kids)
     terminals: List[np.ndarray] = []
     for node in order:
         ranks = ranks_of[refs[node]]

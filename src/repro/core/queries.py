@@ -120,7 +120,7 @@ class TreeQuery:
         """``(node, tasks whose traces end there)`` in preorder."""
         tree = self.tree
         kids = tree.children()
-        for node in tree.preorder():
+        for node in tree.preorder(kids):
             terminal = tree.label_of(node)
             if kids[node]:
                 terminal = terminal - self._union(kids[node])

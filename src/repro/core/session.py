@@ -11,9 +11,10 @@ merged trees must survive on disk.  A saved session directory contains:
 
 ``load_session`` restores the trees (as ``TreeArrays``, like a live
 session's) and re-derives the classes, so the triage queries
-(:mod:`repro.core.queries`) work on archived sessions as on live ones.  Re-deriving is an array pass over the 2D tree
-(milliseconds at 208K tasks), which is why the archive stores only the
-class *summary* and no class file that could disagree with the trees.
+(:mod:`repro.core.queries`) work on archived sessions as on live ones.
+Re-deriving is an array pass over the 2D tree (milliseconds at 208K
+tasks), which is why the archive stores only the class *summary* and no
+class file that could disagree with the trees.
 
 Format history:
 

@@ -185,12 +185,14 @@ class TreeArrays:
             kids[parent].append(node)
         return kids
 
-    def preorder(self) -> List[int]:
+    def preorder(self, kids: Optional[List[List[int]]] = None
+                 ) -> List[int]:
         """Node indices in preorder, siblings in ascending (first-seen)
         index: the one node order of the codec, the renderers and the
         class extraction, which fixes ``.stpt``/``.dot`` bytes, DOT node
-        ids and the tie order of ``EquivalenceClass.paths``."""
-        kids = self.children()
+        ids and the tie order of ``EquivalenceClass.paths``.  Pass the
+        caller's :meth:`children` as ``kids`` to not build them twice."""
+        kids = self.children() if kids is None else kids
         order: List[int] = []
         stack = kids[-1][::-1]
         while stack:
@@ -223,7 +225,7 @@ class TreeArrays:
         paths = self.paths()
         keep = np.zeros(self.node_count(), dtype=bool)
         cut = np.zeros_like(keep)
-        for node, parent in enumerate(self.parents.tolist()):  # BFS: parents first
+        for node, parent in enumerate(self.parents.tolist()):  # parents first
             keep[node] = parent < 0 or (keep[parent] and not cut[parent])
             cut[node] = keep[node] and stop(paths[node], paths[node].leaf)
         kept = np.concatenate(([0], np.cumsum(keep)))
@@ -319,26 +321,20 @@ class TreeArrays:
             self._ospan = span
         return span
 
-    def label_serialized_bytes(self) -> int:
-        """Wire bytes of one edge label (identical for every edge)."""
-        if self.kind == KIND_DENSE:
-            width = self.width if self.width is not None else 0
-            return (width + 7) // 8
-        bits = self.layout.total_tasks + CHUNK_HEADER_BITS * len(self.layout)
-        return (bits + 7) // 8
-
     def serialized_bytes(self) -> int:
-        """Wire-size model: frames + structure + every edge label.
+        """Wire-size model: frames + structure + every edge label (all
+        of one size: the tree's width, or its layout plus chunk headers).
 
         This is what the TBO̅N timing model charges to links, and it is
         what differs between the two label representations;
         :func:`~repro.core.codec.verify_size_model` holds it to the
         codec's real encoding.
         """
+        label_bits = (self.width or 0) if self.kind == KIND_DENSE else \
+            self.layout.total_tasks + CHUNK_HEADER_BITS * len(self.layout)
         n = self.node_count()
-        return (8 + 8 * n
-                + FRAMES.serialized_bytes_of(self.frame_ids)
-                + n * self.label_serialized_bytes())
+        return (8 + 8 * n + FRAMES.serialized_bytes_of(self.frame_ids)
+                + n * ((label_bits + 7) // 8))
 
     # -- pickling ----------------------------------------------------------
     def __getstate__(self):

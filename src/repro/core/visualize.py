@@ -86,10 +86,11 @@ def to_ascii(tree: TreeArrays,
     """
     labels = _edge_labels(tree, rank_resolver, max_runs)
     frames = FRAMES.frames_of(tree.frame_ids)
-    last = {kids[-1] for kids in tree.children() if kids}
+    kids = tree.children()
+    last = {siblings[-1] for siblings in kids if siblings}
     indent = {-1: ""}  # prefix of each node's children's lines
     lines: List[str] = [ROOT_FRAME.function]
-    for node in tree.preorder():
+    for node in tree.preorder(kids):
         prefix = indent[int(tree.parents[node])]
         connector = "└── " if node in last else "├── "
         lines.append(f"{prefix}{connector}{frames[node].function}  "

@@ -2,10 +2,10 @@
 
 An early version shipped exactly this bug: the object tree's default
 label callables were lambdas, so every ``ScenarioSuite`` result died in
-pickling on the way back from the ``ProcessPoolExecutor``.  Lambdas, closures, and
-locally-defined classes pickle by *qualified name*, so anything not
-importable at module level breaks the moment it (or an object holding
-it) crosses a pool boundary.
+pickling on the way back from the ``ProcessPoolExecutor``.  Lambdas,
+closures, and locally-defined classes pickle by *qualified name*, so
+anything not importable at module level breaks the moment it (or an
+object holding it) crosses a pool boundary.
 
 Flagged patterns:
 

@@ -44,11 +44,26 @@ def edges(tree):
     return [(paths[node], tree.label_of(node)) for node in tree.preorder()]
 
 
+def wire_bytes(tree):
+    """The wire-size model summed node by node from each node's own
+    frame and label object: a tree header, then per node its frame, a
+    child count and id, and its edge label."""
+    return 8 + sum(path.leaf.serialized_bytes() + 8
+                   + tree.label_of(node).serialized_bytes()
+                   for node, path in enumerate(tree.paths()))
+
+
+def label_bytes(tree):
+    """The bytes of every edge label, each sized by its own object."""
+    return sum(tree.label_of(node).serialized_bytes()
+               for node in range(tree.node_count()))
+
+
 def leaf_paths(tree):
     """``(path, edge label)`` for every leaf of a tree, in preorder."""
     kids = tree.children()
     return [(path, label) for (path, label), node
-            in zip(edges(tree), tree.preorder()) if not kids[node]]
+            in zip(edges(tree), tree.preorder(kids)) if not kids[node]]
 
 
 @pytest.fixture

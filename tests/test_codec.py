@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import as_arrays
+from conftest import as_arrays, label_bytes, wire_bytes
 from per_object_oracle import ObjectTree
 from repro.core.codec import CodecError, pack_tree, unpack_tree, \
     verify_size_model
@@ -120,11 +120,15 @@ class TestSizeModel:
     def test_hierarchical_size_model_close(self):
         verify_size_model(hierarchical_tree())
 
+    @pytest.mark.parametrize("make", [dense_tree, hierarchical_tree])
+    def test_size_model_is_the_per_node_sum(self, make):
+        tree = make()
+        assert tree.serialized_bytes() == wire_bytes(tree)
+
     def test_large_dense_tree_size_dominated_by_labels(self):
         tree = dense_tree()
         packed = pack_tree(tree)
-        label_bytes = tree.node_count() * tree.label_serialized_bytes()
-        assert len(packed) > label_bytes  # labels + structure
+        assert len(packed) > label_bytes(tree)  # labels + structure
 
 
 class TestErrors:

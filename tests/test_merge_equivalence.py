@@ -12,7 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import as_arrays
+from conftest import as_arrays, wire_bytes
 from per_object_oracle import (
     ObjectTree,
     object_tree,
@@ -150,28 +150,52 @@ class TestHierarchicalEquivalence:
         assert new.structurally_equal(ref.to_arrays())
 
 
+def object_nodes(tree):
+    """Every non-root node of an ``ObjectTree``."""
+    stack = list(tree.root.children.values())
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children.values())
+
+
+def object_wire_bytes(tree):
+    """The wire-size model over an ``ObjectTree``: a tree header, then
+    per node its frame, a child count and id, and its own label."""
+    return 8 + sum(n.frame.serialized_bytes() + 8 + n.tasks.serialized_bytes()
+                   for n in object_nodes(tree))
+
+
 class TestTreeArrays:
-    def test_round_trip_preserves_tree(self):
+    @pytest.mark.parametrize("scheme", [DenseLabelScheme(8),
+                                        HierarchicalLabelScheme()],
+                             ids=["dense", "hier"])
+    def test_round_trip_preserves_tree(self, scheme):
         rng = np.random.default_rng(5)
         task_map = TaskMap.block(2, 4)
-        scheme = DenseLabelScheme(8)
         tree = random_daemon_tree(rng, scheme, 0, task_map,
                                   allow_empty=False)
         arrays = tree.to_arrays()
         assert object_tree(arrays).to_arrays().arrays_equal(arrays)
+        assert arrays.node_count() == len(list(object_nodes(tree)))
+        assert arrays.serialized_bytes() == object_wire_bytes(tree)
+        assert arrays.serialized_bytes() == wire_bytes(arrays)
         assert arrays.depth() == max(len(p) for p in arrays.paths())
 
-    def test_size_model_matches_object_tree_hier(self):
+    @pytest.mark.parametrize("scheme", [DenseLabelScheme(12),
+                                        HierarchicalLabelScheme()],
+                             ids=["dense", "hier"])
+    def test_size_model_matches_object_tree(self, scheme):
         task_map = TaskMap.block(3, 4)
-        scheme = HierarchicalLabelScheme()
         trees = [random_daemon_tree(np.random.default_rng(d + 1), scheme,
                                     d, task_map, allow_empty=False)
                  for d in range(3)]
         merged = scheme.merge(as_arrays(scheme, trees))
         assert isinstance(merged, TreeArrays)
-        assert merged.serialized_bytes() == sum(
-            t.serialized_bytes() for t in as_arrays(scheme, [
-                reference_hierarchical_merge(trees)]))
+        ref = reference_merge(scheme.name, trees)
+        assert merged.node_count() == len(list(object_nodes(ref)))
+        assert merged.serialized_bytes() == object_wire_bytes(ref)
+        assert merged.serialized_bytes() == wire_bytes(merged)
         verify_size_model(merged)
 
     def test_pickle_reinterns_frames(self):

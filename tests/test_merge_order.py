@@ -118,7 +118,8 @@ class TestOrderMatchesPerLevelOracle:
     @pytest.mark.parametrize("seed", range(10))
     def test_object_grown_trees_empty_and_unequal_depths(self, seed,
                                                          scheme_name):
-        """Trees that arrive *without* ids (``from_prefix_tree``)."""
+        """Trees that arrive *without* ids (``ObjectTree.to_arrays`` via
+        ``conftest.as_arrays``)."""
         rng = np.random.default_rng(4000 + seed)
         task_map = TaskMap.block(64, 4)
         scheme = make_scheme(scheme_name, task_map)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import label_bytes, wire_bytes
 from per_object_oracle import ObjectTree
 from repro.core.frames import Frame, ROOT_FRAME, StackTrace
 from repro.core.taskset import DenseBitVector
@@ -140,8 +141,8 @@ class TestPrefixTreeQueries:
     def test_serialized_bytes_counts_labels_and_frames(self):
         tree = self.make()
         total = tree.serialized_bytes()
-        label_bytes = tree.node_count() * tree.label_serialized_bytes()
-        assert total > label_bytes  # frames + structure on top
+        assert total == wire_bytes(tree)
+        assert total > label_bytes(tree)  # frames + structure on top
 
     def test_structural_equality_ignores_child_order(self):
         a = tree_of((trace("m", "x"), label(0)), (trace("m", "y"), label(1)))
@@ -153,7 +154,8 @@ class TestPrefixTreeQueries:
         a = tree_of((trace("m"), label(0)))
         b = tree_of((trace("m"), label(1)))
         assert not a.structurally_equal(b)
-        assert not a.structurally_equal(tree_of((trace("m"), label(0, width=8))))
+        narrow = tree_of((trace("m"), label(0, width=8)))
+        assert not a.structurally_equal(narrow)
 
     def test_structural_inequality_on_shape(self):
         a = self.make()
