@@ -67,7 +67,7 @@ def session_result(bgl_small):
 
 
 class TestTreeQuery:
-    def test_requires_dense_labels(self, session_result):
+    def test_requires_dense_labels(self):
         with pytest.raises(ValueError):
             TreeQuery(TreeArrays.empty("dense", width=4))
         with pytest.raises(ValueError):
