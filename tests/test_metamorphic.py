@@ -2,8 +2,9 @@
 
 Each test runs one small random spec twice, changing one thing that must
 not matter (the TBO̅N topology, the label scheme, streamed arrival order)
-or one thing with a known effect (a daemon crashed at t=0), and checks
-the finalized trees and the equivalence classes against each other.
+or one thing with a known effect (a daemon crashed at t=0, a larger
+retry budget under the same link drops), and checks the finalized trees,
+the equivalence classes or the degradation report against each other.
 Example counts are small: every example runs two or three sessions.
 """
 
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from repro.api.pipeline import SessionPipeline
 from repro.api.spec import SessionSpec
 from repro.core.equivalence import EquivalenceClass
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, LinkFault, RetryPolicy
+from repro.tbon.retry import AllDaemonsFailed
 from repro.tbon.streaming import StreamConfig
 
 TOPOLOGIES = (None, "flat", "balanced:2", "balanced:3", "bgl-3deep")
@@ -100,3 +102,23 @@ def test_crashing_a_daemon_removes_exactly_its_ranks(spec, data):
     expected.sort(key=lambda c: (-c.size, c.representative))
     assert list(crashed.merge.missing_daemons) == [daemon]
     assert crashed.classes == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(specs(), st.floats(0.05, 0.9), st.integers(0, 3), st.integers(1, 3))
+def test_more_retries_never_lower_coverage(spec, drop_p, retries, more):
+    def degradation(max_retries):
+        """The session's report, or None when every daemon was lost."""
+        plan = FaultPlan(seed=spec.seed, links=(LinkFault(drop_p=drop_p),),
+                         retry=RetryPolicy(max_retries=max_retries))
+        try:
+            _, result = run(dataclasses.replace(spec, faults=plan))
+        except AllDaemonsFailed:
+            return None
+        return result.degradation
+
+    fewer, extra = degradation(retries), degradation(retries + more)
+    if fewer is not None:
+        assert extra is not None
+        assert extra.coverage >= fewer.coverage
+        assert set(extra.missing_daemons) <= set(fewer.missing_daemons)
