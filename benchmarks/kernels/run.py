@@ -26,7 +26,8 @@ and asserts the two outputs equal before reporting a ratio:
   simulated **time-to-first-tree** (the earliest instant a best-effort
   front-end snapshot is non-empty — the paper-motivated payoff of
   streaming: a tree while the machine is still misbehaving) and
-  **time-to-final**.
+  **time-to-final**, and gates the streamed/batch wall ratio at
+  :data:`WALL_RATIO_GATE`.  Both timed reductions read their root pair.
 
 Each run is one :class:`BenchReport`, written to ``BENCH_<kind>.json``
 so the perf trajectory is tracked across commits; ``--baseline`` gates
@@ -98,7 +99,7 @@ from repro.tbon.topology import Topology  # noqa: E402
 __all__ = ["BenchEntry", "StreamBenchEntry", "BenchReport", "run_bench",
            "check_baseline", "build_parser", "main", "FULL_DAEMONS",
            "MILLION_DAEMONS", "TEN_MILLION_DAEMONS", "TTFT_GATE",
-           "BENCH_VERSION"]
+           "WALL_RATIO_GATE", "BENCH_VERSION"]
 
 BENCH_VERSION = 1
 #: fig07 full scale: 1,664 I/O nodes; VN mode: 128 tasks per daemon.
@@ -117,6 +118,9 @@ BUILD_UNIFORM_CLASSES = 64
 REGRESSION_FACTOR = 2.0
 #: acceptance gate: time-to-first-tree under 20% of time-to-final
 TTFT_GATE = 0.20
+#: absolute gate: the streamed reduction's wall clock at most 5x the
+#: batch one's (both read their root pair, so both run its k-way)
+WALL_RATIO_GATE = 5.0
 #: relative tolerance when pinning deterministic simulated times
 SIM_TOLERANCE = 1e-6
 
@@ -390,16 +394,25 @@ def _reduction(scheme: LabelScheme, daemons: int, samples: int, seed: int):
     )
 
 
+def _read_root(result):
+    """Read a reduction's root pair, as the front end does: its k-way
+    merge runs on first read (``DaemonTrees.merged``)."""
+    result.payload.trees()
+    return result
+
+
 def _bench_stream(scheme: LabelScheme, daemons: int, samples: int,
                   repeats: int, seed: int) -> StreamBenchEntry:
     """Build the forest once, then time batch vs streamed reductions."""
     topology, machine, kwargs = _reduction(scheme, daemons, samples, seed)
     batch_net = TBONetwork(topology, machine)
-    batch_wall, batch = _best(lambda: batch_net.reduce(**kwargs), repeats)
+    batch_wall, batch = _best(
+        lambda: _read_root(batch_net.reduce(**kwargs)), repeats)
     stream_net = StreamingTBON(topology, machine)
     config = StreamConfig(seed=seed)
     stream_wall, streamed = _best(
-        lambda: stream_net.reduce(**kwargs, config=config), repeats)
+        lambda: _read_root(stream_net.reduce(**kwargs, config=config)),
+        repeats)
     return StreamBenchEntry(
         name=f"stream-{scheme.name}-vn-{daemons}",
         scheme=scheme.name,
@@ -468,6 +481,16 @@ def _ttft_gate(entry: StreamBenchEntry) -> Optional[str]:
         return None
     return (f"TTFT GATE — first tree at {entry.ttft_ratio:.1%} of "
             f"time-to-final (gate {TTFT_GATE:.0%})")
+
+
+def _wall_ratio_gate(entry: StreamBenchEntry) -> Optional[str]:
+    """Streaming costs at most :data:`WALL_RATIO_GATE` times the batch
+    reduction's wall clock (both measured on the same machine, so the
+    ratio transfers across hardware)."""
+    if entry.wall_ratio <= WALL_RATIO_GATE:
+        return None
+    return (f"WALL RATIO GATE — streamed/batch wall ratio "
+            f"{entry.wall_ratio:.2f} > {WALL_RATIO_GATE:.1f}")
 
 
 def _speedup_gate(entry: BenchEntry, base: Dict) -> Tuple[bool, str]:
@@ -560,7 +583,7 @@ _KINDS: Dict[str, _Kind] = {
          ("folds", 6, lambda e: e.partial_merges),
          _EQUAL),
         (_equal_gate("streamed output diverged from the batch merge"),
-         _ttft_gate),
+         _ttft_gate, _wall_ratio_gate),
         _stream_gate),
 }
 
@@ -639,9 +662,9 @@ def check_baseline(report: BenchReport, baseline_path: str
 
     Per entry, strictest first: the entry's own gates (bit-identity
     with its reference; for ``stream``, the :data:`TTFT_GATE`
-    criterion); a matching baseline entry must exist; then the kind's
-    hardware-normalized regression gate (:func:`_speedup_gate` or
-    :func:`_stream_gate`) against it.
+    criterion and the :data:`WALL_RATIO_GATE`); a matching baseline
+    entry must exist; then the kind's hardware-normalized regression
+    gate (:func:`_speedup_gate` or :func:`_stream_gate`) against it.
     """
     with open(baseline_path) as fh:
         baseline = json.load(fh)
@@ -701,8 +724,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="checked-in report of the same kind to "
                              "compare against (fails on divergence from "
                              "the reference or a >2x regression; stream "
-                             "also on ttft >= 20%% of ttfinal or "
-                             "simulated-time drift)")
+                             "also on ttft >= 20%% of ttfinal, a "
+                             "streamed/batch wall ratio > "
+                             f"{WALL_RATIO_GATE:g} or simulated-time "
+                             "drift)")
     return parser
 
 

@@ -258,6 +258,13 @@ class TestBenchHarness:
         ok, messages = check_baseline(late, str(own_baseline["stream"]))
         assert not ok and "TTFT GATE" in messages[0]
 
+    def test_stream_wall_ratio_gate(self, reports, own_baseline):
+        slow = tampered(reports["stream"], wall_ratio=6.0)
+        assert not slow.ok
+        ok, messages = check_baseline(slow, str(own_baseline["stream"]))
+        assert not ok and "WALL RATIO GATE" in messages[0]
+        assert ": ok (" in messages[1]
+
     def test_stream_simulated_time_drift(self, reports, own_baseline):
         base = own_baseline["stream"]
         moved = json.loads(base.read_text())

@@ -331,6 +331,7 @@ class MergePhase(Phase):
         else:
             ctx.merge = TBONetwork(ctx.topology, ctx.machine).reduce(
                 **reduction)
+        ctx.merge.payload.trees()  # the root's k-way belongs to this phase
         ctx.timings["merge"] = ctx.merge.sim_time
 
 

@@ -114,14 +114,17 @@ class LabelScheme:
 
         The one counted and timed entry over :meth:`merge_arrays`.
 
-        Associative down to the arrays: folding arrivals one at a time
-        (``merge([partial, arriving])``, the streaming TBO̅N step) in
-        canonical child order yields a tree ``arrays_equal`` to the
-        one-shot k-way merge of the same inputs — the structure
-        kernel's per-level first-occurrence order over path ids, the
-        contributor-combination label dedup, and the per-row span
-        metadata all compose (``tests/test_tbon_streaming.py`` and
-        ``tests/test_merge_order.py`` pin this on randomized forests).
+        Associative down to the arrays: folding inputs one at a time
+        (``merge([partial, arriving])``) in canonical child order yields
+        a tree ``arrays_equal`` to the one-shot k-way merge of the same
+        inputs — the structure kernel's per-level first-occurrence order
+        over path ids, the contributor-combination label dedup, and the
+        per-row span metadata all compose (``tests/test_tbon_streaming.py``
+        and ``tests/test_merge_order.py`` pin this on randomized
+        forests).  That is what lets a deferred
+        :class:`~repro.statbench.emulator.DaemonTrees` flatten nested
+        merges into one k-way over its parts, and lets a snapshot merge
+        partials that were themselves merged.
         """
         PERF.add(MERGE_CALLS)
         PERF.add(MERGE_TREES_IN, len(trees))

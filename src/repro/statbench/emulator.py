@@ -11,12 +11,13 @@ is the same kernel for a single daemon.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.forest import build_forest as _build_forest_arrays
 from repro.core.merge import LabelScheme
+from repro.core.treearrays import TreeArrays
 from repro.core.taskset import TaskMap
 from repro.mpi.runtime import STATES, RankState
 from repro.mpi.stacks import StackModel
@@ -35,21 +36,82 @@ class DaemonTrees:
 
     Both trees are :class:`~repro.core.treearrays.TreeArrays`, the one
     tree type from the daemons to the front end.
+
+    A pair made by :meth:`merged` is *deferred*: it holds the read pairs
+    it covers, in order, and runs one k-way ``scheme.merge`` per tree the
+    first time its trees are read (:meth:`trees`, :attr:`tree_2d`,
+    :attr:`tree_3d`, :meth:`serialized_bytes`).  Until then a fold into
+    it is bookkeeping, and :meth:`node_count` is the size of the union of
+    its inputs' path ids — the merged node count, since a node *is* its
+    path id.  Every partial that crosses a TBO̅N link is read for its
+    wire size, so each node runs exactly one k-way over its live
+    children in canonical order: the merge the batch reduce runs there.
     """
 
-    __slots__ = ("tree_2d", "tree_3d")
+    __slots__ = ("_trees", "_scheme", "_parts", "_path_ids")
 
     def __init__(self, tree_2d, tree_3d) -> None:
-        self.tree_2d = tree_2d
-        self.tree_3d = tree_3d
+        self._trees = (tree_2d, tree_3d)
+        self._scheme = None
+        self._parts = None
+        self._path_ids = None
+
+    @classmethod
+    def merged(cls, scheme: LabelScheme,
+               payloads: Sequence["DaemonTrees"]) -> "DaemonTrees":
+        """A deferred merge of ``payloads`` under ``scheme``.
+
+        A deferred input adds its own parts, a read one counts as one
+        part, so the k-way that reading runs covers the read pairs in
+        order; by the merge's associativity that is the tree the nested
+        merges would give.
+        """
+        pair = cls.__new__(cls)
+        pair._trees = None
+        pair._scheme = scheme
+        pair._parts = [part for p in payloads
+                       for part in (p._parts or (p,))]
+        pair._path_ids = tuple(
+            np.unique(np.concatenate([p._ids_of(i) for p in payloads]))
+            for i in (0, 1))
+        return pair
+
+    def _ids_of(self, which: int) -> np.ndarray:
+        """Path ids of tree ``which`` (0: 2D, 1: 3D), without reading."""
+        if self._trees is None:
+            return self._path_ids[which]
+        return self._trees[which].path_ids
+
+    def trees(self) -> Tuple[TreeArrays, TreeArrays]:
+        """``(tree_2d, tree_3d)``, running a deferred k-way merge once."""
+        if self._trees is None:
+            scheme, parts = self._scheme, self._parts
+            self._trees = (scheme.merge([p._trees[0] for p in parts]),
+                           scheme.merge([p._trees[1] for p in parts]))
+            self._scheme = self._parts = self._path_ids = None
+        return self._trees
+
+    @property
+    def tree_2d(self) -> TreeArrays:
+        """The 2D trace-space tree."""
+        return self.trees()[0]
+
+    @property
+    def tree_3d(self) -> TreeArrays:
+        """The 3D trace-space-time tree."""
+        return self.trees()[1]
 
     def serialized_bytes(self) -> int:
         """Combined wire size."""
-        return self.tree_2d.serialized_bytes() + self.tree_3d.serialized_bytes()
+        tree_2d, tree_3d = self.trees()
+        return tree_2d.serialized_bytes() + tree_3d.serialized_bytes()
 
     def node_count(self) -> int:
         """Combined complexity (filter CPU model input)."""
-        return self.tree_2d.node_count() + self.tree_3d.node_count()
+        if self._trees is None:
+            return int(self._path_ids[0].size + self._path_ids[1].size)
+        tree_2d, tree_3d = self._trees
+        return tree_2d.node_count() + tree_3d.node_count()
 
 
 def _interned_states(state_of: Callable[[int], RankState],
@@ -118,16 +180,12 @@ class STATBenchEmulator:
         return [DaemonTrees(t2, t3) for t2, t3 in pairs]
 
     def merge_filter(self):
-        """Merge callable over :class:`DaemonTrees` payloads."""
-        scheme = self.scheme
+        """Merge callable over :class:`DaemonTrees` payloads.
 
-        def merge(payloads):
-            return DaemonTrees(
-                scheme.merge([p.tree_2d for p in payloads]),
-                scheme.merge([p.tree_3d for p in payloads]),
-            )
-
-        return merge
+        Returns a deferred pair (:meth:`DaemonTrees.merged`): the k-way
+        merge runs when the pair is first read.
+        """
+        return partial(DaemonTrees.merged, self.scheme)
 
     def __repr__(self) -> str:
         return (f"<STATBenchEmulator daemons={len(self.task_map)} "

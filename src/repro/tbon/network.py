@@ -20,8 +20,9 @@ as a hard :class:`TBONOverflowError`; ``max_ingress_bytes`` is an optional
 alternative trigger on buffered bytes.
 
 Payloads are produced lazily (``leaf_payload_fn``) and children are merged
-and released in postorder, so peak memory is one node's children — this is
-what makes full-scale 1,664-daemon runs feasible in-process.
+and released in postorder, so peak memory is about one node's children and
+grandchildren (a deferred merge keeps its children until the parent reads
+it) — this is what makes full-scale 1,664-daemon runs feasible in-process.
 """
 
 from __future__ import annotations
@@ -268,6 +269,11 @@ class TBONetwork(TBONCostBase):
             ``daemon_rank -> payload`` — called lazily, once per daemon.
         merge_fn:
             The filter body: merges a list of child payloads into one.
+            It may return a deferred payload that merges when first
+            read, as :meth:`STATBenchEmulator.merge_filter
+            <repro.statbench.emulator.STATBenchEmulator.merge_filter>`
+            does; ``payload_nbytes`` reads every payload that crosses a
+            link, and the caller reads the root.
         payload_nbytes:
             Wire-size model for a payload (drives transfer times).
         payload_nodes:

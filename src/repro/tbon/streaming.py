@@ -1,4 +1,4 @@
-"""Event-driven TBO̅N: asynchronous daemons, incremental k-way folds.
+"""Event-driven TBO̅N: asynchronous daemons, incremental folds.
 
 The batch :class:`~repro.tbon.network.TBONetwork` reduces
 fully-materialized trees in lockstep postorder rounds — it cannot
@@ -14,8 +14,13 @@ reduction as a discrete-event simulation over :mod:`repro.sim`:
   capacity-1 :class:`~repro.sim.resources.Resource`), with optional
   per-transfer link jitter;
 * every interior node folds each arriving child payload into a running
-  partial merge — one incremental ``merge_fn([partial, arriving])`` per
-  arrival instead of one k-way merge per round;
+  partial — one ``merge_fn([partial, arriving])`` per arrival.  With the
+  STAT filter (:meth:`STATBenchEmulator.merge_filter
+  <repro.statbench.emulator.STATBenchEmulator.merge_filter>`) a fold is
+  bookkeeping: the merged :class:`~repro.statbench.emulator.DaemonTrees`
+  defers its k-way merge until it is read, and a partial is read when it
+  crosses its uplink, so each node runs one k-way over its live
+  children, as the batch reduce does;
 * the front end can snapshot a best-effort merged tree at **any**
   simulated instant, covering exactly the daemons whose payloads have
   entered the network so far.
@@ -144,7 +149,9 @@ class StreamResult(ReduceResult):
 
     #: earliest instant a best-effort snapshot is non-empty
     first_tree_time: float = 0.0
-    #: incremental folds performed across all interior nodes
+    #: incremental folds (``merge_fn`` calls) across all interior
+    #: nodes; with a deferred payload such as ``DaemonTrees`` a fold is
+    #: bookkeeping, and the merge kernel runs when the partial is read
     partial_merges: int = 0
 
 
@@ -390,7 +397,12 @@ class StreamingReduction:
     # -- canonical-order incremental folding -------------------------------
     def _advance(self, st: _InteriorState) -> None:
         """Fold the next in-order child if it has arrived; skip dead
-        ones.  Folds serialize on the node's (single) filter CPU."""
+        ones.  Folds serialize on the node's (single) filter CPU.
+
+        The fold charges filter CPU for the merged node count; a
+        deferred payload answers that without merging (see
+        :class:`~repro.statbench.emulator.DaemonTrees`), so the k-way
+        runs once, when the finished partial is read for its uplink."""
         if st.folding or st.done:
             return
         while st.next_slot < len(st.slots) and \

@@ -15,6 +15,7 @@ from repro.faults.plan import FaultPlan
 from repro.machine.atlas import AtlasMachine
 from repro.machine.bgl import BGLMachine
 from repro.mpi.stacks import BGLStackModel
+from repro.perf.counters import MERGE_CALLS, MERGE_TREES_IN, PERF
 from repro.statbench import STATBenchEmulator, ring_hang_states
 from repro.statbench.emulator import DaemonTrees
 from repro.tbon.network import DaemonFailure, TBONetwork
@@ -275,3 +276,96 @@ class TestBitIdentityWithBatch:
         assert snap.ranks == tuple(range(daemons))
         assert snap.payload.tree_2d.arrays_equal(res.payload.tree_2d)
         assert snap.payload.tree_3d.arrays_equal(res.payload.tree_3d)
+
+
+class TestDeferredMerge:
+    """``merge_filter`` returns a deferred pair: a fold is bookkeeping,
+    and reading a pair runs one k-way merge.  Under randomized
+    topologies × schemes × jitter, the deferral changes no simulated
+    time and no tree, and a streamed reduction runs the merge calls the
+    batch reduce runs."""
+
+    DAEMONS = 16
+
+    def _setup(self, scheme_name, seed):
+        daemons = self.DAEMONS
+        scheme = DenseLabelScheme(daemons * 8) if scheme_name == "dense" \
+            else HierarchicalLabelScheme()
+        forest, merge_fn = _forest_and_merge(scheme, daemons)
+        picker = np.random.default_rng(seed)
+        topologies = TestBitIdentityWithBatch.TOPOLOGIES
+        topo = topologies[picker.integers(len(topologies))](daemons)
+        machine = BGLMachine.with_io_nodes(daemons, "co")
+        kwargs = dict(
+            leaf_payload_fn=lambda rank: forest[rank],
+            merge_fn=merge_fn,
+            payload_nbytes=DaemonTrees.serialized_bytes,
+            payload_nodes=DaemonTrees.node_count,
+        )
+        return topo, machine, kwargs, StreamConfig(seed=seed, **NOISY)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("scheme_name", ["dense", "hierarchical"])
+    def test_deferred_sizes_equal_read_sizes(self, scheme_name, seed):
+        topo, machine, kwargs, config = self._setup(scheme_name, seed)
+        merge_fn = kwargs["merge_fn"]
+        calls = []
+
+        def recording(payloads):
+            calls.append(list(payloads))
+            return merge_fn(payloads)
+
+        StreamingTBON(topo, machine).reduce(
+            **dict(kwargs, merge_fn=recording), config=config)
+        assert calls
+        for payloads in calls:
+            read = merge_fn(payloads)
+            read.trees()
+            deferred = merge_fn(payloads)
+            before = PERF.get(MERGE_CALLS)
+            nodes = deferred.node_count()
+            assert PERF.get(MERGE_CALLS) == before  # counted, not merged
+            assert nodes == read.node_count() == sum(
+                t.node_count() for t in read.trees())
+            assert deferred.serialized_bytes() == read.serialized_bytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("scheme_name", ["dense", "hierarchical"])
+    def test_streamed_merge_calls_equal_batch(self, scheme_name, seed):
+        topo, machine, kwargs, config = self._setup(scheme_name, seed)
+
+        def counted(reduce):
+            before = (PERF.get(MERGE_CALLS), PERF.get(MERGE_TREES_IN))
+            result = reduce()
+            result.payload.trees()  # the front end reads the root
+            return result, (PERF.get(MERGE_CALLS) - before[0],
+                            PERF.get(MERGE_TREES_IN) - before[1])
+
+        batch, batch_counts = counted(
+            lambda: TBONetwork(topo, machine).reduce(**kwargs))
+        streamed, stream_counts = counted(
+            lambda: StreamingTBON(topo, machine).reduce(
+                **kwargs, config=config))
+        assert stream_counts == batch_counts
+        assert batch_counts[0] > 0
+        assert streamed.payload.tree_2d.arrays_equal(batch.payload.tree_2d)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("scheme_name", ["dense", "hierarchical"])
+    def test_snapshots_leave_the_final_tree_and_times(self, scheme_name,
+                                                      seed):
+        topo, machine, kwargs, config = self._setup(scheme_name, seed)
+        batch = TBONetwork(topo, machine).reduce(**kwargs)
+        plain = StreamingTBON(topo, machine).reduce(**kwargs, config=config)
+        reduction = StreamingTBON(topo, machine).stream(
+            **kwargs, config=config)
+        for t in np.linspace(0.0, plain.sim_time, 10):
+            snap = reduction.run_until(float(t)).snapshot()
+            if not snap.empty:  # reading a snapshot reads its partials
+                assert snap.payload.node_count() == sum(
+                    tree.node_count() for tree in snap.payload.trees())
+        streamed = reduction.run()
+        assert streamed.sim_time == plain.sim_time
+        assert streamed.first_tree_time == plain.first_tree_time
+        assert streamed.payload.tree_2d.arrays_equal(batch.payload.tree_2d)
+        assert streamed.payload.tree_3d.arrays_equal(batch.payload.tree_3d)
