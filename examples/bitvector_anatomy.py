@@ -1,63 +1,20 @@
 #!/usr/bin/env python3
 """Figure 6 walkthrough: why edge labels had to become hierarchical.
 
-Recreates the paper's 4-task illustration — daemon 0 debugging tasks 0
-and 2, daemon 1 debugging tasks 1 and 3 — then scales the arithmetic to
-the full machine and a hypothetical million-core system.
+Prints the Figure 6 experiment: the paper's 4-task illustration — daemon
+0 debugging tasks 0 and 2, daemon 1 debugging tasks 1 and 3 — built
+from packed label rows, concatenated and remapped into rank order by the
+front end, then the per-edge wire-size arithmetic from 1K tasks to a
+hypothetical million-core system.
 
 Run:  python examples/bitvector_anatomy.py
 """
 
-from repro.core.taskset import (
-    DenseBitVector,
-    HierarchicalTaskSet,
-    RankRemapper,
-    TaskMap,
-)
-
-
-def show_bits(name: str, bits: str) -> None:
-    print(f"  {name:<34} [{bits}]")
+from repro.experiments import fig06_bitvector
 
 
 def main() -> None:
-    print("Figure 6: daemon 0 owns ranks {0,2}; daemon 1 owns ranks {1,3}")
-    task_map = TaskMap.cyclic(2, 2)
-
-    # -- original: every label is a full-width vector -----------------------
-    print("\noriginal representation (job-width vectors everywhere):")
-    d0 = DenseBitVector.from_ranks([0, 2], 4)     # daemon 0's tasks
-    d1 = DenseBitVector.from_ranks([3], 4)        # daemon 1 saw slot 1 only
-    show_bits("daemon 0 label (2 excess bits)",
-              "".join("1" if r in d0 else "." for r in range(4)))
-    show_bits("daemon 1 label (3 excess bits)",
-              "".join("1" if r in d1 else "." for r in range(4)))
-    merged = d0 | d1
-    show_bits("merged at front end",
-              "".join("1" if r in merged else "." for r in range(4)))
-    print(f"  bits shipped per daemon edge: {d0.serialized_bits()} "
-          "(the full job, always)")
-
-    # -- optimized: subtree-local chunks + one remap -------------------------
-    print("\noptimized representation (subtree-local, concat merge):")
-    h0 = HierarchicalTaskSet.for_daemon(0, 2, [0, 1])   # both local slots
-    h1 = HierarchicalTaskSet.for_daemon(1, 2, [1])      # local slot 1
-    cat = HierarchicalTaskSet.concat([h0, h1])
-    print(f"  daemon 0 ships {h0.layout.total_tasks} payload bits; "
-          f"daemon 1 ships {h1.layout.total_tasks}")
-    print(f"  concatenated label covers local slots {cat.local_slots()}")
-    dense = RankRemapper(cat.layout, task_map).remap(cat)
-    print(f"  front-end remap -> MPI ranks {dense.to_ranks().tolist()} "
-          "(rank order restored)")
-
-    # -- the arithmetic at scale ------------------------------------------------
-    print("\nper-edge label size at scale (bits):")
-    print(f"{'total tasks':>12} {'original':>12} {'optimized(daemon)':>18}")
-    for total in (1024, 106_496, 212_992, 1_000_000):
-        opt = HierarchicalTaskSet.for_daemon(0, 128, range(128))
-        print(f"{total:>12} {total:>12} {opt.serialized_bits():>18}")
-    print('\npaper: "a million cores would require a 1 megabit bit vector '
-          'per edge label. This would easily saturate the network..."')
+    print(fig06_bitvector.run().render())
 
 
 if __name__ == "__main__":

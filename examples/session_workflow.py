@@ -55,12 +55,12 @@ def main() -> None:
 
         suspects = query.reached_but_not("main", "PMPI_Barrier")
         print(f"  never reached the barrier: "
-              f"{format_edge_label(suspects.to_ranks())}")
+              f"{format_edge_label(suspects)}")
 
         for path, ranks in query.outliers(max_class_size=1):
             print(f"  singleton at {path.leaf.function}: rank {ranks[0]}")
 
-        rank = int(suspects.to_ranks()[0])
+        rank = int(suspects[0])
         print(f"  rank {rank} was observed on:")
         for path in query.where_is(rank):
             print(f"    {path}")

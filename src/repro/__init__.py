@@ -41,13 +41,7 @@ from repro.core.equivalence import EquivalenceClass, equivalence_classes
 from repro.core.frontend import STATFrontEnd, STATResult
 from repro.core.frames import Frame, StackTrace
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
-from repro.core.taskset import (
-    DaemonLayout,
-    DenseBitVector,
-    HierarchicalTaskSet,
-    RankRemapper,
-    TaskMap,
-)
+from repro.core.taskset import DaemonLayout, RankRemapper, TaskMap
 from repro.core.treearrays import TreeArrays
 from repro.faults import DegradationReport, FaultPlan, RetryPolicy
 from repro.perf import PERF
@@ -64,8 +58,6 @@ __all__ = [
     "RingApp",
     "Frame",
     "StackTrace",
-    "DenseBitVector",
-    "HierarchicalTaskSet",
     "DaemonLayout",
     "TaskMap",
     "RankRemapper",

@@ -4,9 +4,10 @@ Subpackages of :mod:`repro` implement the substrates (TBO̅N, launchers, file
 systems, MPI runtime, machines); this package implements the Stack Trace
 Analysis Tool itself:
 
-* :mod:`repro.core.taskset` — edge-label representations (Section V): the
-  original global-width :class:`DenseBitVector` and the optimized
-  :class:`HierarchicalTaskSet` with front-end :class:`RankRemapper`.
+* :mod:`repro.core.taskset` — the two edge-label row formats (Section V):
+  original job-width dense rows and optimized per-daemon chunk rows over
+  a :class:`DaemonLayout`, with the front-end :class:`RankRemapper` that
+  turns the latter into the former through the gathered :class:`TaskMap`.
 * :mod:`repro.core.ranklist` — compressed rank lists for edge labels
   (``"1022:[0,3-1023]"`` as in Figure 1).
 * :mod:`repro.core.frames` / :mod:`repro.core.treearrays` — stack frames
@@ -28,18 +29,10 @@ from repro.core.frames import Frame, StackTrace
 from repro.core.queries import TreeQuery
 from repro.core.ranklist import format_rank_list, parse_rank_list
 from repro.core.session import load_session, save_session
-from repro.core.taskset import (
-    DaemonLayout,
-    DenseBitVector,
-    HierarchicalTaskSet,
-    RankRemapper,
-    TaskMap,
-)
+from repro.core.taskset import DaemonLayout, RankRemapper, TaskMap
 from repro.core.treearrays import TreeArrays
 
 __all__ = [
-    "DenseBitVector",
-    "HierarchicalTaskSet",
     "DaemonLayout",
     "TaskMap",
     "RankRemapper",

@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.core.frames import StackTrace
-from repro.core.ranklist import format_edge_label, normalize_ranks
+from repro.core.ranklist import format_edge_label
 from repro.core.treearrays import TreeArrays
 from repro.lint.contracts import contract
 
@@ -108,14 +108,34 @@ def _group_pairs(ranks: np.ndarray, nodes: np.ndarray,
             in zip(first[starts].tolist(), count[starts].tolist(), members)]
 
 
+def _terminal_sets(tree: TreeArrays) -> Tuple[List[int], List[np.ndarray]]:
+    """The preorder node ids of a finalized tree, and per node the sorted
+    ranks whose traces end there (:func:`_terminal_ranks`)."""
+    refs = tree.label_refs.tolist()
+    ranks_of = {ref: tree.row_ranks(tree.labels[ref])
+                for ref in np.unique(tree.label_refs).tolist()}
+    top = max((int(a[-1]) for a in ranks_of.values() if a.size), default=-1)
+    mask = np.zeros(top + 1, dtype=bool)
+    kids = tree.children()
+    order = tree.preorder(kids)
+    terminals: List[np.ndarray] = []
+    for node in order:
+        ranks = ranks_of[refs[node]]
+        if kids[node]:
+            ranks = _terminal_ranks(
+                ranks, [ranks_of[refs[c]] for c in kids[node]], mask)
+        terminals.append(ranks)
+    return order, terminals
+
+
 def equivalence_classes(tree: TreeArrays) -> List[EquivalenceClass]:
     """Extract equivalence classes from a merged, finalized prefix tree.
 
     Parameters
     ----------
     tree:
-        The front end's finalized tree: its (dense) edge labels resolve
-        to global ranks with ``label.to_ranks()``.
+        The front end's finalized tree: its (dense) edge label rows read
+        as global ranks through :meth:`TreeArrays.row_ranks`.
 
     Returns
     -------
@@ -129,29 +149,17 @@ def equivalence_classes(tree: TreeArrays) -> List[EquivalenceClass]:
     **terminal ranks** — a node's ranks minus the union of its children's
     ranks — not from leaf paths alone.
 
-    Rank sets stay ``int64`` arrays throughout: terminal sets come from
-    one reused scratch mask (:func:`_terminal_ranks`), classes from one
-    stable sort of the ``(rank, preorder node)`` pairs split where a
-    rank's node set changes (:func:`_group_pairs`), and only the finished
-    classes become tuples of Python ``int``.  Memory is proportional to
-    the summed terminal-set sizes, never to ``nodes x tasks``.  The
-    preorder (:meth:`TreeArrays.preorder`) fixes the tie order of a
-    class's ``paths``, which are sorted by function names only.
+    Rank sets stay ``int64`` arrays throughout: each distinct label row
+    is read once, terminal sets come from one reused scratch mask
+    (:func:`_terminal_sets`), classes from one stable sort of the
+    ``(rank, preorder node)`` pairs split where a rank's node set
+    changes (:func:`_group_pairs`), and only the finished classes become
+    tuples of Python ``int``.  Memory is proportional to the summed
+    terminal-set sizes, never to ``nodes x tasks``.  The preorder
+    (:meth:`TreeArrays.preorder`) fixes the tie order of a class's
+    ``paths``, which are sorted by function names only.
     """
-    refs = tree.label_refs.tolist()
-    ranks_of = {ref: normalize_ranks(tree.make_label(ref).to_ranks())
-                for ref in np.unique(tree.label_refs).tolist()}
-    top = max((int(a[-1]) for a in ranks_of.values() if a.size), default=-1)
-    mask = np.zeros(top + 1, dtype=bool)
-    kids = tree.children()
-    order = tree.preorder(kids)
-    terminals: List[np.ndarray] = []
-    for node in order:
-        ranks = ranks_of[refs[node]]
-        if kids[node]:
-            ranks = _terminal_ranks(
-                ranks, [ranks_of[refs[c]] for c in kids[node]], mask)
-        terminals.append(ranks)
+    order, terminals = _terminal_sets(tree)
     sizes = [ranks.size for ranks in terminals]
     if not any(sizes):
         return []

@@ -41,18 +41,12 @@ from __future__ import annotations
 
 # Hot path: merge kernels must stay per-array, not per-node.
 
-from typing import Any, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.lint.contracts import contract
-from repro.core.taskset import (
-    DaemonLayout,
-    DenseBitVector,
-    HierarchicalTaskSet,
-    RankRemapper,
-    TaskMap,
-)
+from repro.core.taskset import DaemonLayout, RankRemapper, TaskMap
 from repro.core.treearrays import (
     KIND_DENSE,
     KIND_HIER,
@@ -98,16 +92,6 @@ class LabelScheme:
     name = "abstract"
     #: array-backed tree kind ("dense" / "hier")
     kind = KIND_DENSE
-
-    def daemon_label(self, daemon_id: int, local_width: int,
-                     slots: Sequence[int], task_map: TaskMap) -> Any:
-        """Label for a leaf (daemon-level) edge covering ``slots``."""
-        raise NotImplementedError
-
-    def leaf_span(self, daemon_id: int, slots: Sequence[int],
-                  task_map: TaskMap) -> Tuple[int, int]:
-        """Byte range of a leaf label's set bits (dense kernels only)."""
-        raise NotImplementedError
 
     def merge(self, trees: Sequence[TreeArrays]) -> TreeArrays:
         """Merge locally rooted trees into one (the TBO̅N filter body).
@@ -161,22 +145,6 @@ class DenseLabelScheme(LabelScheme):
         if total_tasks <= 0:
             raise ValueError(f"total_tasks must be positive, got {total_tasks}")
         self.total_tasks = int(total_tasks)
-
-    def daemon_label(self, daemon_id: int, local_width: int,
-                     slots: Sequence[int], task_map: TaskMap) -> DenseBitVector:
-        """Global-width vector with the daemon's task ranks set."""
-        ranks = task_map.ranks_of(daemon_id)[np.asarray(list(slots), dtype=np.int64)] \
-            if len(slots) else np.zeros(0, dtype=np.int64)
-        return DenseBitVector.from_ranks(ranks, self.total_tasks)
-
-    def leaf_span(self, daemon_id: int, slots: Sequence[int],
-                  task_map: TaskMap) -> Tuple[int, int]:
-        """Byte range of a leaf label's set bits within the job width."""
-        if not len(slots):
-            return (0, 0)
-        ranks = task_map.ranks_of(daemon_id)[np.asarray(list(slots),
-                                                        dtype=np.int64)]
-        return (int(ranks.min()) >> 3, (int(ranks.max()) >> 3) + 1)
 
     #: largest gather/scatter index matrix (elements) the overlapping-span
     #: fast path may build before degrading to the per-tree loop
@@ -297,11 +265,6 @@ class HierarchicalLabelScheme(LabelScheme):
 
     name = "optimized"
     kind = KIND_HIER
-
-    def daemon_label(self, daemon_id: int, local_width: int,
-                     slots: Sequence[int], task_map: TaskMap) -> HierarchicalTaskSet:
-        """Subtree-local leaf label over the daemon's own slots."""
-        return HierarchicalTaskSet.for_daemon(daemon_id, local_width, slots)
 
     def merge_arrays(self, trees: Sequence[TreeArrays]) -> TreeArrays:
         """Concatenation merge across disjoint child subtrees."""

@@ -35,11 +35,9 @@ def normalize_ranks(ranks: Iterable[int]) -> np.ndarray:
     """``ranks`` as a strictly increasing ``int64`` array.
 
     Accepts any iterable of integers (lists, tuples, sets, generators,
-    numpy scalars) or an integer array of any width; every rank-set
-    consumer — the label constructors in :mod:`repro.core.taskset`, the
-    formatters below, :func:`~repro.core.equivalence.equivalence_classes`
-    — normalises through here.  An ``int64`` array that is already
-    strictly increasing (what ``label.to_ranks()`` returns) comes back
+    numpy scalars) or an integer array of any width; every formatter
+    below normalises through here.  An ``int64`` array that is already
+    strictly increasing (what ``TreeArrays.label_of`` returns) comes back
     as is, not copied; anything else is sorted and deduplicated once.
     """
     if isinstance(ranks, np.ndarray):

@@ -1,46 +1,44 @@
-"""Task-set representations for call-graph edge labels (paper Section V).
+"""Task-set row formats for call-graph edge labels (paper Section V).
 
 STAT labels every edge of the call graph prefix tree with the set of MPI
 ranks whose stack traces follow that edge.  How that set is *represented*
 turned out to be the difference between linear and logarithmic merge
-scaling at 100K+ tasks:
+scaling at 100K+ tasks.  Here a label is one packed ``uint8`` row of a
+tree's label matrix (:class:`~repro.core.treearrays.TreeArrays`), in one
+of two formats:
 
-* **Original** (:class:`DenseBitVector`): every analysis node uses a bit
-  vector sized to the *entire application* — a million cores means a megabit
-  per edge at every level of the tree, almost all of it zero padding at the
-  fringes.  Aggregate wire traffic grows linearly with job size.
+* **Dense** (original): a bit per task of the *entire application*, bit
+  ``r`` for MPI rank ``r`` — a million cores means a megabit per edge at
+  every level of the tree, almost all of it zero padding at the fringes.
+  Aggregate wire traffic grows linearly with job size.
 
-* **Optimized** (:class:`HierarchicalTaskSet`): each analysis node only
-  represents tasks inside its own subtree.  A leaf daemon's labels are
-  ``n_d``-bit vectors over its local tasks; merging children is a simple
-  **concatenation** of their chunk lists; only the front end ever
-  materializes a full-width vector, via a one-time rank **remap**
-  (:class:`RankRemapper`) because daemons are not assigned rank-contiguous
-  tasks (paper Figure 6).
+* **Hierarchical** (optimized): bits only for the tasks inside one
+  subtree, as byte-aligned per-daemon chunks in :class:`DaemonLayout`
+  order, each over the daemon's local slots.  Merging disjoint children
+  concatenates their chunks; only the front end ever materializes a
+  job-width row, via a one-time rank **remap** (:class:`RankRemapper`)
+  through the gathered :class:`TaskMap`, because daemons are not
+  assigned rank-contiguous tasks (paper Figure 6).  On the wire each
+  chunk also carries a :data:`CHUNK_HEADER_BITS` header.
 
-Both representations are bit-packed into ``uint8`` NumPy arrays so that the
-set-union work the tool performs is the real work, measurable by the
-benchmarks, and the ``serialized_bits`` accounting matches the paper's wire
-model (1 bit per represented task, plus a small per-chunk header for the
-hierarchical form).
+A dense row reads back as sorted ``int64`` ranks through :func:`row_ranks`
+(on a tree: :meth:`~repro.core.treearrays.TreeArrays.row_ranks`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.ranklist import normalize_ranks
 from repro.lint.contracts import contract
 
 __all__ = [
-    "DenseBitVector",
     "TaskMap",
     "DaemonLayout",
-    "HierarchicalTaskSet",
     "RankRemapper",
     "CHUNK_HEADER_BITS",
+    "row_ranks",
 ]
 
 #: Wire-format header per hierarchical chunk: 32-bit daemon id + 32-bit width.
@@ -61,163 +59,12 @@ def _pack_indices(indices: np.ndarray, width: int) -> np.ndarray:
     return np.packbits(bits) if width else np.zeros(0, dtype=np.uint8)
 
 
-def _unpack(data: np.ndarray, width: int) -> np.ndarray:
-    """Unpack a uint8 bit array into a boolean array of length ``width``."""
-    if width == 0:
-        return np.zeros(0, dtype=bool)
-    return np.unpackbits(data, count=width).astype(bool)
-
-
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
-
-
-def _popcount(data: np.ndarray) -> int:
-    """Number of set bits in a uint8 array (table-driven, vectorized)."""
-    if data.size == 0:
-        return 0
-    return int(_POPCOUNT[data].sum())
-
-
-class DenseBitVector:
-    """A bit vector over **all** tasks of the job — the original STAT label.
-
-    The width is fixed at construction to the total task count; every
-    instance, anywhere in the analysis tree, carries (and would transmit)
-    ``width`` bits.  That invariant is the scalability defect the paper
-    identifies: ``serialized_bits`` is always ``width`` no matter how few
-    bits are set.
-    """
-
-    __slots__ = ("width", "data")
-
-    def __init__(self, width: int, data: Optional[np.ndarray] = None) -> None:
-        if width < 0:
-            raise ValueError(f"width must be >= 0, got {width}")
-        self.width = int(width)
-        nbytes = _packed_nbytes(self.width)
-        if data is None:
-            self.data = np.zeros(nbytes, dtype=np.uint8)
-        else:
-            data = np.asarray(data, dtype=np.uint8)
-            if data.shape != (nbytes,):
-                raise ValueError(
-                    f"data has {data.shape[0]} bytes, width {width} needs {nbytes}")
-            self.data = data
-
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def empty(cls, width: int) -> "DenseBitVector":
-        """All-zeros vector."""
-        return cls(width)
-
-    @classmethod
-    def full(cls, width: int) -> "DenseBitVector":
-        """All-ones vector (every rank present)."""
-        vec = cls(width)
-        vec.data[:] = 0xFF
-        vec._mask_tail()
-        return vec
-
-    @classmethod
-    def from_ranks(cls, ranks: Iterable[int], width: int) -> "DenseBitVector":
-        """Vector with exactly the given global ranks set."""
-        idx = normalize_ranks(ranks)
-        if idx.size and (idx[0] < 0 or idx[-1] >= width):
-            raise ValueError(
-                f"rank out of range [0, {width}): {idx[0 if idx[0] < 0 else -1]}")
-        return cls(width, _pack_indices(idx, width))
-
-    def _mask_tail(self) -> None:
-        """Zero the padding bits beyond ``width`` in the last byte."""
-        rem = self.width % 8
-        if rem and self.data.size:
-            self.data[-1] &= np.uint8(0xFF << (8 - rem) & 0xFF)
-
-    # -- set algebra ---------------------------------------------------------
-    def _check_peer(self, other: "DenseBitVector") -> None:
-        if not isinstance(other, DenseBitVector):
-            raise TypeError(f"expected DenseBitVector, got {type(other).__name__}")
-        if other.width != self.width:
-            raise ValueError(
-                f"width mismatch: {self.width} vs {other.width} "
-                "(the original representation requires global agreement on job size)")
-
-    def union(self, other: "DenseBitVector") -> "DenseBitVector":
-        """Set union (the merge operation for matching tree edges)."""
-        self._check_peer(other)
-        return DenseBitVector(self.width, np.bitwise_or(self.data, other.data))
-
-    def union_inplace(self, other: "DenseBitVector") -> "DenseBitVector":
-        """In-place union; returns self (used on the merge hot path)."""
-        self._check_peer(other)
-        np.bitwise_or(self.data, other.data, out=self.data)
-        return self
-
-    def intersection(self, other: "DenseBitVector") -> "DenseBitVector":
-        """Set intersection."""
-        self._check_peer(other)
-        return DenseBitVector(self.width, np.bitwise_and(self.data, other.data))
-
-    def difference(self, other: "DenseBitVector") -> "DenseBitVector":
-        """Ranks in self but not in other."""
-        self._check_peer(other)
-        return DenseBitVector(
-            self.width, np.bitwise_and(self.data, np.bitwise_not(other.data)))
-
-    def complement(self) -> "DenseBitVector":
-        """All ranks not in self."""
-        out = DenseBitVector(self.width, np.bitwise_not(self.data))
-        out._mask_tail()
-        return out
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-
-    # -- queries ---------------------------------------------------------
-    def count(self) -> int:
-        """Number of ranks present."""
-        return _popcount(self.data)
-
-    def contains(self, rank: int) -> bool:
-        """Membership test for one global rank."""
-        if not 0 <= rank < self.width:
-            return False
-        return bool(self.data[rank >> 3] & (0x80 >> (rank & 7)))
-
-    __contains__ = contains
-
-    def to_ranks(self) -> np.ndarray:
-        """Sorted array of set global ranks."""
-        return np.nonzero(_unpack(self.data, self.width))[0]
-
-    def is_empty(self) -> bool:
-        """True when no rank is set."""
-        return not self.data.any()
-
-    def serialized_bits(self) -> int:
-        """Wire size: always the full job width — the Section V defect."""
-        return self.width
-
-    def serialized_bytes(self) -> int:
-        """Wire size in bytes (bit size rounded up)."""
-        return _packed_nbytes(self.serialized_bits())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DenseBitVector):
-            return NotImplemented
-        return self.width == other.width and np.array_equal(self.data, other.data)
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.data.tobytes()))
-
-    def copy(self) -> "DenseBitVector":
-        """Deep copy."""
-        return DenseBitVector(self.width, self.data.copy())
-
-    def __repr__(self) -> str:
-        n = self.count()
-        return f"DenseBitVector(width={self.width}, count={n})"
+def row_ranks(row: np.ndarray, width: int) -> np.ndarray:
+    """The sorted ``int64`` indices set in a packed row of ``width`` bits:
+    the ranks of a dense row, or the local slots of one daemon chunk."""
+    # The unpacked bits are 0/1, so a bool view is exact, and nonzero on
+    # bool runs several times faster than on uint8.
+    return np.flatnonzero(np.unpackbits(row, count=width).view(bool))
 
 
 class TaskMap:
@@ -324,7 +171,7 @@ _SHARED_LAYOUTS: Dict[Tuple[int, int], "DaemonLayout"] = {}
 
 
 class DaemonLayout:
-    """The ordered set of daemon chunks a :class:`HierarchicalTaskSet` spans.
+    """The ordered set of daemon chunks a hierarchical label row spans.
 
     A layout is immutable and shared by every edge label at a given analysis
     node, so concatenating two subtrees builds **one** new layout, reused by
@@ -430,187 +277,6 @@ class DaemonLayout:
                 f"tasks={self.total_tasks})")
 
 
-class HierarchicalTaskSet:
-    """The optimized edge label: bits only for tasks inside one subtree.
-
-    Invariants maintained:
-
-    * ``data`` is a byte-aligned concatenation of per-daemon bit chunks as
-      described by ``layout``.
-    * :meth:`union` requires identical layouts (two labels at the same
-      analysis node); :meth:`concat` joins disjoint subtrees.
-    * Wire size is ``sum(chunk widths) + 64 bits/chunk`` — proportional to
-      the subtree, not the job, which is what restores logarithmic merge
-      scaling in Figure 7.
-    """
-
-    __slots__ = ("layout", "data")
-
-    def __init__(self, layout: DaemonLayout, data: Optional[np.ndarray] = None) -> None:
-        self.layout = layout
-        if data is None:
-            self.data = np.zeros(layout.nbytes, dtype=np.uint8)
-        else:
-            data = np.asarray(data, dtype=np.uint8)
-            if data.shape != (layout.nbytes,):
-                raise ValueError(
-                    f"data has {data.shape[0]} bytes, layout needs {layout.nbytes}")
-            self.data = data
-
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def empty(cls, layout: DaemonLayout) -> "HierarchicalTaskSet":
-        """All-zeros set over ``layout``."""
-        return cls(layout)
-
-    @classmethod
-    def full(cls, layout: DaemonLayout) -> "HierarchicalTaskSet":
-        """Every local slot set."""
-        out = cls(layout)
-        for i, width in enumerate(out.layout.widths):
-            sl = out.layout.chunk_slice(i)
-            chunk = np.full(int(out.layout.byte_sizes[i]), 0xFF, dtype=np.uint8)
-            rem = width % 8
-            if rem and chunk.size:
-                chunk[-1] = np.uint8(0xFF << (8 - rem) & 0xFF)
-            out.data[sl] = chunk
-        return out
-
-    @classmethod
-    def for_daemon(cls, daemon_id: int, width: int,
-                   local_slots: Iterable[int]) -> "HierarchicalTaskSet":
-        """Leaf label: ``local_slots`` are daemon-local indices, not ranks."""
-        layout = DaemonLayout.for_daemon(daemon_id, width)
-        idx = normalize_ranks(local_slots)
-        if idx.size and (idx[0] < 0 or idx[-1] >= width):
-            raise ValueError(f"local slot out of range [0, {width})")
-        return cls(layout, _pack_indices(idx, width))
-
-    # -- merge operations ------------------------------------------------
-    def union(self, other: "HierarchicalTaskSet") -> "HierarchicalTaskSet":
-        """Union of two labels over the same subtree layout."""
-        self._check_layout(other)
-        return HierarchicalTaskSet(self.layout, np.bitwise_or(self.data, other.data))
-
-    def union_inplace(self, other: "HierarchicalTaskSet") -> "HierarchicalTaskSet":
-        """In-place union; returns self (merge hot path)."""
-        self._check_layout(other)
-        np.bitwise_or(self.data, other.data, out=self.data)
-        return self
-
-    def intersection(self, other: "HierarchicalTaskSet") -> "HierarchicalTaskSet":
-        """Intersection over the same layout."""
-        self._check_layout(other)
-        return HierarchicalTaskSet(self.layout, np.bitwise_and(self.data, other.data))
-
-    __or__ = union
-    __and__ = intersection
-
-    def _check_layout(self, other: "HierarchicalTaskSet") -> None:
-        if not isinstance(other, HierarchicalTaskSet):
-            raise TypeError(
-                f"expected HierarchicalTaskSet, got {type(other).__name__}")
-        if other.layout != self.layout:
-            raise ValueError(
-                "layout mismatch: set operations require labels at the same "
-                "analysis node; use concat() to join disjoint subtrees")
-
-    @staticmethod
-    def concat(sets: Sequence["HierarchicalTaskSet"],
-               layout: Optional[DaemonLayout] = None) -> "HierarchicalTaskSet":
-        """Join labels of **disjoint** subtrees — the children-merge step.
-
-        ``layout`` may be passed in when the caller has already computed the
-        concatenated layout (one layout serves every edge of the merged
-        tree); otherwise it is derived here.
-        """
-        if not sets:
-            raise ValueError("concat of zero sets")
-        if layout is None:
-            layout = DaemonLayout.concat([s.layout for s in sets])
-        else:
-            expect = [lay for s in sets for lay in (s.layout.daemon_ids,)]
-            flat = tuple(d for ids in expect for d in ids)
-            if flat != layout.daemon_ids:
-                raise ValueError("provided layout does not match concatenation order")
-        data = np.concatenate([s.data for s in sets]) if sets else None
-        return HierarchicalTaskSet(layout, data)
-
-    def extend_to(self, layout: DaemonLayout) -> "HierarchicalTaskSet":
-        """Re-embed this label into a superset ``layout`` (zero-fill).
-
-        Needed when sibling subtrees contribute different edge sets: an edge
-        present only under child A must still be expressed over the merged
-        layout of A+B.
-        """
-        out = HierarchicalTaskSet.empty(layout)
-        pos = {d: i for i, d in enumerate(layout.daemon_ids)}
-        for i, daemon_id in enumerate(self.layout.daemon_ids):
-            j = pos.get(daemon_id)
-            if j is None:
-                raise ValueError(f"daemon {daemon_id} missing from target layout")
-            if layout.widths[j] != self.layout.widths[i]:
-                raise ValueError(f"chunk width mismatch for daemon {daemon_id}")
-            out.data[layout.chunk_slice(j)] = self.data[self.layout.chunk_slice(i)]
-        return out
-
-    # -- queries ---------------------------------------------------------
-    def count(self) -> int:
-        """Number of tasks present (padding bits are always zero)."""
-        return _popcount(self.data)
-
-    def is_empty(self) -> bool:
-        """True when no task is set."""
-        return not self.data.any()
-
-    def chunk_bits(self, index: int) -> np.ndarray:
-        """Boolean array of the local slots set in chunk ``index``."""
-        sl = self.layout.chunk_slice(index)
-        return _unpack(self.data[sl], self.layout.widths[index])
-
-    def local_slots(self) -> Dict[int, np.ndarray]:
-        """Map daemon id -> local slot indices set."""
-        return {
-            d: np.nonzero(self.chunk_bits(i))[0]
-            for i, d in enumerate(self.layout.daemon_ids)
-        }
-
-    def to_global_ranks(self, task_map: TaskMap) -> np.ndarray:
-        """Sorted global ranks represented, resolved through the task map."""
-        parts = []
-        for i, daemon_id in enumerate(self.layout.daemon_ids):
-            bits = self.chunk_bits(i)
-            if bits.any():
-                parts.append(task_map.ranks_of(daemon_id)[np.nonzero(bits)[0]])
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.sort(np.concatenate(parts))
-
-    def serialized_bits(self) -> int:
-        """Wire size: subtree tasks + per-chunk headers — NOT the job width."""
-        return self.layout.total_tasks + CHUNK_HEADER_BITS * len(self.layout)
-
-    def serialized_bytes(self) -> int:
-        """Wire size in bytes."""
-        return _packed_nbytes(self.serialized_bits())
-
-    def copy(self) -> "HierarchicalTaskSet":
-        """Deep copy (shares the immutable layout)."""
-        return HierarchicalTaskSet(self.layout, self.data.copy())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HierarchicalTaskSet):
-            return NotImplemented
-        return self.layout == other.layout and np.array_equal(self.data, other.data)
-
-    def __hash__(self) -> int:
-        return hash((self.layout, self.data.tobytes()))
-
-    def __repr__(self) -> str:
-        return (f"HierarchicalTaskSet(chunks={len(self.layout)}, "
-                f"tasks={self.layout.total_tasks}, count={self.count()})")
-
-
 class RankRemapper:
     """Front-end remap of concatenated subtree bits into MPI rank order.
 
@@ -618,9 +284,8 @@ class RankRemapper:
     :class:`TaskMap` (paper: "we first collect the map information once
     during the setup phase and then perform a local remap during the final
     result rendering"); thereafter :meth:`remap_rows` converts a whole
-    matrix of root-level label rows into rank-ordered job-width rows, and
-    :meth:`remap` one :class:`HierarchicalTaskSet` into a
-    :class:`DenseBitVector`.
+    matrix of root-level label rows into rank-ordered job-width rows (one
+    row is a matrix of one row).
 
     At 208K tasks the paper measured this step at 0.66 s — benchmarked by
     ``benchmarks/bench_claims.py``.
@@ -677,13 +342,6 @@ class RankRemapper:
             out[lo:lo + step] = np.packbits(
                 np.take(bits, self._slot_of_rank, axis=1), axis=1)
         return out
-
-    def remap(self, tset: HierarchicalTaskSet) -> DenseBitVector:
-        """Produce the rank-ordered full-width vector for one edge label."""
-        if tset.layout != self.layout:
-            raise ValueError("task set layout does not match remapper layout")
-        return DenseBitVector(self.total_tasks,
-                              self.remap_rows(tset.data[None, :])[0])
 
     def __repr__(self) -> str:
         return (f"RankRemapper(chunks={len(self.layout)}, "

@@ -10,9 +10,10 @@ such tree as flat NumPy arrays:
 * ``parents[n]`` — index of the parent *node* in the same array
   (``-1`` for depth-1 nodes, whose parent is the artificial root);
 * ``label_refs[n]`` — row into ``labels`` for the node's edge label;
-* ``labels[d, nbytes]`` — the **distinct** packed label rows.  Nodes
-  sharing a label object (common along call chains, where every edge
-  carries the same task set) share one row, which is what lets the
+* ``labels[d, nbytes]`` — the **distinct** packed label rows, in one of
+  the two row formats of :mod:`repro.core.taskset`.  Nodes sharing a
+  label (common along call chains, where every edge carries the same
+  task set) share one row, which is what lets the
   k-way merge kernels compute each distinct contributor combination
   exactly once;
 * ``spans[d, 2]`` — optional per-row ``(lo, hi)`` byte range containing
@@ -31,7 +32,8 @@ such tree as flat NumPy arrays:
 scheme's form), every TBO̅N level merges them, and
 ``LabelScheme.finalize`` returns one with dense, rank-ordered labels,
 which the front end reads directly: :meth:`preorder` is the node order
-of the codec, the renderers and the equivalence classes.
+of the codec, the renderers and the equivalence classes, and
+:meth:`row_ranks` is the one read of a dense row as sorted ranks.
 
 In the paper's terms, a **2D trace-space** tree holds one sampling
 instant, so a task lies on exactly one root-to-leaf path; a **3D
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 # Hot path: array kernels must stay per-array, not per-node.
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,12 +57,7 @@ from repro.core.buildarrays import group_members, segment_bounds
 from repro.lint.contracts import contract
 from repro.core.frames import Frame, StackTrace
 from repro.core.interning import FRAMES, PATHS
-from repro.core.taskset import (
-    CHUNK_HEADER_BITS,
-    DaemonLayout,
-    DenseBitVector,
-    HierarchicalTaskSet,
-)
+from repro.core.taskset import CHUNK_HEADER_BITS, DaemonLayout, row_ranks
 
 __all__ = ["TreeArrays", "merge_structure", "KIND_DENSE", "KIND_HIER"]
 
@@ -165,17 +162,19 @@ class TreeArrays:
 
     # -- front-end reads: a finalized tree has tens of nodes (20 / 23 at
     # 208K tasks), so these walk nodes in Python, never in a merge/build.
-    def make_label(self, row: int) -> Any:
-        """A label object over row ``row`` (shares the row's storage)."""
-        if self.kind == KIND_DENSE:
-            width = self.width if self.width is not None \
-                else self.labels.shape[1] * 8
-            return DenseBitVector(width, self.labels[row])
-        return HierarchicalTaskSet(self.layout, self.labels[row])
+    def row_ranks(self, row: np.ndarray) -> np.ndarray:
+        """The sorted ``int64`` ranks set in one packed dense ``row``
+        (a row of ``labels``, or a union of rows)."""
+        if self.kind != KIND_DENSE:
+            raise TypeError("tree carries hierarchical labels "
+                            "(run scheme.finalize first)")
+        width = self.width if self.width is not None \
+            else self.labels.shape[1] * 8
+        return row_ranks(row, width)
 
-    def label_of(self, node: int) -> Any:
-        """The edge label into ``node`` (treat it as immutable)."""
-        return self.make_label(int(self.label_refs[node]))
+    def label_of(self, node: int) -> np.ndarray:
+        """The sorted ``int64`` ranks of the edge label into ``node``."""
+        return self.row_ranks(self.labels[self.label_refs[node]])
 
     def children(self) -> List[List[int]]:
         """Child indices per node, ascending; the extra last entry (the

@@ -1,14 +1,15 @@
 """Rendering of call graph prefix trees (Figure 1).
 
 Produces Graphviz DOT (what real STAT emits for its GUI) and a compact
-ASCII rendering for terminals.  Node boxes show the function name; edges
-carry ``count:[ranks]`` labels, truncated with ``...`` past ``max_runs``
-runs just like the paper's figure (``275:[8,11-12,17,...]``).
+ASCII rendering for terminals, both of a finalized (dense-labelled)
+tree.  Node boxes show the function name; edges carry ``count:[ranks]``
+labels, truncated with ``...`` past ``max_runs`` runs just like the
+paper's figure (``275:[8,11-12,17,...]``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -20,28 +21,19 @@ from repro.core.treearrays import TreeArrays
 __all__ = ["to_dot", "to_ascii"]
 
 
-def _default_resolve(label: Any) -> np.ndarray:
-    """Default label-to-ranks resolver (dense labels)."""
-    return label.to_ranks()
-
-
 def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _edge_labels(tree: TreeArrays,
-                 rank_resolver: Optional[Callable[[Any], np.ndarray]],
-                 max_runs: int) -> List[str]:
+def _edge_labels(tree: TreeArrays, max_runs: int) -> List[str]:
     """``count:[ranks]`` per node, formatted once per distinct label row."""
-    resolve = rank_resolver or _default_resolve
-    rows = {ref: format_edge_label(resolve(tree.make_label(ref)),
+    rows = {ref: format_edge_label(tree.row_ranks(tree.labels[ref]),
                                    max_runs=max_runs)
             for ref in np.unique(tree.label_refs).tolist()}
     return [rows[ref] for ref in tree.label_refs.tolist()]
 
 
 def to_dot(tree: TreeArrays,
-           rank_resolver: Optional[Callable[[Any], np.ndarray]] = None,
            max_runs: int = 4,
            graph_name: str = "stat_prefix_tree") -> str:
     """Render the tree as a Graphviz DOT digraph.
@@ -50,7 +42,7 @@ def to_dot(tree: TreeArrays,
     the compressed rank lists.  The output is valid input for ``dot -Tpng``
     and matches the visual structure of the paper's Figure 1.
     """
-    labels = _edge_labels(tree, rank_resolver, max_runs)
+    labels = _edge_labels(tree, max_runs)
     frames = FRAMES.frames_of(tree.frame_ids)
     lines: List[str] = [
         f'digraph "{_escape(graph_name)}" {{',
@@ -70,9 +62,7 @@ def to_dot(tree: TreeArrays,
     return "\n".join(lines)
 
 
-def to_ascii(tree: TreeArrays,
-             rank_resolver: Optional[Callable[[Any], np.ndarray]] = None,
-             max_runs: int = 4) -> str:
+def to_ascii(tree: TreeArrays, max_runs: int = 4) -> str:
     """Render the tree with box-drawing characters for terminals.
 
     Example output for the ring-test hang::
@@ -84,7 +74,7 @@ def to_ascii(tree: TreeArrays,
                 ├── do_SendOrStall  1:[1]
                 └── PMPI_Waitall  1:[2]
     """
-    labels = _edge_labels(tree, rank_resolver, max_runs)
+    labels = _edge_labels(tree, max_runs)
     frames = FRAMES.frames_of(tree.frame_ids)
     kids = tree.children()
     last = {siblings[-1] for siblings in kids if siblings}

@@ -66,7 +66,7 @@ def run(quick: bool = False,
                            faults=plan.bind(daemons))
         final = scheme.finalize(merge.payload.tree_3d, task_map)
         covered = {rank for node in range(final.node_count())
-                   for rank in final.label_of(node).to_ranks().tolist()}
+                   for rank in final.label_of(node).tolist()}
         expected = machine.total_tasks - sum(
             task_map.tasks_of(d) for d in dead)
         result.rows.append(Row("merge time", fraction, merge.sim_time,

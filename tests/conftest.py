@@ -22,6 +22,7 @@ from repro.core.merge import (  # noqa: E402
     HierarchicalLabelScheme,
 )
 from repro.core.taskset import TaskMap  # noqa: E402
+from per_object_oracle import label_object  # noqa: E402
 from repro.machine.atlas import AtlasMachine  # noqa: E402
 from repro.machine.bgl import BGLMachine  # noqa: E402
 from repro.mpi.stacks import BGLStackModel, LinuxStackModel  # noqa: E402
@@ -39,9 +40,11 @@ def as_arrays(scheme, trees):
 
 
 def edges(tree):
-    """``(path, edge label)`` for every node of a tree, in preorder."""
+    """``(path, edge label object)`` for every node of a tree, in
+    preorder."""
     paths = tree.paths()
-    return [(paths[node], tree.label_of(node)) for node in tree.preorder()]
+    return [(paths[node], label_object(tree, node))
+            for node in tree.preorder()]
 
 
 def wire_bytes(tree):
@@ -49,18 +52,18 @@ def wire_bytes(tree):
     frame and label object: a tree header, then per node its frame, a
     child count and id, and its edge label."""
     return 8 + sum(path.leaf.serialized_bytes() + 8
-                   + tree.label_of(node).serialized_bytes()
+                   + label_object(tree, node).serialized_bytes()
                    for node, path in enumerate(tree.paths()))
 
 
 def label_bytes(tree):
     """The bytes of every edge label, each sized by its own object."""
-    return sum(tree.label_of(node).serialized_bytes()
+    return sum(label_object(tree, node).serialized_bytes()
                for node in range(tree.node_count()))
 
 
 def leaf_paths(tree):
-    """``(path, edge label)`` for every leaf of a tree, in preorder."""
+    """``(path, edge label object)`` for every leaf of a tree, in preorder."""
     kids = tree.children()
     return [(path, label) for (path, label), node
             in zip(edges(tree), tree.preorder(kids)) if not kids[node]]

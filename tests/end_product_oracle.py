@@ -21,7 +21,6 @@ from per_object_oracle import ObjectNode, ObjectTree
 from repro.core.equivalence import EquivalenceClass, mpi_api_boundary
 from repro.core.frames import Frame, StackTrace
 from repro.core.queries import TreeQuery
-from repro.core.taskset import DenseBitVector
 
 __all__ = [
     "oracle_compress_ranks",
@@ -123,14 +122,13 @@ def oracle_triage_classes(tree: ObjectTree) -> List[EquivalenceClass]:
         oracle_truncated(tree, mpi_api_boundary))
 
 
-def oracle_class_of(query: TreeQuery, rank: int) -> DenseBitVector:
+def oracle_class_of(query: TreeQuery, rank: int) -> np.ndarray:
     """All tasks whose ``where_is`` paths equal ``rank``'s: one scan of
     the tree per observed rank."""
     mine = {str(p) for p in query.where_is(rank)}
-    out = DenseBitVector.empty(query.total_tasks)
     if not mine:
-        return out
-    candidates = query.all_tasks().to_ranks()
+        return np.zeros(0, dtype=np.int64)
+    candidates = query.all_tasks()
     members = [int(r) for r in candidates
                if {str(p) for p in query.where_is(int(r))} == mine]
-    return DenseBitVector.from_ranks(members, query.total_tasks)
+    return np.asarray(members, dtype=np.int64)

@@ -3,6 +3,12 @@
 These are the implementations the package shipped before its array
 kernels, moved here verbatim:
 
+* :class:`DenseBitVector` / :class:`HierarchicalTaskSet` — the label
+  objects on an object tree's edges, one per edge-label row format of
+  :mod:`repro.core.taskset`, with :func:`daemon_label` /
+  :func:`leaf_span` (a daemon's leaf label and its dense byte span) and
+  :func:`label_object` (the object over one node's row of a
+  :class:`~repro.core.treearrays.TreeArrays`);
 * :class:`StackWalker` — one ``StackModel.trace_for`` call per
   (process, thread), drawing from the daemon's RNG one walk at a time;
 * :class:`ObjectTree` — the linked prefix tree (one object per node,
@@ -19,8 +25,9 @@ kernels, moved here verbatim:
 They live under ``tests/`` — not in the package — and exist only so
 ``test_build_equivalence.py`` and ``test_merge_equivalence.py`` can
 demand bit-identical trees from :func:`repro.core.forest.build_forest`
-and ``LabelScheme.merge``, and so ``benchmarks/kernels/run.py`` can time
-the kernels against them.  Do not optimise them.
+and ``LabelScheme.merge``, so the label tests can pin the row formats
+against object set algebra, and so ``benchmarks/kernels/run.py`` can
+time the kernels against them.  Do not optimise them.
 """
 
 from __future__ import annotations
@@ -32,7 +39,14 @@ import numpy as np
 
 from repro.core.frames import ROOT_FRAME, Frame, StackTrace
 from repro.core.merge import DenseLabelScheme, LabelScheme
-from repro.core.taskset import DaemonLayout, HierarchicalTaskSet, TaskMap
+from repro.core.ranklist import normalize_ranks
+from repro.core.taskset import (
+    CHUNK_HEADER_BITS,
+    DaemonLayout,
+    TaskMap,
+    _pack_indices,
+    _packed_nbytes,
+)
 from repro.core.treearrays import KIND_DENSE, KIND_HIER, TreeArrays
 from repro.lint.contracts import exempt
 from repro.mpi.runtime import RankState
@@ -40,6 +54,11 @@ from repro.mpi.stacks import StackModel
 from repro.sim.random import SeedStream
 
 __all__ = [
+    "DenseBitVector",
+    "HierarchicalTaskSet",
+    "daemon_label",
+    "leaf_span",
+    "label_object",
     "ObjectNode",
     "ObjectTree",
     "object_tree",
@@ -50,6 +69,379 @@ __all__ = [
     "reference_merge",
     "reference_daemon_trees",
 ]
+
+
+def _unpack(data: np.ndarray, width: int) -> np.ndarray:
+    """Unpack a uint8 bit array into a boolean array of length ``width``."""
+    if width == 0:
+        return np.zeros(0, dtype=bool)
+    return np.unpackbits(data, count=width).astype(bool)
+
+
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
+
+
+def _popcount(data: np.ndarray) -> int:
+    """Number of set bits in a uint8 array (table-driven, vectorized)."""
+    if data.size == 0:
+        return 0
+    return int(_POPCOUNT[data].sum())
+
+
+class DenseBitVector:
+    """A bit vector over **all** tasks of the job — the original STAT label.
+
+    The width is fixed at construction to the total task count; every
+    instance, anywhere in the analysis tree, carries (and would transmit)
+    ``width`` bits.  That invariant is the scalability defect the paper
+    identifies: ``serialized_bits`` is always ``width`` no matter how few
+    bits are set.
+    """
+
+    __slots__ = ("width", "data")
+
+    def __init__(self, width: int, data: Optional[np.ndarray] = None) -> None:
+        if width < 0:
+            raise ValueError(f"width must be >= 0, got {width}")
+        self.width = int(width)
+        nbytes = _packed_nbytes(self.width)
+        if data is None:
+            self.data = np.zeros(nbytes, dtype=np.uint8)
+        else:
+            data = np.asarray(data, dtype=np.uint8)
+            if data.shape != (nbytes,):
+                raise ValueError(
+                    f"data has {data.shape[0]} bytes, width {width} needs {nbytes}")
+            self.data = data
+
+    # -- constructors ------------------------------------------------------
+    @classmethod
+    def empty(cls, width: int) -> "DenseBitVector":
+        """All-zeros vector."""
+        return cls(width)
+
+    @classmethod
+    def full(cls, width: int) -> "DenseBitVector":
+        """All-ones vector (every rank present)."""
+        vec = cls(width)
+        vec.data[:] = 0xFF
+        vec._mask_tail()
+        return vec
+
+    @classmethod
+    def from_ranks(cls, ranks: Iterable[int], width: int) -> "DenseBitVector":
+        """Vector with exactly the given global ranks set."""
+        idx = normalize_ranks(ranks)
+        if idx.size and (idx[0] < 0 or idx[-1] >= width):
+            raise ValueError(
+                f"rank out of range [0, {width}): {idx[0 if idx[0] < 0 else -1]}")
+        return cls(width, _pack_indices(idx, width))
+
+    def _mask_tail(self) -> None:
+        """Zero the padding bits beyond ``width`` in the last byte."""
+        rem = self.width % 8
+        if rem and self.data.size:
+            self.data[-1] &= np.uint8(0xFF << (8 - rem) & 0xFF)
+
+    # -- set algebra ---------------------------------------------------------
+    def _check_peer(self, other: "DenseBitVector") -> None:
+        if not isinstance(other, DenseBitVector):
+            raise TypeError(f"expected DenseBitVector, got {type(other).__name__}")
+        if other.width != self.width:
+            raise ValueError(
+                f"width mismatch: {self.width} vs {other.width} "
+                "(the original representation requires global agreement on job size)")
+
+    def union(self, other: "DenseBitVector") -> "DenseBitVector":
+        """Set union (the merge operation for matching tree edges)."""
+        self._check_peer(other)
+        return DenseBitVector(self.width, np.bitwise_or(self.data, other.data))
+
+    def union_inplace(self, other: "DenseBitVector") -> "DenseBitVector":
+        """In-place union; returns self (used on the merge hot path)."""
+        self._check_peer(other)
+        np.bitwise_or(self.data, other.data, out=self.data)
+        return self
+
+    def intersection(self, other: "DenseBitVector") -> "DenseBitVector":
+        """Set intersection."""
+        self._check_peer(other)
+        return DenseBitVector(self.width, np.bitwise_and(self.data, other.data))
+
+    def difference(self, other: "DenseBitVector") -> "DenseBitVector":
+        """Ranks in self but not in other."""
+        self._check_peer(other)
+        return DenseBitVector(
+            self.width, np.bitwise_and(self.data, np.bitwise_not(other.data)))
+
+    def complement(self) -> "DenseBitVector":
+        """All ranks not in self."""
+        out = DenseBitVector(self.width, np.bitwise_not(self.data))
+        out._mask_tail()
+        return out
+
+    __or__ = union
+    __and__ = intersection
+    __sub__ = difference
+
+    # -- queries ---------------------------------------------------------
+    def count(self) -> int:
+        """Number of ranks present."""
+        return _popcount(self.data)
+
+    def contains(self, rank: int) -> bool:
+        """Membership test for one global rank."""
+        if not 0 <= rank < self.width:
+            return False
+        return bool(self.data[rank >> 3] & (0x80 >> (rank & 7)))
+
+    __contains__ = contains
+
+    def to_ranks(self) -> np.ndarray:
+        """Sorted array of set global ranks."""
+        return np.nonzero(_unpack(self.data, self.width))[0]
+
+    def is_empty(self) -> bool:
+        """True when no rank is set."""
+        return not self.data.any()
+
+    def serialized_bits(self) -> int:
+        """Wire size: always the full job width — the Section V defect."""
+        return self.width
+
+    def serialized_bytes(self) -> int:
+        """Wire size in bytes (bit size rounded up)."""
+        return _packed_nbytes(self.serialized_bits())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DenseBitVector):
+            return NotImplemented
+        return self.width == other.width and np.array_equal(self.data, other.data)
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.data.tobytes()))
+
+    def copy(self) -> "DenseBitVector":
+        """Deep copy."""
+        return DenseBitVector(self.width, self.data.copy())
+
+    def __repr__(self) -> str:
+        n = self.count()
+        return f"DenseBitVector(width={self.width}, count={n})"
+
+
+class HierarchicalTaskSet:
+    """The optimized edge label: bits only for tasks inside one subtree.
+
+    Invariants maintained:
+
+    * ``data`` is a byte-aligned concatenation of per-daemon bit chunks as
+      described by ``layout``.
+    * :meth:`union` requires identical layouts (two labels at the same
+      analysis node); :meth:`concat` joins disjoint subtrees.
+    * Wire size is ``sum(chunk widths) + 64 bits/chunk`` — proportional to
+      the subtree, not the job, which is what restores logarithmic merge
+      scaling in Figure 7.
+    """
+
+    __slots__ = ("layout", "data")
+
+    def __init__(self, layout: DaemonLayout, data: Optional[np.ndarray] = None) -> None:
+        self.layout = layout
+        if data is None:
+            self.data = np.zeros(layout.nbytes, dtype=np.uint8)
+        else:
+            data = np.asarray(data, dtype=np.uint8)
+            if data.shape != (layout.nbytes,):
+                raise ValueError(
+                    f"data has {data.shape[0]} bytes, layout needs {layout.nbytes}")
+            self.data = data
+
+    # -- constructors ------------------------------------------------------
+    @classmethod
+    def empty(cls, layout: DaemonLayout) -> "HierarchicalTaskSet":
+        """All-zeros set over ``layout``."""
+        return cls(layout)
+
+    @classmethod
+    def full(cls, layout: DaemonLayout) -> "HierarchicalTaskSet":
+        """Every local slot set."""
+        out = cls(layout)
+        for i, width in enumerate(out.layout.widths):
+            sl = out.layout.chunk_slice(i)
+            chunk = np.full(int(out.layout.byte_sizes[i]), 0xFF, dtype=np.uint8)
+            rem = width % 8
+            if rem and chunk.size:
+                chunk[-1] = np.uint8(0xFF << (8 - rem) & 0xFF)
+            out.data[sl] = chunk
+        return out
+
+    @classmethod
+    def for_daemon(cls, daemon_id: int, width: int,
+                   local_slots: Iterable[int]) -> "HierarchicalTaskSet":
+        """Leaf label: ``local_slots`` are daemon-local indices, not ranks."""
+        layout = DaemonLayout.for_daemon(daemon_id, width)
+        idx = normalize_ranks(local_slots)
+        if idx.size and (idx[0] < 0 or idx[-1] >= width):
+            raise ValueError(f"local slot out of range [0, {width})")
+        return cls(layout, _pack_indices(idx, width))
+
+    # -- merge operations ------------------------------------------------
+    def union(self, other: "HierarchicalTaskSet") -> "HierarchicalTaskSet":
+        """Union of two labels over the same subtree layout."""
+        self._check_layout(other)
+        return HierarchicalTaskSet(self.layout, np.bitwise_or(self.data, other.data))
+
+    def union_inplace(self, other: "HierarchicalTaskSet") -> "HierarchicalTaskSet":
+        """In-place union; returns self (merge hot path)."""
+        self._check_layout(other)
+        np.bitwise_or(self.data, other.data, out=self.data)
+        return self
+
+    def intersection(self, other: "HierarchicalTaskSet") -> "HierarchicalTaskSet":
+        """Intersection over the same layout."""
+        self._check_layout(other)
+        return HierarchicalTaskSet(self.layout, np.bitwise_and(self.data, other.data))
+
+    __or__ = union
+    __and__ = intersection
+
+    def _check_layout(self, other: "HierarchicalTaskSet") -> None:
+        if not isinstance(other, HierarchicalTaskSet):
+            raise TypeError(
+                f"expected HierarchicalTaskSet, got {type(other).__name__}")
+        if other.layout != self.layout:
+            raise ValueError(
+                "layout mismatch: set operations require labels at the same "
+                "analysis node; use concat() to join disjoint subtrees")
+
+    @staticmethod
+    def concat(sets: Sequence["HierarchicalTaskSet"],
+               layout: Optional[DaemonLayout] = None) -> "HierarchicalTaskSet":
+        """Join labels of **disjoint** subtrees — the children-merge step.
+
+        ``layout`` may be passed in when the caller has already computed the
+        concatenated layout (one layout serves every edge of the merged
+        tree); otherwise it is derived here.
+        """
+        if not sets:
+            raise ValueError("concat of zero sets")
+        if layout is None:
+            layout = DaemonLayout.concat([s.layout for s in sets])
+        else:
+            expect = [lay for s in sets for lay in (s.layout.daemon_ids,)]
+            flat = tuple(d for ids in expect for d in ids)
+            if flat != layout.daemon_ids:
+                raise ValueError("provided layout does not match concatenation order")
+        data = np.concatenate([s.data for s in sets]) if sets else None
+        return HierarchicalTaskSet(layout, data)
+
+    def extend_to(self, layout: DaemonLayout) -> "HierarchicalTaskSet":
+        """Re-embed this label into a superset ``layout`` (zero-fill).
+
+        Needed when sibling subtrees contribute different edge sets: an edge
+        present only under child A must still be expressed over the merged
+        layout of A+B.
+        """
+        out = HierarchicalTaskSet.empty(layout)
+        pos = {d: i for i, d in enumerate(layout.daemon_ids)}
+        for i, daemon_id in enumerate(self.layout.daemon_ids):
+            j = pos.get(daemon_id)
+            if j is None:
+                raise ValueError(f"daemon {daemon_id} missing from target layout")
+            if layout.widths[j] != self.layout.widths[i]:
+                raise ValueError(f"chunk width mismatch for daemon {daemon_id}")
+            out.data[layout.chunk_slice(j)] = self.data[self.layout.chunk_slice(i)]
+        return out
+
+    # -- queries ---------------------------------------------------------
+    def count(self) -> int:
+        """Number of tasks present (padding bits are always zero)."""
+        return _popcount(self.data)
+
+    def is_empty(self) -> bool:
+        """True when no task is set."""
+        return not self.data.any()
+
+    def chunk_bits(self, index: int) -> np.ndarray:
+        """Boolean array of the local slots set in chunk ``index``."""
+        sl = self.layout.chunk_slice(index)
+        return _unpack(self.data[sl], self.layout.widths[index])
+
+    def local_slots(self) -> Dict[int, np.ndarray]:
+        """Map daemon id -> local slot indices set."""
+        return {
+            d: np.nonzero(self.chunk_bits(i))[0]
+            for i, d in enumerate(self.layout.daemon_ids)
+        }
+
+    def to_global_ranks(self, task_map: TaskMap) -> np.ndarray:
+        """Sorted global ranks represented, resolved through the task map."""
+        parts = []
+        for i, daemon_id in enumerate(self.layout.daemon_ids):
+            bits = self.chunk_bits(i)
+            if bits.any():
+                parts.append(task_map.ranks_of(daemon_id)[np.nonzero(bits)[0]])
+        if not parts:
+            return np.zeros(0, dtype=np.int64)
+        return np.sort(np.concatenate(parts))
+
+    def serialized_bits(self) -> int:
+        """Wire size: subtree tasks + per-chunk headers — NOT the job width."""
+        return self.layout.total_tasks + CHUNK_HEADER_BITS * len(self.layout)
+
+    def serialized_bytes(self) -> int:
+        """Wire size in bytes."""
+        return _packed_nbytes(self.serialized_bits())
+
+    def copy(self) -> "HierarchicalTaskSet":
+        """Deep copy (shares the immutable layout)."""
+        return HierarchicalTaskSet(self.layout, self.data.copy())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HierarchicalTaskSet):
+            return NotImplemented
+        return self.layout == other.layout and np.array_equal(self.data, other.data)
+
+    def __hash__(self) -> int:
+        return hash((self.layout, self.data.tobytes()))
+
+    def __repr__(self) -> str:
+        return (f"HierarchicalTaskSet(chunks={len(self.layout)}, "
+                f"tasks={self.layout.total_tasks}, count={self.count()})")
+
+
+def daemon_label(scheme: LabelScheme, daemon_id: int, local_width: int,
+                 slots: Sequence[int], task_map: TaskMap) -> Any:
+    """The scheme's label object for a leaf (daemon-level) edge covering
+    ``slots``: a job-width vector with the slots' ranks set (dense), or
+    a subtree-local set over the daemon's own slots (hierarchical)."""
+    if scheme.kind == KIND_HIER:
+        return HierarchicalTaskSet.for_daemon(daemon_id, local_width, slots)
+    ranks = task_map.ranks_of(daemon_id)[np.asarray(list(slots), dtype=np.int64)] \
+        if len(slots) else np.zeros(0, dtype=np.int64)
+    return DenseBitVector.from_ranks(ranks, scheme.total_tasks)
+
+
+def leaf_span(daemon_id: int, slots: Sequence[int],
+              task_map: TaskMap) -> Tuple[int, int]:
+    """Byte range of a dense leaf label's set bits within the job width."""
+    if not len(slots):
+        return (0, 0)
+    ranks = task_map.ranks_of(daemon_id)[np.asarray(list(slots),
+                                                    dtype=np.int64)]
+    return (int(ranks.min()) >> 3, (int(ranks.max()) >> 3) + 1)
+
+
+def label_object(tree: TreeArrays, node: int) -> Any:
+    """The label object over the edge label row into ``node`` (shares
+    the row's storage)."""
+    row = tree.labels[tree.label_refs[node]]
+    if tree.kind == KIND_DENSE:
+        width = tree.width if tree.width is not None \
+            else tree.labels.shape[1] * 8
+        return DenseBitVector(width, row)
+    return HierarchicalTaskSet(tree.layout, row)
 
 
 def _label_union(a: Any, b: Any) -> Any:
@@ -154,7 +546,7 @@ def object_tree(tree: TreeArrays) -> ObjectTree:
     """
     out = ObjectTree()
     for node, path in enumerate(tree.paths()):
-        out.insert(path, tree.label_of(node))
+        out.insert(path, label_object(tree, node))
     return out
 
 
@@ -267,8 +659,9 @@ class STATDaemon:
         key = frozenset(slots)
         label = cache.get(key)
         if label is None:
-            label = cache[key] = self.scheme.daemon_label(
-                self.daemon_id, self.width, sorted(slots), self.task_map)
+            label = cache[key] = daemon_label(
+                self.scheme, self.daemon_id, self.width, sorted(slots),
+                self.task_map)
         return label
 
     def _materialize_arrays(self, slot_tree: ObjectTree,
@@ -307,7 +700,7 @@ class STATDaemon:
                     row = row_of[key] = len(rows)
                     rows.append(label.data)
                     if dense:
-                        spans.append(scheme.leaf_span(
+                        spans.append(leaf_span(
                             self.daemon_id, sorted(node.tasks),
                             self.task_map))
                 label_refs.append(row)

@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 from conftest import as_arrays, label_bytes, wire_bytes
-from per_object_oracle import ObjectTree
+from per_object_oracle import (
+    DenseBitVector,
+    HierarchicalTaskSet,
+    ObjectTree,
+    daemon_label,
+    label_object,
+)
 from repro.core.codec import CodecError, pack_tree, unpack_tree, \
     verify_size_model
 from repro.core.frames import StackTrace
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
-from repro.core.taskset import DenseBitVector, HierarchicalTaskSet, TaskMap
+from repro.core.taskset import TaskMap
 from repro.core.treearrays import TreeArrays
 from repro.core.visualize import to_ascii, to_dot
 
@@ -36,9 +42,9 @@ def hierarchical_tree() -> TreeArrays:
     for d in range(4):
         t = ObjectTree()
         t.insert(StackTrace.from_names(["main", "barrier"]),
-                 scheme.daemon_label(d, 8, range(0, 8, 2), tm))
+                 daemon_label(scheme, d, 8, range(0, 8, 2), tm))
         t.insert(StackTrace.from_names(["main", "wait"]),
-                 scheme.daemon_label(d, 8, [1], tm))
+                 daemon_label(scheme, d, 8, [1], tm))
         trees.append(t)
     return scheme.merge(as_arrays(scheme, trees))
 
@@ -67,7 +73,7 @@ class TestRoundTrip:
         clone = unpack_tree(pack_tree(tree))
         assert tree.structurally_equal(clone)
         # layouts survive
-        label = clone.label_of(0)
+        label = label_object(clone, 0)
         assert isinstance(label, HierarchicalTaskSet)
         assert label.layout.daemon_ids == (0, 1, 2, 3)
 
@@ -94,11 +100,11 @@ class TestRoundTrip:
         tm = TaskMap.block(2, 2)
         first, second = ObjectTree(), ObjectTree()
         first.insert(StackTrace.from_names(["main", "x"]),
-                     scheme.daemon_label(0, 2, [0], tm))
+                     daemon_label(scheme, 0, 2, [0], tm))
         first.insert(StackTrace.from_names(["main", "y", "d"]),
-                     scheme.daemon_label(0, 2, [1], tm))
+                     daemon_label(scheme, 0, 2, [1], tm))
         second.insert(StackTrace.from_names(["main", "x", "c"]),
-                      scheme.daemon_label(1, 2, [0, 1], tm))
+                      daemon_label(scheme, 1, 2, [0, 1], tm))
         merged = scheme.merge(as_arrays(scheme, [first, second]))
         packed = pack_tree(merged)
         clone = unpack_tree(packed)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import end_product_oracle as oracle
-from per_object_oracle import ObjectTree, object_tree
+from per_object_oracle import DenseBitVector, ObjectTree, object_tree
 from repro.api.pipeline import SessionPipeline
 from repro.api.spec import SessionSpec
 from repro.core import equivalence, visualize
@@ -33,7 +33,6 @@ from repro.core.ranklist import (
     parse_rank_list,
 )
 from repro.core.session import load_session, save_session
-from repro.core.taskset import DenseBitVector
 from repro.core.treearrays import TreeArrays
 from repro.core.visualize import to_ascii, to_dot
 

@@ -8,9 +8,8 @@ from repro.core.equivalence import (
     representatives,
     triage_classes,
 )
-from per_object_oracle import ObjectTree
+from per_object_oracle import DenseBitVector, ObjectTree
 from repro.core.frames import Frame, StackTrace
-from repro.core.taskset import DenseBitVector
 from repro.core.treearrays import TreeArrays
 
 

@@ -19,7 +19,7 @@ class TestDegradedSessions:
                                        mapping="block")
         assert sorted(result.merge.missing_daemons) == [3, 7]
         q = TreeQuery(result.tree_3d)
-        absent = set(q.absent_tasks().to_ranks().tolist())
+        absent = set(q.absent_tasks().tolist())
         # block mapping: daemon d owns ranks [64d, 64d+64)
         expected = set(range(3 * 64, 4 * 64)) | set(range(7 * 64, 8 * 64))
         assert absent == expected

@@ -15,6 +15,7 @@ import pytest
 from conftest import as_arrays, wire_bytes
 from per_object_oracle import (
     ObjectTree,
+    daemon_label,
     object_tree,
     reference_dense_merge,
     reference_hierarchical_merge,
@@ -53,7 +54,7 @@ def random_daemon_tree(rng, scheme, daemon_id, task_map, allow_empty=True):
                                   replace=False).tolist())
         tree.insert(
             StackTrace.from_names(path),
-            scheme.daemon_label(daemon_id, width, slots, task_map))
+            daemon_label(scheme, daemon_id, width, slots, task_map))
     return tree
 
 
@@ -78,7 +79,7 @@ class TestDenseEquivalence:
         scheme = DenseLabelScheme(8)
         tree = ObjectTree()
         tree.insert(StackTrace.from_names(["main", "poll"]),
-                    scheme.daemon_label(0, 4, [1, 2], task_map))
+                    daemon_label(scheme, 0, 4, [1, 2], task_map))
         arrays = as_arrays(scheme, [tree])
         merged = scheme.merge(arrays)
         assert merged is not arrays[0]

@@ -5,8 +5,13 @@ import pytest
 from conftest import as_arrays
 from repro.core.frames import StackTrace
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
-from per_object_oracle import ObjectTree
-from repro.core.taskset import HierarchicalTaskSet, TaskMap
+from per_object_oracle import (
+    HierarchicalTaskSet,
+    ObjectTree,
+    daemon_label,
+    label_object,
+)
+from repro.core.taskset import TaskMap
 from repro.core.treearrays import TreeArrays
 
 
@@ -15,8 +20,9 @@ def trace(*names):
 
 
 def label_at(tree, *names):
-    """The edge label into the node at ``names`` (which must exist)."""
-    return tree.label_of(tree.node_at(trace(*names)))
+    """The edge label object into the node at ``names`` (which must
+    exist)."""
+    return label_object(tree, tree.node_at(trace(*names)))
 
 
 def build_daemon_tree(scheme, daemon_id, task_map, paths_slots):
@@ -25,7 +31,7 @@ def build_daemon_tree(scheme, daemon_id, task_map, paths_slots):
     width = task_map.tasks_of(daemon_id)
     for path, slots in paths_slots.items():
         tree.insert(trace(*path),
-                    scheme.daemon_label(daemon_id, width, slots, task_map))
+                    daemon_label(scheme, daemon_id, width, slots, task_map))
     return tree
 
 
@@ -37,14 +43,14 @@ def task_map():
 class TestDenseScheme:
     def test_daemon_label_is_global_width(self, task_map):
         scheme = DenseLabelScheme(16)
-        lbl = scheme.daemon_label(0, 4, [0, 1], task_map)
+        lbl = daemon_label(scheme, 0, 4, [0, 1], task_map)
         assert lbl.width == 16
         # cyclic(4,4): daemon 0 slots 0,1 -> ranks 0, 4
         assert lbl.to_ranks().tolist() == [0, 4]
 
     def test_daemon_label_empty_slots(self, task_map):
         scheme = DenseLabelScheme(16)
-        assert scheme.daemon_label(0, 4, [], task_map).count() == 0
+        assert daemon_label(scheme, 0, 4, [], task_map).count() == 0
 
     def test_invalid_total_rejected(self):
         with pytest.raises(ValueError):
@@ -91,7 +97,7 @@ class TestDenseScheme:
 class TestHierarchicalScheme:
     def test_daemon_label_is_subtree_local(self, task_map):
         scheme = HierarchicalLabelScheme()
-        lbl = scheme.daemon_label(2, 4, [1, 3], task_map)
+        lbl = daemon_label(scheme, 2, 4, [1, 3], task_map)
         assert isinstance(lbl, HierarchicalTaskSet)
         assert lbl.layout.daemon_ids == (2,)
         assert lbl.count() == 2

@@ -3,19 +3,25 @@
 Each test runs one small random spec twice, changing one thing that must
 not matter (the TBO̅N topology, the label scheme, streamed arrival order)
 or one thing with a known effect (a daemon crashed at t=0, a larger
-retry budget under the same link drops), and checks the finalized trees,
-the equivalence classes or the degradation report against each other.
+retry budget under the same link drops, a permutation of the MPI ranks
+at the finalize boundary), and checks the finalized trees, the
+equivalence classes, the triage queries or the degradation report
+against each other.
 Example counts are small: every example runs two or three sessions.
 """
 
 import dataclasses
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.pipeline import SessionPipeline
 from repro.api.spec import SessionSpec
-from repro.core.equivalence import EquivalenceClass
+from repro.core.equivalence import EquivalenceClass, equivalence_classes
+from repro.core.queries import TreeQuery
+from repro.core.taskset import TaskMap
+from repro.core.treearrays import KIND_DENSE, TreeArrays
 from repro.faults.plan import FaultPlan, LinkFault, RetryPolicy
 from repro.tbon.retry import AllDaemonsFailed
 from repro.tbon.streaming import StreamConfig
@@ -122,3 +128,65 @@ def test_more_retries_never_lower_coverage(spec, drop_p, retries, more):
         assert extra is not None
         assert extra.coverage >= fewer.coverage
         assert set(extra.missing_daemons) <= set(fewer.missing_daemons)
+
+
+def permuted(tree, perm):
+    """A dense ``tree`` with every rank ``r`` of every label row moved to
+    ``perm[r]`` — the same nodes, rows and row sharing."""
+    bits = np.unpackbits(tree.labels, axis=1, count=tree.width)
+    moved = np.zeros_like(bits)
+    moved[:, perm] = bits
+    return TreeArrays(KIND_DENSE, tree.frame_ids, tree.parents,
+                      tree.label_refs, tree.level_offsets,
+                      np.packbits(moved, axis=1), width=tree.width)
+
+
+@settings(max_examples=25, deadline=None)
+@given(specs(), st.data())
+def test_permuting_ranks_permutes_the_answer(spec, data):
+    """Finalize a merged root under a rank-permuted task map: the nodes
+    stay, every label, class and query answer moves by the permutation,
+    and nothing else changes.
+
+    Only the hierarchical scheme reads the map at finalize (its remap);
+    a dense root is already rank-ordered and must finalize to itself
+    under any map, so for it the permutation is applied to its rows.
+    """
+    dead = data.draw(st.sets(st.integers(0, spec.daemons - 1),
+                             max_size=spec.daemons - 1))
+    ctx = SessionPipeline.from_spec(
+        dataclasses.replace(spec, dead_daemons=tuple(dead))
+    ).run_until("merge")
+    task_map = ctx.task_map
+    total = task_map.total_tasks
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(total)
+    asked = rng.choice(total, size=min(total, 12), replace=False).tolist()
+    moved_map = TaskMap({d: perm[task_map.ranks_of(d)]
+                         for d in task_map.daemons()})
+    for root in ctx.merge.payload.trees():
+        final = ctx.scheme.finalize(root, task_map)
+        moved = ctx.scheme.finalize(root, moved_map)
+        if ctx.scheme.kind == KIND_DENSE:
+            assert moved.arrays_equal(final)  # the map is not read
+            moved = permuted(final, perm)
+        assert moved.structurally_equal(permuted(final, perm))
+        for node in range(final.node_count()):
+            assert np.array_equal(moved.label_of(node),
+                                  np.sort(perm[final.label_of(node)]))
+
+        expected = [EquivalenceClass(c.paths,
+                                     tuple(sorted(perm[list(c.ranks)]
+                                                  .tolist())))
+                    for c in equivalence_classes(final)]
+        expected.sort(key=lambda c: (-c.size, c.representative))
+        assert equivalence_classes(moved) == expected
+
+        if not final.node_count():
+            continue
+        query, moved_query = TreeQuery(final), TreeQuery(moved)
+        for rank in asked:
+            assert np.array_equal(moved_query.class_of(int(perm[rank])),
+                                  np.sort(perm[query.class_of(rank)]))
+            assert moved_query.where_is(int(perm[rank])) == \
+                query.where_is(rank)

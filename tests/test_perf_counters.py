@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import as_arrays
-from per_object_oracle import ObjectTree
+from per_object_oracle import ObjectTree, daemon_label
 from repro.core.frames import Frame, StackTrace
 from repro.core.interning import FRAMES
 from repro.core.merge import DenseLabelScheme
@@ -53,7 +53,7 @@ class TestMergeIntegration:
         for d in range(2):
             tree = ObjectTree()
             tree.insert(StackTrace.from_names(["main", "poll"]),
-                        scheme.daemon_label(d, 4, [0, 1], task_map))
+                        daemon_label(scheme, d, 4, [0, 1], task_map))
             trees.append(tree)
         arrays = as_arrays(scheme, trees)
         PERF.reset()

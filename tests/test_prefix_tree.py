@@ -1,11 +1,11 @@
 """Unit tests for frames, stack traces, and the prefix tree's reads."""
 
+import numpy as np
 import pytest
 
 from conftest import label_bytes, wire_bytes
-from per_object_oracle import ObjectTree
+from per_object_oracle import DenseBitVector, HierarchicalTaskSet, ObjectTree
 from repro.core.frames import Frame, ROOT_FRAME, StackTrace
-from repro.core.taskset import DenseBitVector
 from repro.core.treearrays import TreeArrays
 from repro.core.visualize import to_ascii
 
@@ -81,19 +81,19 @@ class TestPrefixTreeInsert:
         assert tree.node_count() == 2
         node = tree.node_at(trace("main", "foo"))
         assert node is not None
-        assert tree.label_of(node).to_ranks().tolist() == [0]
+        assert tree.label_of(node).tolist() == [0]
 
     def test_shared_prefix_unions_labels(self):
         tree = tree_of((trace("main", "foo"), label(0)),
                        (trace("main", "bar"), label(1)))
         main = tree.node_at(trace("main"))
-        assert tree.label_of(main).to_ranks().tolist() == [0, 1]
+        assert tree.label_of(main).tolist() == [0, 1]
         assert tree.node_count() == 3
 
     def test_same_path_twice_unions(self):
         tree = tree_of((trace("main"), label(0)), (trace("main"), label(1)))
         assert tree.node_count() == 1
-        assert tree.label_of(tree.node_at(trace("main"))).count() == 2
+        assert tree.label_of(tree.node_at(trace("main"))).size == 2
 
     def test_label_reuse_is_safe(self):
         """The inserted label object is copied, not aliased."""
@@ -103,7 +103,35 @@ class TestPrefixTreeInsert:
         tree.insert(trace("b"), shared)
         shared.union_inplace(label(5))
         arrays = tree.to_arrays()
-        assert arrays.label_of(arrays.node_at(trace("b"))).count() == 1
+        assert arrays.label_of(arrays.node_at(trace("b"))).size == 1
+
+
+class TestLabelReads:
+    """A dense edge label reads as sorted ``int64`` ranks; a hierarchical
+    one must be finalized first."""
+
+    def test_label_of_is_sorted_int64_ranks(self):
+        tree = tree_of((trace("main"), label(9, 2, 15)))
+        ranks = tree.label_of(0)
+        assert ranks.dtype == np.int64 and ranks.tolist() == [2, 9, 15]
+
+    def test_label_of_reads_width_not_padding(self):
+        tree = tree_of((trace("main"), label(0, 12, width=13)))
+        assert tree.labels.shape[1] == 2
+        assert tree.label_of(0).tolist() == [0, 12]
+
+    def test_row_ranks_of_a_union(self):
+        tree = tree_of((trace("main", "a"), label(1)),
+                       (trace("main", "b"), label(3, 4)))
+        union = np.bitwise_or.reduce(tree.labels, axis=0)
+        assert tree.row_ranks(union).tolist() == [1, 3, 4]
+
+    def test_hierarchical_tree_raises(self):
+        tree = ObjectTree()
+        tree.insert(trace("main"), HierarchicalTaskSet.for_daemon(0, 2, [1]))
+        arrays = tree.to_arrays()
+        with pytest.raises(TypeError, match="hierarchical"):
+            arrays.label_of(0)
 
 
 class TestPrefixTreeQueries:
@@ -192,8 +220,7 @@ class TestTruncation:
 
     def test_truncation_preserves_labels(self):
         cut = self.make().truncated_at_depth(1)
-        assert cut.label_of(cut.node_at(trace("main"))).to_ranks().tolist() \
-            == [0, 1]
+        assert cut.label_of(cut.node_at(trace("main"))).tolist() == [0, 1]
 
     def test_truncation_does_not_mutate_original(self):
         tree = self.make()

@@ -11,17 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import as_arrays
-from per_object_oracle import ObjectTree
+from per_object_oracle import (
+    DenseBitVector,
+    HierarchicalTaskSet,
+    ObjectTree,
+    daemon_label,
+)
 from repro.core.frames import StackTrace
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
 from repro.core.ranklist import format_rank_list, parse_rank_list
-from repro.core.taskset import (
-    DaemonLayout,
-    DenseBitVector,
-    HierarchicalTaskSet,
-    RankRemapper,
-    TaskMap,
-)
+from repro.core.taskset import DaemonLayout, RankRemapper, TaskMap, row_ranks
 from repro.tbon.topology import Topology
 
 # -- strategies ------------------------------------------------------------
@@ -121,8 +120,8 @@ class TestHierarchicalAlgebra:
             sets.append(HierarchicalTaskSet.for_daemon(d, width, slots))
             expected |= {int(tm.ranks_of(d)[s]) for s in slots}
         cat = HierarchicalTaskSet.concat(sets)
-        dense = RankRemapper(cat.layout, tm).remap(cat)
-        assert set(dense.to_ranks().tolist()) == expected
+        dense = RankRemapper(cat.layout, tm).remap_rows(cat.data[None, :])
+        assert set(row_ranks(dense[0], tm.total_tasks).tolist()) == expected
 
     @given(task_maps())
     def test_serialized_bits_subtree_bound(self, tm):
@@ -170,7 +169,7 @@ def _daemon_tree(scheme, daemon, tm, assignment):
         by_path.setdefault(assignment(daemon, slot), []).append(slot)
     for path, slots in by_path.items():
         tree.insert(StackTrace.from_names(path),
-                    scheme.daemon_label(daemon, width, slots, tm))
+                    daemon_label(scheme, daemon, width, slots, tm))
     return tree
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import as_arrays
-from per_object_oracle import ObjectTree
+from per_object_oracle import ObjectTree, daemon_label
 from repro.core.codec import pack_tree, unpack_tree, verify_size_model
 from repro.core.frames import StackTrace
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
@@ -38,10 +38,10 @@ def labelled_trees(draw):
             if not slots:
                 continue
             t.insert(StackTrace.from_names(path),
-                     scheme.daemon_label(d, per, sorted(set(slots)), tm))
+                     daemon_label(scheme, d, per, sorted(set(slots)), tm))
         if not t.root.children:
             t.insert(StackTrace.from_names(["main"]),
-                     scheme.daemon_label(d, per, [0], tm))
+                     daemon_label(scheme, d, per, [0], tm))
         trees.append(t)
     return scheme.merge(as_arrays(scheme, trees))
 

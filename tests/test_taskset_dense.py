@@ -1,9 +1,10 @@
-"""Unit tests for the original global-width bit vectors."""
+"""Unit tests for the original global-width bit vectors (the dense label
+objects of the per-object oracle, over the dense row format)."""
 
 import numpy as np
 import pytest
 
-from repro.core.taskset import DenseBitVector
+from per_object_oracle import DenseBitVector
 
 
 class TestConstruction:

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.taskset import (
-    CHUNK_HEADER_BITS,
-    DaemonLayout,
-    HierarchicalTaskSet,
-    TaskMap,
-)
+from per_object_oracle import DenseBitVector, HierarchicalTaskSet
+from repro.core.taskset import CHUNK_HEADER_BITS, DaemonLayout, TaskMap
 
 
 class TestTaskMap:
@@ -188,7 +184,6 @@ class TestWireSize:
 
     def test_hierarchical_smaller_than_dense_at_fringe(self):
         """A daemon label vs the same content as a 208K-wide vector."""
-        from repro.core.taskset import DenseBitVector
         hier = HierarchicalTaskSet.for_daemon(0, 128, range(128))
         dense = DenseBitVector.from_ranks(range(128), 212_992)
         assert hier.serialized_bits() < dense.serialized_bits() / 1000

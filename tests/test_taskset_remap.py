@@ -5,13 +5,8 @@ import pytest
 
 from repro.core.frames import Frame
 from repro.core.merge import HierarchicalLabelScheme
-from repro.core.taskset import (
-    DaemonLayout,
-    DenseBitVector,
-    HierarchicalTaskSet,
-    RankRemapper,
-    TaskMap,
-)
+from per_object_oracle import DenseBitVector, HierarchicalTaskSet
+from repro.core.taskset import DaemonLayout, RankRemapper, TaskMap
 from repro.core.treearrays import KIND_DENSE, KIND_HIER, TreeArrays
 
 
@@ -25,18 +20,25 @@ def _root_label(task_map: TaskMap, slots_per_daemon) -> HierarchicalTaskSet:
     return HierarchicalTaskSet.concat(parts)
 
 
+def _remap(label: HierarchicalTaskSet, task_map: TaskMap) -> DenseBitVector:
+    """The remapped row of one label, as the dense vector over it."""
+    remapper = RankRemapper(label.layout, task_map)
+    return DenseBitVector(remapper.total_tasks,
+                          remapper.remap_rows(label.data[None, :])[0])
+
+
 class TestRankRemapper:
     def test_figure6_example(self):
         """Daemon 0 owns ranks {0,2}, daemon 1 owns {1,3} (Figure 6)."""
         tm = TaskMap.cyclic(2, 2)
         label = _root_label(tm, lambda d: [0, 1] if d == 0 else [1])
-        dense = RankRemapper(label.layout, tm).remap(label)
+        dense = _remap(label, tm)
         assert dense.to_ranks().tolist() == [0, 2, 3]
 
     def test_block_map_remap_is_identity_permutation(self):
         tm = TaskMap.block(4, 8)
         label = _root_label(tm, lambda d: range(8))
-        dense = RankRemapper(label.layout, tm).remap(label)
+        dense = _remap(label, tm)
         assert dense.to_ranks().tolist() == list(range(32))
 
     def test_shuffled_map_roundtrip(self, rng):
@@ -46,19 +48,19 @@ class TestRankRemapper:
             ranks = tm.ranks_of(d)
             return [i for i, r in enumerate(ranks) if int(r) in wanted]
         label = _root_label(tm, slots)
-        dense = RankRemapper(label.layout, tm).remap(label)
+        dense = _remap(label, tm)
         assert set(dense.to_ranks().tolist()) == wanted
 
     def test_remap_preserves_count(self, rng):
         tm = TaskMap.cyclic(4, 32)
         label = _root_label(tm, lambda d: range(0, 32, 2))
-        dense = RankRemapper(label.layout, tm).remap(label)
+        dense = _remap(label, tm)
         assert dense.count() == label.count() == 4 * 16
 
     def test_remap_agrees_with_to_global_ranks(self, rng):
         tm = TaskMap.shuffled(4, 8, rng)
         label = _root_label(tm, lambda d: [d % 8, (d + 3) % 8])
-        dense = RankRemapper(label.layout, tm).remap(label)
+        dense = _remap(label, tm)
         assert dense.to_ranks().tolist() == \
             label.to_global_ranks(tm).tolist()
 
@@ -74,7 +76,7 @@ class TestRankRemapper:
         remapper = RankRemapper(layout, tm)
         other = HierarchicalTaskSet.for_daemon(0, 4, [0])
         with pytest.raises(ValueError, match="layout"):
-            remapper.remap(other)
+            remapper.remap_rows(other.data[None, :])
 
     def test_out_of_range_task_map_rejected(self):
         tm = TaskMap({0: [0, 1], 1: [2, 7]})
@@ -91,17 +93,17 @@ class TestRankRemapper:
         """Only the front end ever holds a job-width vector."""
         tm = TaskMap.cyclic(2, 4)
         layout = DaemonLayout.from_task_map(tm)
-        dense = RankRemapper(layout, tm).remap(
-            HierarchicalTaskSet.empty(layout))
-        assert isinstance(dense, DenseBitVector)
-        assert dense.serialized_bits() == tm.total_tasks
+        rows = RankRemapper(layout, tm).remap_rows(
+            HierarchicalTaskSet.empty(layout).data[None, :])
+        assert rows.shape == (1, (tm.total_tasks + 7) // 8)
+        assert not rows.any()
 
     def test_full_machine_scale_roundtrip(self):
         """208K-task remap stays exact (and quick) at full width."""
         tm = TaskMap.cyclic(1664, 128)
         layout = DaemonLayout.from_task_map(tm)
         label = HierarchicalTaskSet.full(layout)
-        dense = RankRemapper(layout, tm).remap(label)
+        dense = _remap(label, tm)
         assert dense.count() == 212_992
 
 

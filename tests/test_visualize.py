@@ -1,8 +1,9 @@
 """Unit tests for DOT and ASCII tree rendering."""
 
-from per_object_oracle import ObjectTree
+import pytest
+
+from per_object_oracle import DenseBitVector, HierarchicalTaskSet, ObjectTree
 from repro.core.frames import StackTrace
-from repro.core.taskset import DenseBitVector
 from repro.core.treearrays import TreeArrays
 from repro.core.visualize import to_ascii, to_dot
 
@@ -70,15 +71,14 @@ class TestAscii:
         text = to_ascii(make_tree(), max_runs=1)
         assert "6:[0,...]" in text
 
-    def test_custom_rank_resolver(self):
-        from repro.core.taskset import HierarchicalTaskSet, TaskMap
-        tm = TaskMap.cyclic(2, 2)
+    def test_hierarchical_tree_needs_finalize(self):
+        """Renderings read dense rows: a tree still carrying subtree-local
+        labels is refused, not misread."""
         tree = ObjectTree()
         tree.insert(StackTrace.from_names(["main"]),
                     HierarchicalTaskSet.for_daemon(0, 2, [0, 1]))
-        text = to_ascii(tree.to_arrays(),
-                        rank_resolver=lambda t: t.to_global_ranks(tm))
-        assert "2:[0,2]" in text
+        with pytest.raises(TypeError, match="finalize"):
+            to_ascii(tree.to_arrays())
 
 
 class TestNodeOrder:
