@@ -83,12 +83,14 @@ class Topology:
                 f"topology has {len(self._leaves)} leaves, expected {num_daemons}")
 
     def _index(self, root: TopologyNode) -> None:
-        queue = [root]
-        while queue:
-            node = queue.pop(0)
-            self._nodes.append(node)
-            queue.extend(node.children)
-        for node in self._nodes:
+        # Breadth-first: the node list is its own queue, walked by index.
+        nodes = self._nodes
+        nodes.append(root)
+        i = 0
+        while i < len(nodes):
+            nodes.extend(nodes[i].children)
+            i += 1
+        for node in nodes:
             if node.is_leaf:
                 node.rank = len(self._leaves)
                 self._leaves.append(node)

@@ -1,10 +1,13 @@
 """Unit tests for TBO̅N topology construction (Section III rules)."""
 
+import hashlib
 import math
+from collections import deque
 
 import pytest
 
-from repro.tbon.topology import Role, Topology
+from repro.tbon.spec import parse_shape, to_topology_file
+from repro.tbon.topology import Role, Topology, TopologyNode
 
 
 class TestFlat:
@@ -139,3 +142,81 @@ class TestTopologyInfrastructure:
         topo = Topology.bgl_two_deep(16)
         assert topo.root.role is Role.FRONTEND
         assert all(n.role is Role.DAEMON for n in topo.leaves)
+
+
+def _pruned_topology() -> Topology:
+    """Three CPs under the front end; the middle one has only an empty CP."""
+    root = TopologyNode(0, Role.FRONTEND)
+    next_id = [1]
+
+    def add(role, parent):
+        node = TopologyNode(next_id[0], role, parent=parent)
+        next_id[0] += 1
+        parent.children.append(node)
+        return node
+
+    left, middle, right = (add(Role.COMM, root) for _ in range(3))
+    add(Role.COMM, middle)
+    for parent, count in ((left, 2), (right, 3)):
+        for _ in range(count):
+            add(Role.DAEMON, parent)
+    topo = Topology(root, 5, "pruned")
+    topo._prune_empty()
+    return topo
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestIndexOrder:
+    """``Topology._index`` keeps node ids, BFS order, leaf ranks and bytes.
+
+    Each case pins sha256 prefixes of the node-id sequence, the rank
+    sequence and the ``to_topology_file`` text, and checks the node
+    order against an independent ``deque`` breadth-first walk.
+    """
+
+    #: (shape, daemons) -> (node ids, ranks, topology file)
+    PINS = {
+        ("flat", 7): ("1eacc8c10d0cdd8e", "b5094077e0d11571",
+                      "0578235691a03310"),
+        ("flat", 1664): ("35054ca6081e61c4", "1c974c8e2dac5e67",
+                         "3285841ad3bfd6d0"),
+        ("balanced:2", 7): ("62cf2984a1e677f8", "858d8fd769da3c84",
+                            "a54bc867c7972881"),
+        ("balanced:2", 1664): ("a7ff0411e44bfdce", "10fe202c4d35899f",
+                               "f9bb07fac2571288"),
+        ("balanced:3", 7): ("efd720d0a2498191", "19129d2300c39fec",
+                            "033c639cc1279171"),
+        ("balanced:3", 1664): ("fe82ff0f28661365", "a6fd42f1c129fc99",
+                               "62b366d87247a209"),
+        ("bgl-2deep", 7): ("62cf2984a1e677f8", "858d8fd769da3c84",
+                           "a54bc867c7972881"),
+        ("bgl-2deep", 1664): ("90dd702ddb330a57", "e8f8d8c547a4ed5a",
+                              "1e74ac913451610a"),
+        ("bgl-3deep", 7): ("381e1b362cade6ac", "0789b4fad077f2c2",
+                           "51233ab079e5630c"),
+        ("bgl-3deep", 1664): ("9883b48cd0ddba76", "e8f8d8c547a4ed5a",
+                              "78ecb8493c0ddab4"),
+        ("pruned", 5): ("7e20b7d20b45d219", "e67bd78068e73cb1",
+                        "6ab7fe30b7d6b41d"),
+    }
+
+    @pytest.mark.parametrize("shape,daemons", sorted(PINS))
+    def test_index_is_unchanged(self, shape, daemons):
+        topo = _pruned_topology() if shape == "pruned" \
+            else parse_shape(shape, daemons)
+        topo.validate()
+        queue, bfs = deque([topo.root]), []
+        while queue:
+            node = queue.popleft()
+            bfs.append(node)
+            queue.extend(node.children)
+        assert [id(n) for n in topo.nodes] == [id(n) for n in bfs]
+        assert list(topo.leaves) == [n for n in bfs if n.is_leaf]
+        assert [leaf.rank for leaf in topo.leaves] == list(range(daemons))
+        got = (_digest(",".join(str(n.node_id) for n in topo.nodes)),
+               _digest(",".join(str(n.rank) for n in topo.nodes)),
+               _digest(to_topology_file(topo)))
+        assert got == self.PINS[(shape, daemons)]
