@@ -15,10 +15,15 @@ launches to forest scope:
   daemon row — but land in one ``(daemons, elements)`` matrix, and
   state+draw tuples resolve to interned trace ids through a dense
   composite-key table (``StackModel.ukey_lut``) with a single gather;
-* the per-daemon "group elements by trace" step becomes one row-wise
-  stable ``argsort`` of the whole matrix plus flat segment-boundary
-  scans, and every segment's slot set is packed to label bits by
-  blockwise ``np.packbits``;
+* the per-daemon "group elements by trace" step becomes **one**
+  row-wise stable sort per block plus flat segment-boundary scans, and
+  every segment's slot set is packed to label bits by blockwise
+  ``np.packbits``.  The sort key is the trace-id matrix cast to the
+  narrowest unsigned dtype that holds the block's largest id, so below
+  2^16 ids numpy's stable sort runs as a radix sort; the order is the
+  same as the ``int64`` one.  The 2D tree is not sorted again: its
+  order is the 3D order filtered to the last instant's columns
+  (filtering a stable order keeps it stable);
 * daemons are then *grouped by their ordered distinct-trace tuple*;
   a group shares its BFS structure, contributor combinations and
   segment permutation.  Each group probes the stack model's structure
@@ -112,17 +117,46 @@ def _lut_resolve(model: StackModel, ukeys: np.ndarray) -> np.ndarray:
     return ids
 
 
-@contract("elems:(r,n):int64 -> seg_ptr:(q):int64, first:(s):int64, "
-          "vals:(s):int64, packed:(s,p):uint8")
-def _segment_rows(elems: np.ndarray, width: int, threads: int
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                             np.ndarray]:
+@contract("elems:(r,n):int64 -> order:(r,n):int64")
+def _block_order(elems: np.ndarray) -> np.ndarray:
+    """Row-wise stable sort order of a block's trace ids.
+
+    Trace ids are non-negative, so the key is ``elems`` cast to the
+    narrowest unsigned dtype that holds the largest one
+    (``np.min_scalar_type``): with ids below 2^16 numpy's stable sort
+    is a radix sort.  A stable order is unique, so it equals the
+    ``int64`` stable ``argsort`` whatever the key's width.
+    """
+    keys = elems.astype(np.min_scalar_type(int(elems.max())))
+    return np.argsort(keys, axis=1, kind="stable")
+
+
+@contract("order:(r,n):int64 -> tail:(r,m):int64")
+def _tail_order(order: np.ndarray, last: int) -> np.ndarray:
+    """The stable order of each row's last ``last`` columns.
+
+    Filtering a row's stable order to the columns ``>= cut`` keeps
+    their relative order, which is the stable order of
+    ``elems[:, cut:]`` once shifted by ``cut``.
+    """
+    rows, n = order.shape
+    cut = n - last
+    return order[order >= cut].reshape(rows, last) - cut
+
+
+@contract("elems:(r,n):int64, order:(r,n):int64 -> seg_ptr:(q):int64, "
+          "first:(s):int64, vals:(s):int64, packed:(s,p):uint8")
+def _segment_rows(elems: np.ndarray, order: np.ndarray, width: int,
+                  threads: int) -> Tuple[np.ndarray, np.ndarray,
+                                         np.ndarray, np.ndarray]:
     """Row-wise grouping of elements by trace id, forest-wide.
 
-    For each row (daemon) of ``elems``, elements with equal trace ids
-    form a segment; the stable sort keeps original element order within
-    a segment, so a segment's first element is the trace's first
-    occurrence and its slots ascend within each instant (elements are
+    ``order`` is the row-wise stable sort order of ``elems``
+    (:func:`_block_order`, or :func:`_tail_order` of it).  For each
+    row (daemon), elements with equal trace ids form a segment; the
+    stable order keeps original element order within a segment, so a
+    segment's first element is the trace's first occurrence and its
+    slots ascend within each instant (elements are
     ``(slot, thread)``-major per instant, so a column's slot is
     ``(column mod width*threads) // threads``).  Returns flat arrays
     over all segments of all rows:
@@ -135,7 +169,6 @@ def _segment_rows(elems: np.ndarray, width: int, threads: int
       zero-padded to a whole number of 64-bit words.
     """
     num_rows, n = elems.shape
-    order = np.argsort(elems, axis=1, kind="stable")
     flat = np.take_along_axis(elems, order, axis=1).ravel()
     sorted_slots = (order % (width * threads)).ravel()
     if threads > 1:
@@ -220,16 +253,20 @@ def _concat(arrays: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     return np.concatenate(arrays), ptr
 
 
-@contract("elems:(r,n):int64, ranks_matrix:(r,w):int64 -> *")
-def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
-                    threads: int, model: StackModel,
+@contract("ranks_matrix:(r,w):int64 -> *")
+def _assemble_chunk(chunk: List[int],
+                    segments: Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    np.ndarray],
+                    num_cols: int, width: int, model: StackModel,
                     fscheme: _ForestScheme,
                     ranks_matrix: np.ndarray,
                     row_caches: Optional[List[dict]],
                     ) -> List[TreeArrays]:
-    """Trees for one chunk of daemons from their element matrix.
+    """Trees for one chunk of daemons from their trace segments.
 
-    Daemons are grouped by ordered distinct-trace tuple, and a group
+    ``segments`` is :func:`_segment_rows` of the chunk's
+    ``(daemons, num_cols)`` element matrix.  Daemons are grouped by
+    ordered distinct-trace tuple, and a group
     shares its BFS structure, contributor combinations and value-order-
     to-first-seen permutation.  Structures missing from the model's
     cache are built in one :func:`build_structures` call; then every
@@ -239,7 +276,7 @@ def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
     are one gather — for the whole chunk, whatever its grouping.
     """
     rows = len(chunk)
-    seg_ptr, first, vals, packed = _segment_rows(elems, width, threads)
+    seg_ptr, first, vals, packed = segments
     seg_counts = np.diff(seg_ptr)
     kmax = int(seg_counts.max())
     nseg = vals.size
@@ -249,7 +286,7 @@ def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
     # first-occurrence columns; padding sorts after any real column.
     kmat = np.full((rows, kmax), -1, dtype=np.int64)
     kmat[seg_row, seg_col] = vals
-    fmat = np.full((rows, kmax), elems.shape[1], dtype=np.int64)
+    fmat = np.full((rows, kmax), num_cols, dtype=np.int64)
     fmat[seg_row, seg_col] = first
     perm2d = np.argsort(fmat, axis=1, kind="stable")
     okeys = np.take_along_axis(kmat, perm2d, axis=1)
@@ -480,12 +517,23 @@ def build_forest(task_map: TaskMap, scheme: LabelScheme,
             elems = _sample_elements(chunk, sids_matrix, threads,
                                      stack_model, rng_of)
 
+            # One sort per block: the 2D tree reads the last instant's
+            # columns in the 3D tree's order.  Both trees' segments are
+            # taken before either tree is assembled, so the element-
+            # sized order is not held through an assembly.
+            order = _block_order(elems)
+            segments_2d = _segment_rows(elems[:, n - per_instant:],
+                                        _tail_order(order, per_instant),
+                                        width, threads)
+            segments_3d = _segment_rows(elems, order, width, threads)
+            del order
             row_caches = [{} for _ in chunk] if fscheme.dense else None
             trees_2d = _assemble_chunk(
-                chunk, elems[:, n - per_instant:], width, threads,
-                stack_model, fscheme, ranks_matrix, row_caches)
+                chunk, segments_2d, per_instant, width, stack_model,
+                fscheme, ranks_matrix, row_caches)
+            del segments_2d
             trees_3d = _assemble_chunk(
-                chunk, elems, width, threads, stack_model, fscheme,
+                chunk, segments_3d, n, width, stack_model, fscheme,
                 ranks_matrix, row_caches)
             for p, pair in zip(rows.tolist(), zip(trees_2d, trees_3d)):  # per daemon: places the pair at its requested position
                 out[p] = pair
