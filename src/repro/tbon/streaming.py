@@ -59,8 +59,9 @@ is monotone non-decreasing in simulated time.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import RetryPolicy
@@ -270,11 +271,11 @@ class StreamingReduction:
         net, engine = self.net, self.engine
         stream = SeedStream(self.config.seed).child("tbon-stream")
         emit = self._emit_times(leaf_ready_time, net.topology.num_daemons)
-        queue: List[Tuple[TopologyNode, int,
-                          Optional[_InteriorState], int]] = \
-            [(net.topology.root, 0, None, -1)]
+        queue: Deque[Tuple[TopologyNode, int,
+                           Optional[_InteriorState], int]] = \
+            deque([(net.topology.root, 0, None, -1)])
         while queue:
-            node, level, parent_st, slot = queue.pop(0)
+            node, level, parent_st, slot = queue.popleft()
             if node.is_leaf:
                 leaf_st = _LeafState(node)
                 self._states[node.node_id] = leaf_st

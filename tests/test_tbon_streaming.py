@@ -6,6 +6,8 @@ the batch :class:`TBONetwork` merge, because folds always apply in
 canonical child order no matter when payloads arrive.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,10 @@ from repro.mpi.stacks import BGLStackModel
 from repro.perf.counters import MERGE_CALLS, MERGE_TREES_IN, PERF
 from repro.statbench import STATBenchEmulator, ring_hang_states
 from repro.statbench.emulator import DaemonTrees
+from repro.tbon import streaming
 from repro.tbon.network import DaemonFailure, TBONetwork
 from repro.tbon.retry import AllDaemonsFailed
+from repro.tbon.spec import parse_shape
 from repro.tbon.streaming import StreamConfig, StreamingTBON
 from repro.tbon.topology import Topology
 
@@ -369,3 +373,68 @@ class TestDeferredMerge:
         assert streamed.first_tree_time == plain.first_tree_time
         assert streamed.payload.tree_2d.arrays_equal(batch.payload.tree_2d)
         assert streamed.payload.tree_3d.arrays_equal(batch.payload.tree_3d)
+
+
+def _digest(items) -> str:
+    return hashlib.sha256(",".join(map(str, items)).encode()).hexdigest()[:16]
+
+
+class TestWireOrder:
+    """``StreamingReduction._wire`` visits the topology breadth-first.
+
+    Each case pins sha256 prefixes of the ``_states`` insertion order,
+    the daemon ``Process`` names and the ``link/{node_id}`` generator
+    labels, and checks them against the topology's own BFS node list.
+    """
+
+    #: (shape, daemons) -> (states order, process names, link labels)
+    PINS = {
+        ("flat", 7): ("1eacc8c10d0cdd8e", "c9f35eff8a34857b",
+                      "dd2651fd8b174ce3"),
+        ("flat", 150): ("8efb90ca95cc5cd6", "efcc0a5f91345296",
+                        "dd2651fd8b174ce3"),
+        ("balanced:2", 7): ("62cf2984a1e677f8", "c9f35eff8a34857b",
+                            "d88141e085ff1bc5"),
+        ("balanced:2", 1664): ("a7ff0411e44bfdce", "d3898d010cfb16f7",
+                               "11838a1e8564317b"),
+        ("balanced:3", 7): ("efd720d0a2498191", "c9f35eff8a34857b",
+                            "6696df269740da51"),
+        ("balanced:3", 1664): ("fe82ff0f28661365", "d3898d010cfb16f7",
+                               "2c9d3f1e41eb3992"),
+        ("bgl-2deep", 7): ("62cf2984a1e677f8", "c9f35eff8a34857b",
+                           "d88141e085ff1bc5"),
+        ("bgl-2deep", 1664): ("90dd702ddb330a57", "d3898d010cfb16f7",
+                              "b9834f618c693034"),
+        ("bgl-3deep", 7): ("381e1b362cade6ac", "c9f35eff8a34857b",
+                           "76ebb937f708894a"),
+        ("bgl-3deep", 1664): ("9883b48cd0ddba76", "d3898d010cfb16f7",
+                              "fb86499261523d10"),
+    }
+
+    @pytest.mark.parametrize("shape,daemons", sorted(PINS))
+    def test_wiring_order_is_pinned(self, shape, daemons, monkeypatch):
+        names, labels = [], []
+        real_process, real_rng = streaming.Process, streaming.SeedStream.rng
+
+        def process(engine, gen, name="process"):
+            names.append(name)
+            return real_process(engine, gen, name=name)
+
+        def rng(stream, label):
+            labels.append(label)
+            return real_rng(stream, label)
+
+        monkeypatch.setattr(streaming, "Process", process)
+        monkeypatch.setattr(streaming.SeedStream, "rng", rng)
+        topo = parse_shape(shape, daemons)
+        reduction = StreamingTBON(topo, AtlasMachine.with_nodes(16)).stream(
+            lambda d: d, sum, lambda p: 8,
+            config=StreamConfig(jitter_mean_s=0.0))
+        states = list(reduction._states)
+        assert states == [n.node_id for n in topo.nodes]
+        assert names == [f"daemon-{n.rank}" for n in topo.nodes
+                         if n.is_leaf]
+        assert labels == [f"link/{n.node_id}" for n in topo.nodes
+                          if not n.is_leaf]
+        got = (_digest(states), _digest(names), _digest(labels))
+        assert got == self.PINS[(shape, daemons)]
