@@ -10,11 +10,12 @@ launches to forest scope:
 
 * rank states are fetched with **one** provider call per sampling
   instant, over exactly the requested daemons' ranks;
-* progress-engine depth and time-of-day draws still come from each
-  daemon's own RNG (bit-exactness demands it) — one batched call per
-  daemon row — but land in one ``(daemons, elements)`` matrix, and
-  state+draw tuples resolve to interned trace ids through a dense
-  composite-key table (``StackModel.ukey_lut``) with a single gather;
+* progress-engine depth and time-of-day draws are one keyed draw per
+  block (:func:`~repro.core.sampling.walk_words`, then
+  ``StackModel.walk_draws``): no per-daemon generator, no per-daemon
+  loop.  State+draw tuples resolve to interned trace ids through a
+  dense ``(thread, composite key)`` table (``StackModel.ukey_lut``),
+  one gather per thread id;
 * the per-daemon "group elements by trace" step becomes **one**
   row-wise stable sort per block plus flat segment-boundary scans, and
   every segment's slot set is packed to label bits by blockwise
@@ -40,18 +41,18 @@ launches to forest scope:
   (``uniform:64``: hundreds of groups per block) cost the same handful
   of array operations as a homogeneous one.
 
-What remains per daemon is a few array views, an optional RNG draw, and
-one ``TreeArrays`` allocation.  Output is bit-identical to a per-object
-scalar walk of every slot (``tests/test_build_equivalence.py`` holds it
-to the frozen oracle in ``tests/per_object_oracle.py``).
+What remains per daemon is a few array views and one ``TreeArrays``
+allocation.  Output is bit-identical to a per-object scalar walk of
+every slot that reads the same keyed words one walk at a time
+(``tests/test_build_equivalence.py`` holds it to the frozen oracle in
+``tests/per_object_oracle.py``).  A word is keyed on the daemon's id,
+never on its row, so a daemon's trees do not depend on which daemons
+share its block.
 
 Every population shape takes this pipeline, never an approximation:
 ragged task maps run it once per distinct daemon width (zero-width
-daemons get empty trees); rows whose states draw interleaved
-depth+time-of-day coins (``SIG_DEPTH_TOD``) or mix drawing and
-non-drawing states decode their exact scalar draw sequence in one
-batch (:func:`~repro.core.sampling.draw_walks`), and every row of a
-multi-threaded population resolves through the batch sampler.
+daemons get empty trees); mixed draw signatures and threaded
+populations take the same draw and the same table.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ import numpy as np
 
 from repro.core.buildarrays import TreeStructure, build_structures
 from repro.core.merge import DenseLabelScheme, LabelScheme
-from repro.core.sampling import BatchWalkSampler, draw_walks
+from repro.core.sampling import walk_words
 from repro.core.taskset import DaemonLayout, TaskMap, _pack_indices
 from repro.core.treearrays import KIND_DENSE, KIND_HIER, TreeArrays
 from repro.lint.contracts import contract
-from repro.mpi.stacks import SIG_DEPTH, StackModel
+from repro.mpi.stacks import StackModel
 from repro.perf.counters import (
     BUILD_DAEMONS,
     BUILD_STRUCT_HITS,
@@ -88,33 +89,6 @@ FOREST_CHUNK_ELEMS = 1 << 18
 
 #: cap on the transient segment-bitmask block (bools) in :func:`_pack_segments`
 _MASK_BLOCK_BOOLS = 1 << 26
-
-
-@contract("ukeys:(m):int64 -> ids:(m):int64")
-def _lut_resolve(model: StackModel, ukeys: np.ndarray) -> np.ndarray:
-    """Trace ids for composite ``(state, depth, tod)`` keys via a dense table.
-
-    ``ukey = (sid * (high + 1) + depth) * 2 + tod`` for single-threaded
-    walks.  The table is grown and filled lazily; only never-seen keys
-    pay the registry lookup.
-    """
-    lut = model.ukey_lut
-    top = int(ukeys.max()) + 1 if ukeys.size else 1
-    if lut is None or lut.size < top:
-        grown = np.full(max(top, 64), -1, dtype=np.int64)
-        if lut is not None:
-            grown[:lut.size] = lut
-        lut = model.ukey_lut = grown
-    ids = lut[ukeys]
-    missing = ids < 0
-    if missing.any():
-        depth_base = model.DEPTH_RANGE[1] + 1
-        for packed in np.unique(ukeys[missing]).tolist():  # per never-seen composite key, not per element
-            half, tod = divmod(packed, 2)
-            sid, depth = divmod(half, depth_base)
-            lut[packed] = model.trace_id(sid, depth, bool(tod), 0)
-        ids = lut[ukeys]
-    return ids
 
 
 @contract("elems:(r,n):int64 -> order:(r,n):int64")
@@ -404,44 +378,55 @@ def _dense_tree(struct: TreeStructure, daemon_bits: np.ndarray,
         width=fscheme.total_tasks, path_ids=struct.path_ids)
 
 
-@contract("sids_matrix:(r,m):int64 -> elems:(r,n):int64")
-def _sample_elements(chunk: List[int], sids_matrix: np.ndarray,
-                     threads: int, model: StackModel,
-                     rng_of: Callable[[int],
-                                      Optional[np.random.Generator]],
-                     ) -> np.ndarray:
-    """Interned trace ids for every walk of one chunk of daemons.
+@contract("daemons:(r):int64, sids_matrix:(r,m):int64 "
+          "-> elems:(r,n):int64")
+def _sample_elements(key: int, daemons: np.ndarray,
+                     sids_matrix: np.ndarray, num_samples: int,
+                     threads: int, model: StackModel) -> np.ndarray:
+    """Interned trace ids for every walk of one block of daemons.
 
-    Row ``i`` holds daemon ``chunk[i]``'s walks in ``(instant, slot,
-    thread)`` order, drawn from that daemon's own generator exactly as
-    the scalar walker would.  A row of progress-engine depth draws only
-    is one batched ``integers`` call; any other drawing row goes through
-    :func:`~repro.core.sampling.draw_walks`.  Every single-threaded row
-    then resolves through the dense ``(state, depth, tod)`` table in one
-    gather.  A threaded population's rows go through the batch sampler
-    instead — there the trace id depends on the thread id even for
-    non-drawing states, which the table cannot key.
+    Row ``i`` holds daemon ``daemons[i]``'s walks in ``(instant, slot,
+    thread)`` order.  Every walk's draws come from its keyed word
+    (:func:`~repro.core.sampling.walk_words` over the daemon's id, never
+    its row), all of the block's in one call.  Column ``c`` is then a
+    walk of thread ``c % threads`` with composite key ``(sid * (high +
+    1) + depth) * 2 + tod``, and ``model.ukey_lut[t, key]`` is that
+    walk's trace id whatever the session's thread count: one gather per
+    thread id.  The table is grown and filled lazily; only never-seen
+    entries pay the registry lookup.
     """
-    rows, n = sids_matrix.shape
-    if threads > 1:
-        elems = np.empty((rows, n * threads), dtype=np.int64)
-        for i in range(rows):  # per daemon: each draws from its own generator
-            elems[i] = BatchWalkSampler(
-                model, rng_of(chunk[i]), threads).trace_ids(sids_matrix[i])
-        return elems
-    low, high = model.DEPTH_RANGE
-    sigs = model.state_signatures()[sids_matrix]
-    depth_only = (sigs == SIG_DEPTH).all(axis=1)
-    depths = np.zeros((rows, n), dtype=np.int64)
-    tods = np.zeros((rows, n), dtype=bool)
-    for i in np.flatnonzero(sigs.any(axis=1)).tolist():  # per drawing daemon: RNG draws must come from each daemon's own generator
-        rng = rng_of(chunk[i])
-        if depth_only[i] and rng is not None and high > low:
-            depths[i] = rng.integers(low, high + 1, size=n)
-        else:
-            depths[i], tods[i] = draw_walks(model, rng, sigs[i])
-    ukeys = (sids_matrix * (high + 1) + depths) * 2 + tods
-    return _lut_resolve(model, ukeys.ravel()).reshape(rows, n)
+    sids = np.repeat(sids_matrix, threads, axis=1) if threads > 1 \
+        else sids_matrix
+    rows, n = sids.shape
+    column = np.arange(n // num_samples)
+    words = walk_words(key, daemons[:, None, None],
+                       np.arange(num_samples)[None, :, None],
+                       column // threads, column % threads)
+    ukeys, tods = model.walk_draws(model.state_signatures()[sids],
+                                   words.reshape(rows, n))
+    del words
+    depth_base = model.DEPTH_RANGE[1] + 1
+    ukeys += sids * depth_base
+    ukeys *= 2
+    ukeys += tods
+    threads_seen, top = model.ukey_lut.shape
+    if threads_seen < threads or top <= ukeys.max():
+        model.ukey_lut = np.pad(model.ukey_lut, (
+            (0, max(threads - threads_seen, 0)),
+            (0, max(int(ukeys.max()) + 1 - top, 64))), constant_values=-1)
+    lut = model.ukey_lut
+    ids = np.empty_like(ukeys)
+    for tid in range(threads):  # per thread id: one gather of its columns
+        keys, got = ukeys[:, tid::threads], ids[:, tid::threads]
+        np.take(lut[tid], keys, out=got, mode="clip")
+        missing = got < 0
+        if missing.any():
+            for packed in np.unique(keys[missing]).tolist():  # per never-seen composite key, not per element
+                half, tod = divmod(packed, 2)
+                sid, depth = divmod(half, depth_base)
+                lut[tid, packed] = model.trace_id(sid, depth, bool(tod), tid)
+            np.take(lut[tid], keys, out=got, mode="clip")
+    return ids
 
 
 def _empty_tree(daemon_id: int, fscheme: _ForestScheme) -> TreeArrays:
@@ -455,21 +440,22 @@ def _empty_tree(daemon_id: int, fscheme: _ForestScheme) -> TreeArrays:
 def build_forest(task_map: TaskMap, scheme: LabelScheme,
                  stack_model: StackModel,
                  states_array: Callable[[np.ndarray], np.ndarray],
-                 num_samples: int,
-                 rng_of: Callable[[int], Optional[np.random.Generator]],
+                 num_samples: int, key: int,
                  daemon_ids: Optional[List[int]] = None,
                  threads_per_process: int = 1,
                  ) -> List[Tuple[TreeArrays, TreeArrays]]:
     """Build ``(2D, 3D)`` tree pairs for a whole daemon population.
 
     Provider contract: ``states_array`` is called exactly
-    ``num_samples`` times, in instant order, before any RNG draw.  Each
+    ``num_samples`` times, in instant order, before any draw.  Each
     call receives the requested daemons' ranks, concatenated in
     ``daemon_ids`` order, and returns their interned state ids; a live
     provider may therefore advance its application between calls
-    (:class:`~repro.core.timeline.TimelineSampler`).  ``rng_of`` returns
-    each daemon's own generator; within a daemon, draws follow
-    ``(instant, slot, thread)`` walk order.
+    (:class:`~repro.core.timeline.TimelineSampler`).  ``key`` is the
+    session's root key: walk ``(daemon, instant, slot, thread)`` draws
+    from ``walk_words(key, daemon, instant, slot, thread)``, so a
+    daemon's trees are the same whether it is built alone, in any
+    subset, or in any block split.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
@@ -514,8 +500,8 @@ def build_forest(task_map: TaskMap, scheme: LabelScheme,
             ranks_matrix = ranks[cols]
             sids_matrix = np.concatenate(
                 [s[cols] for s in sid_of_pos], axis=1)
-            elems = _sample_elements(chunk, sids_matrix, threads,
-                                     stack_model, rng_of)
+            elems = _sample_elements(key, np.asarray(chunk), sids_matrix,
+                                     num_samples, threads, stack_model)
 
             # One sort per block: the 2D tree reads the last instant's
             # columns in the 3D tree's order.  Both trees' segments are

@@ -2,16 +2,15 @@
 
 STAT daemons use "the StackWalker API, a lightweight API that lets each
 back-end daemon take stack traces of the co-located processes on a node"
-(Section VI-A).  Two things live here.  The *data* side's array
-kernels: :func:`draw_walks` draws every walk's progress-engine depth
-and timing-leaf coin for a whole daemon row at once, consuming the
-daemon's RNG bit-for-bit like one ``StackModel.trace_for`` call per
-(process, thread) would — for numpy's default ``PCG64`` generator it
-decodes the interleaved ``integers``/``random`` draws from one block of
-raw words — and :class:`BatchWalkSampler` turns one daemon's interned
-state ids into interned trace ids through it
-(:mod:`repro.core.forest` builds trees from their output without
-instantiating a single ``StackTrace``).  The rest of the module
+(Section VI-A).  Two things live here.  The *data* side is one keyed
+draw: :func:`walk_words` gives every walk ``(daemon, instant, slot,
+thread)`` of a session its own 64-bit word, a pure function of the
+walk and the session's root key, and ``StackModel.walk_draws`` turns
+words into progress-engine depths and timing-leaf coins.
+:mod:`repro.core.forest` draws a whole block of daemons with one call
+of each, and the per-object oracle draws the same words one walk at a
+time, so neither the order in which daemons are built nor which of
+them share a block can change a trace.  The rest of the module
 computes how long the phase takes on the simulated platform.  Per
 daemon the cost has three parts:
 
@@ -38,24 +37,22 @@ suffers performance variations larger than 20%" (Section VI-A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.lint.contracts import contract
 from repro.fs.binary import StagedFile
 from repro.fs.cache import PageCache
 from repro.fs.mtab import MountTable
 from repro.fs.server import FileServer, LocalDisk
 from repro.machine.base import MachineModel
-from repro.mpi.stacks import SIG_DEPTH_TOD, SIG_NONE, StackModel
+from repro.mpi.stacks import StackModel
 from repro.sim.engine import Engine
 from repro.sim.process import Process
 from repro.sim.random import SeedStream
 
-__all__ = ["BatchWalkSampler", "SamplingConfig", "SamplingTimeReport",
-           "cpu_dilation", "draw_walks", "time_sampling_phase",
-           "walk_seconds"]
+__all__ = ["SamplingConfig", "SamplingTimeReport", "cpu_dilation",
+           "time_sampling_phase", "walk_seconds", "walk_words"]
 
 
 def cpu_dilation(machine: MachineModel, application_stopped: bool) -> float:
@@ -81,150 +78,47 @@ def walk_seconds(machine: MachineModel, trace_depth: float,
     return machine.stackwalk_seconds_per_frame * trace_depth * dilation
 
 
-_MASK32 = np.uint64(0xFFFFFFFF)
+#: SplitMix64's increment (2**64 over the golden ratio) and finaliser
+#: multipliers; numpy ``uint64`` scalars, so that no operand of the
+#: mixer ever promotes it to ``float64`` (numpy 1 does for ``int64``)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _decode_pcg64(bit_generator: np.random.PCG64, tod_after: np.ndarray,
-                  range_excl: int
-                  ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Replay bounded draws, each optionally followed by one ``random()``.
+def _next(key, counters) -> np.ndarray:
+    """Output ``counter + 1`` of a SplitMix64 generator seeded ``key``."""
+    z = key + (np.array(counters, dtype=np.uint64, ndmin=1)
+               + np.uint64(1)) * _GAMMA
+    z ^= z >> np.uint64(30)  # the finaliser, in place
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
-    Draw ``i`` is ``Generator.integers(0, range_excl)``, with
-    ``2 <= range_excl <= 2**32`` and at least one draw; when
-    ``tod_after[i]`` a ``Generator.random()`` follows it.  Returns the
-    draws and the ``random()`` values of the flagged draws, and leaves
-    ``bit_generator`` in the state the scalar calls would — or returns
-    ``None`` with the state untouched if any draw would hit Lemire
-    rejection (probability ``~range_excl / 2**32`` per draw), which only
-    the scalar calls replay exactly.
 
-    This mirrors numpy's C routines: a bounded draw takes 32 bits
-    through the generator's one-word buffer (``has_uint32`` /
-    ``uinteger``) — the low half of a fresh 64-bit word, buffering the
-    high half for the next bounded draw — and maps them by Lemire's
-    multiply-shift; ``random()`` takes a whole word of its own and leaves
-    the buffer alone.
+def walk_words(key: int, daemons, instants, slots, threads) -> np.ndarray:
+    """The 64-bit word of every walk ``(daemon, instant, slot, thread)``.
+
+    A pure function of the walk and the session's root ``key``
+    (counter-based generation, Salmon et al., SC 2011): each coordinate
+    picks an output of a SplitMix64 generator seeded with the key of
+    the coordinates before it, modulo 2**64,
+
+        k_d = mix(key + (daemon + 1) * G)
+        k_i = mix(k_d + (instant + 1) * G)
+        w   = mix(k_i + ((slot | thread << 32) + 1) * G).
+
+    There is no generator state, so a walk's word does not depend on
+    which walks are drawn with it.  The arguments broadcast, each level
+    at its own shape: a block's ``(rows, 1, 1)`` daemons and ``(1,
+    samples, 1)`` instants cost one mix per row and per row instant
+    before the one per walk.  Slots and threads are below 2**32.
     """
-    k = tod_after.size
-    saved = bit_generator.state
-    carry = saved["has_uint32"]
-    fresh = ((carry + np.arange(k)) & 1) == 0
-    # Words consumed through draw i; a fresh draw's word is the last of
-    # them, or the one before its ``random()`` word.
-    ends = np.cumsum(fresh.astype(np.int64) + tod_after)
-    words = bit_generator.random_raw(int(ends[-1]))
-    lo_words = words[(ends - tod_after - 1)[fresh]]
-    highs = lo_words >> np.uint64(32)
-    if carry:
-        highs = np.concatenate(([np.uint64(saved["uinteger"])], highs))
-    u32 = np.empty(k, dtype=np.uint64)
-    u32[fresh] = lo_words & _MASK32
-    u32[~fresh] = highs[:k - lo_words.size]
-    m = u32 * np.uint64(range_excl)
-    if ((m & _MASK32) < (2**32 - range_excl) % range_excl).any():
-        bit_generator.state = saved
-        return None
-    state = bit_generator.state
-    state["has_uint32"] = (carry + k) & 1
-    if lo_words.size:
-        state["uinteger"] = int(highs[-1])
-    bit_generator.state = state
-    coins = (words[ends[tod_after] - 1] >> np.uint64(11)) * 2.0**-53
-    return (m >> np.uint64(32)).astype(np.int64), coins
-
-
-def draw_walks(model: StackModel, rng: Optional[np.random.Generator],
-               sigs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Each walk's progress-engine depth and timing-leaf coin, in order.
-
-    ``sigs`` holds one draw signature per walk; the draws consume ``rng``
-    exactly as one ``StackModel.trace_for`` call per walk would.  A
-    ``PCG64`` generator decodes them all from one block of raw words;
-    any other bit generator, or a rejected bounded draw, replays the
-    scalar calls.
-    """
-    low, high = model.DEPTH_RANGE
-    depths = np.zeros(sigs.size, dtype=np.int64)
-    tods = np.zeros(sigs.size, dtype=bool)
-    drawing = np.flatnonzero(sigs != SIG_NONE)
-    if rng is None or high <= low or not drawing.size:
-        depths[drawing] = low
-        return depths, tods
-    tod_after = sigs[drawing] == SIG_DEPTH_TOD
-    decoded = None
-    if type(rng.bit_generator) is np.random.PCG64:
-        decoded = _decode_pcg64(rng.bit_generator, tod_after, high - low + 1)
-    if decoded is None:
-        for j in range(drawing.size):  # per walk: the exact scalar sequence
-            depths[drawing[j]] = rng.integers(low, high + 1)
-            if tod_after[j]:
-                tods[drawing[j]] = rng.random() < model.TOD_THRESHOLD
-        return depths, tods
-    offsets, coins = decoded
-    depths[drawing] = low + offsets
-    tods[drawing[tod_after]] = coins < model.TOD_THRESHOLD
-    return depths, tods
-
-
-class BatchWalkSampler:
-    """One daemon's walks over its processes for one sampling instant.
-
-    One :meth:`trace_ids` call covers ``width x threads_per_process``
-    scalar ``StackModel.trace_for`` calls: drawing each walk's
-    progress-engine depth (and timing-leaf coin) from the daemon's RNG
-    through :func:`draw_walks` and resolving the resulting trace.  The
-    RNG is consumed **bit-for-bit identically** to the scalar loop, so
-    array-built and object-built trees match exactly.  The build kernel
-    keys single-threaded walks through its own table and uses this class
-    for threaded populations, whose trace ids also depend on the thread.
-    """
-
-    __slots__ = ("stack_model", "rng", "threads_per_process")
-
-    def __init__(self, stack_model: StackModel,
-                 rng: Optional[np.random.Generator] = None,
-                 threads_per_process: int = 1) -> None:
-        self.stack_model = stack_model
-        self.rng = rng
-        self.threads_per_process = threads_per_process
-
-    @contract("state_ids:(m) -> ids:(e):int64")
-    def trace_ids(self, state_ids: np.ndarray) -> np.ndarray:
-        """Interned trace ids for one sampling instant.
-
-        ``state_ids[slot]`` is the interned state of the daemon-local
-        slot; the result has one entry per ``(slot, thread)`` element,
-        slot-major — the walk order of a daemon that visits each process
-        and then each of its threads.
-        """
-        model = self.stack_model
-        sig_slot = model.state_signatures()[state_ids]
-        threads = self.threads_per_process
-        if threads > 1:
-            sids = np.repeat(state_ids, threads)
-            sigs = np.repeat(sig_slot, threads)
-            tids = np.tile(np.arange(threads, dtype=np.int64),
-                           state_ids.size)
-        else:
-            sids, sigs, tids = state_ids, sig_slot, None
-        depths, tods = draw_walks(model, self.rng, sigs)
-        # Map (state, depth, tod, thread) tuples to dense trace ids via
-        # one composite integer key; only the few distinct tuples pay the
-        # per-trace registry lookup.
-        depth_base = model.DEPTH_RANGE[1] + 1
-        ukeys = (sids * depth_base + depths) * 2 + tods
-        if threads > 1:
-            ukeys = ukeys * threads + tids
-        uniq = np.unique(ukeys)
-        lut = np.empty(uniq.size, dtype=np.int64)
-        for i, packed in enumerate(uniq):
-            packed = int(packed)
-            packed, tid = divmod(packed, threads) if threads > 1 \
-                else (packed, 0)
-            packed, tod = divmod(packed, 2)
-            sid, depth = divmod(packed, depth_base)
-            lut[i] = model.trace_id(sid, depth, bool(tod), tid)
-        return lut[np.searchsorted(uniq, ukeys)]
+    walk = np.array(slots, dtype=np.uint64, ndmin=1) \
+        | (np.array(threads, dtype=np.uint64, ndmin=1) << np.uint64(32))
+    return _next(_next(_next(np.uint64(key), daemons), instants), walk)
 
 
 @dataclass(frozen=True)

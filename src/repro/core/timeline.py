@@ -113,10 +113,10 @@ class TimelineSampler:
                                 for rank in range(runtime.size)})
             return _interned_states(runtime.state_of, ranks)
 
-        seeds = SeedStream(self.seed).child("timeline")
+        walks = SeedStream(self.seed).child("timeline").child("walks")
         pairs = build_forest(
             self.task_map, self.scheme, self.stack_model, states_array,
-            len(times), lambda d: seeds.rng(f"daemon-{d}"),
+            len(times), walks.root_seed,
             daemon_ids=sorted(self.task_map.daemons()))
         trees_2d, trees_3d = zip(*pairs)
         return TimelineResult(

@@ -15,8 +15,9 @@ platform.  Two models reproduce the paper's environments:
   (``_start > __libc_start_main > main > PMPI_* > MPIDI_CH3I_Progress >
   MPID_nem_ib_poll``).
 
-Determinism: depth variation draws from a caller-provided RNG, so sampled
-3D trees are reproducible given a seed.
+Determinism: a walk's depth variation comes from its keyed 64-bit word
+(:func:`repro.core.sampling.walk_words`), so sampled 3D trees are
+reproducible given a seed.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from repro.mpi.runtime import STATES, RankState
 __all__ = ["StackModel", "BGLStackModel", "LinuxStackModel",
            "SIG_NONE", "SIG_DEPTH", "SIG_DEPTH_TOD"]
 
-#: draw signatures — which RNG values one ``trace_for`` call consumes
+#: draw signatures — which values one walk reads from its word
 SIG_NONE = 0        # no draws
-SIG_DEPTH = 1       # one ``integers`` draw (progress-engine depth)
-SIG_DEPTH_TOD = 2   # one ``integers`` then one ``random`` draw
+SIG_DEPTH = 1       # the progress-engine depth (low 32 bits)
+SIG_DEPTH_TOD = 2   # the depth and the timing-leaf coin (high 32 bits)
 
 
 class StackModel:
@@ -46,9 +47,9 @@ class StackModel:
     #: module name of the MPI library (drives symbol-table staging)
     mpi_module = "libmpi"
 
-    #: state kinds whose ``trace_for`` consumes one depth draw
+    #: state kinds whose walks draw a depth
     DEPTH_KINDS: frozenset = frozenset()
-    #: kinds that consume one depth draw *then* one timing-leaf draw
+    #: kinds whose walks draw a depth *and* a timing-leaf coin
     TOD_KINDS: frozenset = frozenset()
     #: inclusive ``(low, high)`` range of the depth draw
     DEPTH_RANGE: Tuple[int, int] = (0, 0)
@@ -69,9 +70,9 @@ class StackModel:
         self._sig_cache: Optional[np.ndarray] = None
         self._paths_matrix: Optional[np.ndarray] = None
         self.struct_cache: dict = {}
-        # Dense composite-key -> trace-id table for the forest kernel
-        # (core/forest.py): grown lazily, -1 marks unmapped keys.
-        self.ukey_lut: Optional[np.ndarray] = None
+        # Dense (thread, composite key) -> trace-id table for the forest
+        # kernel (core/forest.py): grown lazily, -1 marks unmapped keys.
+        self.ukey_lut = np.zeros((0, 0), dtype=np.int64)
 
     def _cached(self, key: tuple, builder) -> StackTrace:
         trace = self._trace_cache.get(key)
@@ -80,31 +81,51 @@ class StackModel:
             self._trace_cache[key] = trace
         return trace
 
-    def trace_for(self, state: RankState,
-                  rng: Optional[np.random.Generator] = None,
-                  thread_id: int = 0) -> StackTrace:
-        """Stack trace for one sampled instant.
+    def walk_draws(self, sigs: np.ndarray, words: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each walk's depth and timing-leaf coin from its keyed word.
 
-        The draws are the ones :meth:`state_signatures` declares: one
-        depth draw for ``DEPTH_KINDS | TOD_KINDS``, then, for
-        ``TOD_KINDS`` only and only with an RNG, the coin that catches
-        the timing leaf instead of the progress engine.
+        ``sigs`` broadcasts to the ``uint64`` array ``words``
+        (:func:`repro.core.sampling.walk_words`).  A drawing
+        walk's depth is ``low + (((w & 0xFFFFFFFF) * range) >> 32)``,
+        which gives each depth ``floor`` or ``ceil`` of
+        ``2**32 / range`` low words: a bias of at most ``2**-32`` per
+        depth, ``range / 2**32`` in all.  A ``SIG_DEPTH_TOD`` walk
+        catches the timing leaf when its high 32 bits fall below
+        ``round(TOD_THRESHOLD * 2**32)``, a rate within ``2**-33`` of
+        ``TOD_THRESHOLD``.  A non-drawing walk has depth 0, no coin.
         """
-        kind = state.kind
-        depth = 0
-        tod = False
-        if kind in self.DEPTH_KINDS or kind in self.TOD_KINDS:
-            depth = _draw_depth(rng, *self.DEPTH_RANGE)
-            if kind in self.TOD_KINDS and rng is not None:
-                tod = rng.random() < self.TOD_THRESHOLD
-        return self.trace_from_parts(kind, state.where, depth, tod,
-                                     thread_id)
+        low, high = self.DEPTH_RANGE
+        half = np.uint64(32)
+        draws = words >> half
+        tods = draws < np.uint64(round(self.TOD_THRESHOLD * 2**32))
+        tods &= sigs == SIG_DEPTH_TOD
+        np.bitwise_and(words, np.uint64(0xFFFFFFFF), out=draws)
+        draws *= np.uint64(high - low + 1)
+        draws >>= half
+        depths = draws.view(np.int64)  # below 2**32: the same bits
+        depths += low
+        depths *= sigs != SIG_NONE
+        return depths, tods
+
+    def trace_for(self, state: RankState, word: int = 0,
+                  thread_id: int = 0) -> StackTrace:
+        """Stack trace for one walk whose keyed word is ``word``.
+
+        The draws are the ones :meth:`state_signatures` declares, read
+        from ``word`` by :meth:`walk_draws`.
+        """
+        sid = STATES.intern(state.kind, state.where)
+        depth, tod = self.walk_draws(self.state_signatures()[sid],
+                                     np.array([word], dtype=np.uint64))
+        return self.trace_from_parts(state.kind, state.where, int(depth[0]),
+                                     bool(tod[0]), thread_id)
 
     def trace_from_parts(self, kind: str, where: str, depth: int,
                          tod: bool, thread_id: int) -> StackTrace:
         """The memoized trace for one state and its already-drawn values.
 
-        Batch sampling (``trace_id``) and :meth:`trace_for` both resolve
+        Forest sampling (``trace_id``) and :meth:`trace_for` both resolve
         here, so they hand out the *same* :class:`StackTrace` instances.
         """
         raise NotImplementedError
@@ -113,21 +134,17 @@ class StackModel:
     def state_signatures(self) -> np.ndarray:
         """Per interned state id: the draw signature of one walk.
 
-        Grown lazily as :data:`~repro.mpi.runtime.STATES` grows; the batch
-        walk sampler indexes this with state-id arrays to replicate the
-        scalar RNG consumption exactly.
+        Grown lazily as :data:`~repro.mpi.runtime.STATES` grows; the
+        forest kernel indexes this with state-id arrays.
         """
         n = len(STATES)
         sigs = self._sig_cache
         if sigs is None or sigs.size < n:
-            out = np.zeros(n, dtype=np.int8)
-            for sid in range(n):
-                kind = STATES.key_of(sid)[0]
-                if kind in self.TOD_KINDS:
-                    out[sid] = SIG_DEPTH_TOD
-                elif kind in self.DEPTH_KINDS:
-                    out[sid] = SIG_DEPTH
-            self._sig_cache = sigs = out
+            kinds = [STATES.key_of(sid)[0] for sid in range(n)]
+            sigs = self._sig_cache = np.asarray(
+                [SIG_DEPTH_TOD if k in self.TOD_KINDS else SIG_DEPTH
+                 if k in self.DEPTH_KINDS else SIG_NONE for k in kinds],
+                dtype=np.int8)
         return sigs
 
     def trace_id(self, sid: int, depth: int, tod: bool,
@@ -165,13 +182,6 @@ class StackModel:
     def mean_depth(self) -> float:
         """Expected frame count (used by sampling cost models)."""
         raise NotImplementedError
-
-
-def _draw_depth(rng: Optional[np.random.Generator], low: int, high: int) -> int:
-    """Progress-engine recursion depth for this instant."""
-    if rng is None or high <= low:
-        return low
-    return int(rng.integers(low, high + 1))
 
 
 class BGLStackModel(StackModel):

@@ -1,11 +1,11 @@
 """Deterministic randomness for simulations.
 
-All stochastic components (file-server jitter, launch latency variation,
-progress-engine polling depth) draw from :class:`numpy.random.Generator`
-instances produced here.  A :class:`SeedStream` derives independent child
-generators from a root seed plus a string label, so adding a new random
-consumer never perturbs the draws seen by existing ones — essential for
-stable regression tests over simulated timings.
+Jitter, launch latency and fault plans draw from :class:`Generator
+<numpy.random.Generator>` instances produced here; stack walks take a
+root key from here (:func:`repro.core.sampling.walk_words`).  A
+:class:`SeedStream` derives independent child generators from a root
+seed plus a string label, so a new random consumer never perturbs the
+draws seen by existing ones — essential for stable regression tests.
 """
 
 from __future__ import annotations

@@ -144,15 +144,20 @@ class STATBenchEmulator:
         self.state_of = state_of
         self.num_samples = num_samples
         self.threads_per_process = threads_per_process
-        self._seeds = SeedStream(seed)
+        #: root key of the walk draws (``core.sampling.walk_words``)
+        self.walk_key = SeedStream(seed).child("walks").root_seed
         self.daemons_emulated = 0
 
     def daemon_trees(self, daemon_id: int) -> DaemonTrees:
         """Build daemon ``daemon_id``'s locally merged 2D+3D trees.
 
-        Deterministic per (seed, daemon): the same daemon always samples
-        the same traces regardless of emulation order or of which other
-        daemons are built with it.
+        Deterministic per (seed, daemon): every walk draws from a word
+        keyed on the daemon's id, never on its position, so the same
+        daemon samples the same traces whether it is built alone, in
+        any subset, in any order or in any ``FOREST_CHUNK_ELEMS`` block
+        split.  The e2e tracer's replay relies on this: its
+        ``build_forest`` over a session's live daemons equals the
+        session's payloads.
         """
         return self.build_forest([daemon_id])[0]
 
@@ -172,9 +177,7 @@ class STATBenchEmulator:
             or partial(_interned_states, self.state_of)
         pairs = _build_forest_arrays(
             self.task_map, self.scheme, self.stack_model, states_array,
-            self.num_samples,
-            lambda d: self._seeds.rng(f"daemon-{d}"),
-            daemon_ids=daemon_ids,
+            self.num_samples, self.walk_key, daemon_ids=daemon_ids,
             threads_per_process=self.threads_per_process)
         self.daemons_emulated += len(pairs)
         return [DaemonTrees(t2, t3) for t2, t3 in pairs]

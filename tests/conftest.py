@@ -21,6 +21,7 @@ from repro.core.merge import (  # noqa: E402
     DenseLabelScheme,
     HierarchicalLabelScheme,
 )
+from repro.core.sampling import walk_words  # noqa: E402
 from repro.core.taskset import TaskMap  # noqa: E402
 from per_object_oracle import label_object  # noqa: E402
 from repro.machine.atlas import AtlasMachine  # noqa: E402
@@ -79,6 +80,12 @@ def engine() -> Engine:
 def rng() -> np.random.Generator:
     """A deterministic RNG."""
     return np.random.default_rng(208_000)
+
+
+@pytest.fixture
+def word() -> int:
+    """A deterministic walk word (``StackModel.trace_for``)."""
+    return int(walk_words(208_000, 0, 0, 0, 0)[0])
 
 
 @pytest.fixture

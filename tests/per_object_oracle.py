@@ -10,7 +10,8 @@ kernels, moved here verbatim:
   :func:`label_object` (the object over one node's row of a
   :class:`~repro.core.treearrays.TreeArrays`);
 * :class:`StackWalker` — one ``StackModel.trace_for`` call per
-  (process, thread), drawing from the daemon's RNG one walk at a time;
+  (process, thread), reading each walk's keyed word
+  (:func:`repro.core.sampling.walk_words`) one walk at a time;
 * :class:`ObjectTree` — the linked prefix tree (one object per node,
   children keyed by frame in insertion order) that the oracles below
   build and merge, with :meth:`ObjectTree.to_arrays` and
@@ -40,6 +41,7 @@ import numpy as np
 from repro.core.frames import ROOT_FRAME, Frame, StackTrace
 from repro.core.merge import DenseLabelScheme, LabelScheme
 from repro.core.ranklist import normalize_ranks
+from repro.core.sampling import walk_words
 from repro.core.taskset import (
     CHUNK_HEADER_BITS,
     DaemonLayout,
@@ -551,21 +553,29 @@ def object_tree(tree: TreeArrays) -> ObjectTree:
 
 
 class StackWalker:
-    """One daemon's walker over its co-located processes."""
+    """One daemon's walker over its co-located processes.
 
-    def __init__(self, stack_model: StackModel,
-                 rng: Optional[np.random.Generator] = None) -> None:
+    Walk ``(instant, slot, thread)`` draws from
+    ``walk_words(key, daemon_id, instant, slot, thread)``, computed for
+    that walk alone.
+    """
+
+    def __init__(self, stack_model: StackModel, key: int = 0,
+                 daemon_id: int = 0) -> None:
         self.stack_model = stack_model
-        self.rng = rng
+        self.key = key
+        self.daemon_id = daemon_id
         self.walks_performed = 0
 
-    def walk(self, state: RankState, thread_id: int = 0) -> StackTrace:
+    def walk(self, state: RankState, instant: int = 0, slot: int = 0,
+             thread_id: int = 0) -> StackTrace:
         """Acquire one trace from one (process, thread)."""
         self.walks_performed += 1
-        return self.stack_model.trace_for(state, self.rng,
-                                          thread_id=thread_id)
+        word = walk_words(self.key, self.daemon_id, instant, slot,
+                          thread_id)[0]
+        return self.stack_model.trace_for(state, word, thread_id=thread_id)
 
-    def walk_all(self, states: Iterable[RankState],
+    def walk_all(self, states: Iterable[RankState], instant: int = 0,
                  threads_per_process: int = 1) -> List[StackTrace]:
         """One sampling instant over every local process (and thread).
 
@@ -574,9 +584,9 @@ class StackWalker:
         labels them all with the owning process's task slot.
         """
         traces: List[StackTrace] = []
-        for state in states:
+        for slot, state in enumerate(states):
             for tid in range(threads_per_process):
-                traces.append(self.walk(state, thread_id=tid))
+                traces.append(self.walk(state, instant, slot, tid))
         return traces
 
 
@@ -599,13 +609,12 @@ class STATDaemon:
 
     def __init__(self, daemon_id: int, task_map: TaskMap,
                  scheme: LabelScheme, stack_model: StackModel,
-                 rng: Optional[np.random.Generator] = None,
-                 threads_per_process: int = 1) -> None:
+                 key: int = 0, threads_per_process: int = 1) -> None:
         self.daemon_id = daemon_id
         self.task_map = task_map
         self.scheme = scheme
         self.stack_model = stack_model
-        self.walker = StackWalker(stack_model, rng)
+        self.walker = StackWalker(stack_model, key, daemon_id)
         self.threads_per_process = threads_per_process
         self.local_ranks = task_map.ranks_of(daemon_id)
         self.width = int(self.local_ranks.size)
@@ -625,7 +634,8 @@ class STATDaemon:
         for slot in range(self.width):
             state = state_of(int(self.local_ranks[slot]))
             for tid in range(self.threads_per_process):
-                trace = self.walker.walk(state, thread_id=tid)
+                trace = self.walker.walk(state, self.samples_taken, slot,
+                                         tid)
                 traces += 1
                 groups.setdefault(trace, set()).add(slot)
 
@@ -837,18 +847,18 @@ def reference_daemon_trees(daemon_id: int, task_map, scheme, stack_model,
     """Build one daemon's ``(2D, 3D)`` trees through the per-object path.
 
     This is the frozen pre-vectorization emulator hot path: scalar walks
-    (one RNG draw sequence per slot/thread) into slot-set prefix trees,
-    then object-level label materialization.  The per-daemon RNG is
-    derived exactly as :class:`~repro.statbench.emulator.STATBenchEmulator`
-    derives it (``SeedStream(seed).rng(f"daemon-{id}")``), so for any
-    state provider the forest kernel's result
+    (one keyed word per slot/thread) into slot-set prefix trees, then
+    object-level label materialization.  The root key is derived
+    exactly as :class:`~repro.statbench.emulator.STATBenchEmulator`
+    derives it (``SeedStream(seed).child("walks").root_seed``), so for
+    any state provider the forest kernel's result
     (:func:`repro.core.forest.build_forest`) must be bit-identical to
     this one for the same arguments.  ``state_of`` is always consumed through its
     scalar ``__call__`` — a provider's batch API is deliberately ignored.
     """
     daemon = STATDaemon(
         daemon_id, task_map, scheme, stack_model,
-        rng=SeedStream(seed).rng(f"daemon-{daemon_id}"),
+        key=SeedStream(seed).child("walks").root_seed,
         threads_per_process=threads_per_process)
     daemon.collect_samples(state_of, num_samples)
     return daemon.trees_arrays()

@@ -20,10 +20,16 @@ from conftest import leaf_paths
 from per_object_oracle import reference_daemon_trees
 from repro.core.forest import build_forest
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
+from repro.core.sampling import walk_words
 from repro.core.taskset import TaskMap
-from repro.mpi.runtime import STATES
-from repro.mpi.stacks import BGLStackModel, LinuxStackModel
-from repro.sim.random import SeedStream
+from repro.mpi.runtime import STATES, RankState
+from repro.mpi.stacks import (
+    SIG_DEPTH,
+    SIG_DEPTH_TOD,
+    SIG_NONE,
+    BGLStackModel,
+    LinuxStackModel,
+)
 from repro.statbench.emulator import STATBenchEmulator
 from repro.statbench.generator import (
     distinct_leaf_states,
@@ -157,6 +163,23 @@ class TestForestVsPerDaemon:
                     task_map, scheme, BGLStackModel, provider, 3, threads,
                     77, None, f"provider={pname} scheme={scheme.name}")
 
+    @pytest.mark.parametrize("threads", (1, 2, 3))
+    def test_forest_row_of_every_signature_matches_oracle(self, threads):
+        """Rows that mix non-drawing, depth and depth + coin walks."""
+        kinds = ("stall", "barrier", "waitall")
+        sids = [STATES.intern(k, "main") for k in kinds]
+        assert BGLStackModel().state_signatures()[sids].tolist() == \
+            [SIG_NONE, SIG_DEPTH, SIG_DEPTH_TOD]
+        task_map = TaskMap.cyclic(4, 7)
+
+        def state_of(rank):
+            return RankState(kinds[rank % 3])
+
+        for scheme in _schemes(task_map.total_tasks):
+            _assert_matches_oracle(
+                task_map, scheme, BGLStackModel, state_of, 9, threads, 5,
+                None, f"threads={threads} scheme={scheme.name}")
+
     def test_daemon_ids_subset_matches_full_population(self):
         task_map = TaskMap.cyclic(6, 5)
         provider = ring_hang_states(task_map.total_tasks)
@@ -175,45 +198,29 @@ class TestForestVsPerDaemon:
         task_map = TaskMap.block(2, 3)
         provider = ring_hang_states(6)
         scheme = HierarchicalLabelScheme()
-        seeds = SeedStream(1)
         with pytest.raises(ValueError):
             build_forest(task_map, scheme, BGLStackModel(),
-                         provider.states_array, 0,
-                         lambda d: seeds.rng(f"daemon-{d}"))
+                         provider.states_array, 0, 1)
         assert build_forest(task_map, scheme, BGLStackModel(),
-                            provider.states_array, 1,
-                            lambda d: seeds.rng(f"daemon-{d}"),
+                            provider.states_array, 1, 1,
                             daemon_ids=[]) == []
 
     def test_bad_states_array_size_raises(self):
         task_map = TaskMap.block(2, 3)
         scheme = HierarchicalLabelScheme()
-        seeds = SeedStream(1)
         with pytest.raises(ValueError, match="states_array returned"):
             build_forest(task_map, scheme, BGLStackModel(),
-                         lambda ranks: np.zeros(2, dtype=np.int64), 1,
-                         lambda d: seeds.rng(f"daemon-{d}"))
-
-
-class _RecordingRng:
-    """A generator that logs every method it hands out (every draw)."""
-
-    def __init__(self, rng, log):
-        self._rng = rng
-        self._log = log
-
-    def __getattr__(self, name):
-        self._log.append(("draw", name))
-        return getattr(self._rng, name)
+                         lambda ranks: np.zeros(2, dtype=np.int64), 1, 1)
 
 
 class TestProviderContract:
     """``states_array`` is called exactly ``num_samples`` times, in
-    instant order, before any RNG draw — what lets a live provider
+    instant order, before any draw — what lets a live provider
     advance its application between calls."""
 
     @pytest.mark.parametrize("threads", (1, 2))
-    def test_one_query_per_instant_before_any_draw(self, threads):
+    def test_one_query_per_instant_before_any_draw(self, threads,
+                                                   monkeypatch):
         task_map = TaskMap.cyclic(4, 5)
         daemon_ids = [2, 0, 3]
         log, queried = [], []
@@ -230,12 +237,15 @@ class TestProviderContract:
                  else STATES.intern("stall", f"instant{instant}")
                  for r in ranks.tolist()], dtype=np.int64)
 
-        seeds = SeedStream(5)
+        def recording_words(*args):
+            log.append(("draw", "walk_words"))
+            return walk_words(*args)
+
+        monkeypatch.setattr("repro.core.forest.walk_words", recording_words)
         pairs = build_forest(
             task_map, HierarchicalLabelScheme(), BGLStackModel(),
-            states_array, 3,
-            lambda d: _RecordingRng(seeds.rng(f"daemon-{d}"), log),
-            daemon_ids=daemon_ids, threads_per_process=threads)
+            states_array, 3, 5, daemon_ids=daemon_ids,
+            threads_per_process=threads)
 
         assert [entry for entry in log if entry[0] == "states"] == \
             [("states", 0), ("states", 1), ("states", 2)]

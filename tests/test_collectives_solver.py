@@ -81,14 +81,14 @@ class TestBcast:
 
 
 class TestStackFrames:
-    def test_allreduce_frames_both_platforms(self, rng):
+    def test_allreduce_frames_both_platforms(self, word):
         for model, entry in ((BGLStackModel(), "PMPI_Allreduce"),
                              (LinuxStackModel(), "PMPI_Allreduce")):
-            trace = model.trace_for(RankState("allreduce"), rng)
+            trace = model.trace_for(RankState("allreduce"), word)
             assert entry in [f.function for f in trace]
 
-    def test_bcast_frames(self, rng):
-        trace = BGLStackModel().trace_for(RankState("bcast"), rng)
+    def test_bcast_frames(self, word):
+        trace = BGLStackModel().trace_for(RankState("bcast"), word)
         assert "PMPI_Bcast" in [f.function for f in trace]
 
 

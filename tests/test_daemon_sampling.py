@@ -6,26 +6,24 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import leaf_paths
-from per_object_oracle import STATDaemon, StackWalker, reference_daemon_trees
+from per_object_oracle import STATDaemon, StackWalker
+from repro.api.pipeline import SessionPipeline
+from repro.api.spec import SessionSpec
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
 from repro.core.sampling import (
-    BatchWalkSampler,
     SamplingConfig,
-    _decode_pcg64,
     cpu_dilation,
-    draw_walks,
     time_sampling_phase,
     walk_seconds,
+    walk_words,
 )
 from repro.core.taskset import TaskMap
 from repro.fs import MountTable, NFSServer, RamDisk, stage_binaries
 from repro.machine.atlas import AtlasMachine, atlas_binary_spec
 from repro.machine.bgl import BGLMachine
-from repro.mpi.runtime import STATES, RankState
+from repro.mpi.runtime import RankState
 from repro.mpi.stacks import (
     SIG_DEPTH,
     SIG_DEPTH_TOD,
@@ -34,6 +32,7 @@ from repro.mpi.stacks import (
     LinuxStackModel,
 )
 from repro.sim.engine import Engine
+from repro.sim.random import SeedStream
 from repro.statbench import ring_hang_states
 from repro.statbench.emulator import STATBenchEmulator
 
@@ -53,14 +52,14 @@ class TestCpuDilation:
 
 
 class TestStackWalker:
-    def test_walk_counts(self, bgl_stacks, rng):
-        walker = StackWalker(bgl_stacks, rng)
+    def test_walk_counts(self, bgl_stacks):
+        walker = StackWalker(bgl_stacks, key=1)
         walker.walk(RankState("barrier"))
         walker.walk_all([RankState("barrier")] * 3)
         assert walker.walks_performed == 4
 
-    def test_walk_all_threads(self, bgl_stacks, rng):
-        walker = StackWalker(bgl_stacks, rng)
+    def test_walk_all_threads(self, bgl_stacks):
+        walker = StackWalker(bgl_stacks, key=1)
         traces = walker.walk_all([RankState("barrier")] * 2,
                                  threads_per_process=4)
         assert len(traces) == 8
@@ -73,162 +72,200 @@ class TestStackWalker:
         assert walk_seconds(machine, 10.0, 2.0) == 2 * base
 
 
-#: every sampler-visible state kind (``RankState``) plus the collectives
-KINDS = sorted({"init", "compute", "isend", "irecv", "waitall", "barrier",
-                "stall", "recv_wait", "done"}
-               | BGLStackModel.DEPTH_KINDS | BGLStackModel.TOD_KINDS
-               | LinuxStackModel.DEPTH_KINDS)
+_M64 = 2**64 - 1
+_G = 0x9E3779B97F4A7C15
 
 
-def _twin_rngs(seed, carry):
-    """Two equal generators; ``carry`` leaves half a word buffered."""
-    if seed is None:
-        return None, None
-    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
-    if carry:
-        for rng in rngs:
-            rng.integers(1, 4)
-    return rngs
+def _mix_ref(z: int) -> int:
+    """SplitMix64's finaliser on a Python ``int``."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
 
 
-def _next_draws(rng):
-    """Five draws that read the bounded-draw buffer and the word stream."""
-    return [rng.integers(1, 4), rng.random(), rng.integers(0, 7),
-            rng.integers(0, 7), rng.random()]
+def _word_ref(key: int, daemon: int, instant: int, slot: int,
+              thread: int) -> int:
+    """``walk_words`` for one walk, in Python integers only."""
+    k = _mix_ref((key + (daemon + 1) * _G) & _M64)
+    k = _mix_ref((k + (instant + 1) * _G) & _M64)
+    return _mix_ref((k + ((slot | thread << 32) + 1) * _G) & _M64)
 
 
-def _scalar_draws(model, rng, sigs):
-    """The draws of one scalar ``trace_for`` call per signature."""
-    low, high = model.DEPTH_RANGE
-    depths = np.zeros(sigs.size, dtype=np.int64)
-    tods = np.zeros(sigs.size, dtype=bool)
-    for j, sig in enumerate(sigs.tolist()):
-        if sig != SIG_NONE:
-            depths[j] = rng.integers(low, high + 1)
-            if sig == SIG_DEPTH_TOD:
-                tods[j] = rng.random() < model.TOD_THRESHOLD
-    return depths, tods
+class TestWalkWordsKnownAnswers:
+    """``walk_words`` against a numpy-free reference and pinned words.
 
-
-class TestOneDrawDecision:
-    """``StackModel.trace_for`` and the batch sampler draw alike.
-
-    The sampler draws through :func:`draw_walks`, so this is also the
-    oracle test of the batch decoder: odd and even draw counts, a
-    half-word carried in, and the generator's whole state and next
-    draws afterwards.
+    A mixer whose ``uint64`` arithmetic is promoted to ``float64`` (as
+    numpy 1 does for ``uint64`` combined with an ``int64`` operand)
+    loses low bits and fails here.
     """
 
-    @settings(max_examples=200, deadline=None)
-    @given(states=st.lists(st.tuples(st.sampled_from(KINDS),
-                                     st.sampled_from(["main", "f"])),
-                           min_size=1, max_size=30),
-           linux=st.booleans(), threads=st.integers(1, 3),
-           seed=st.one_of(st.none(), st.integers(0, 2**64 - 1)),
-           carry=st.booleans())
-    def test_scalar_walks_equal_batch_walks(self, states, linux, threads,
-                                            seed, carry):
-        model = LinuxStackModel() if linux else BGLStackModel()
-        scalar_rng, batch_rng = _twin_rngs(seed, carry)
-        scalar = [model.trace_for(RankState(kind, where), scalar_rng,
-                                  thread_id=tid)
-                  for kind, where in states for tid in range(threads)]
-        sids = np.asarray([STATES.intern(kind, where)
-                           for kind, where in states], dtype=np.int64)
-        ids = BatchWalkSampler(model, batch_rng, threads).trace_ids(sids)
-        key_of = {tid: key for key, tid in model._trace_ids.items()}
-        batch = []
-        for trace_id in ids.tolist():
-            sid, depth, tod, tid = key_of[trace_id]
-            batch.append(model.trace_from_parts(*STATES.key_of(sid), depth,
-                                                tod, tid))
-        assert batch == scalar
-        assert all(b is s for b, s in zip(batch, scalar))
-        if seed is not None:
-            assert batch_rng.bit_generator.state == \
-                scalar_rng.bit_generator.state
-            assert _next_draws(batch_rng) == _next_draws(scalar_rng)
+    #: (key, daemon, instant, slot, thread) -> word
+    KNOWN = {
+        (0, 0, 0, 0, 0): 0x238275BC38FCBE91,
+        (208_000, 3, 1, 7, 0): 0x29D45F988F9222D1,
+        (2**64 - 1, 81_919, 9, 127, 3): 0x45AE165B5F25C2A8,
+        (0x0123456789ABCDEF, 2**40, 2**20, 2**32 - 1, 2**32 - 1):
+            0xA3939EA6BF016BFC,
+    }
+
+    def test_levels_are_splitmix64_outputs(self):
+        # SplitMix64 seeded with 0 starts 0xE220A8397B1DCDAF,
+        # 0x6E789E6AA1B965F4: so are daemon 0's and daemon 1's keys.
+        first, second = 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4
+        assert [_mix_ref(_G), _mix_ref(2 * _G & _M64)] == [first, second]
+        for daemon, k_d in ((0, first), (1, second)):
+            k_i = _mix_ref((k_d + _G) & _M64)
+            assert int(walk_words(0, daemon, 0, 0, 0)[0]) == \
+                _mix_ref((k_i + _G) & _M64)
+
+    @pytest.mark.parametrize("walk", sorted(KNOWN))
+    def test_pinned_words(self, walk):
+        assert _word_ref(*walk) == self.KNOWN[walk]
+        got = walk_words(*walk)
+        assert got.dtype == np.uint64
+        assert int(got[0]) == self.KNOWN[walk]
+
+    def test_broadcast_block_equals_reference(self):
+        daemons = np.asarray([0, 5, 2**31 + 1], dtype=np.int64)
+        instants, slots, threads = np.arange(3), np.arange(4), np.arange(2)
+        got = walk_words(77, daemons[:, None, None, None],
+                         instants[None, :, None, None],
+                         slots[None, None, :, None],
+                         threads[None, None, None, :])
+        assert got.shape == (3, 3, 4, 2)
+        for index in np.ndindex(got.shape):
+            d, i, sl, t = index
+            assert int(got[index]) == _word_ref(
+                77, int(daemons[d]), i, sl, t), index
+
+    def test_walk_draws_read_the_low_and_high_halves(self):
+        model = BGLStackModel()  # depths 1..3, coin below 0.15
+        cut = round(model.TOD_THRESHOLD * 2**32)
+        words = np.asarray([0, 0xFFFFFFFF, 0x55555555, 0x55555556,
+                            (cut - 1) << 32, cut << 32], dtype=np.uint64)
+        sigs = np.full(words.size, SIG_DEPTH_TOD, dtype=np.int8)
+        depths, tods = model.walk_draws(sigs, words)
+        assert depths.tolist() == [1, 3, 1, 2, 1, 1]
+        assert tods.tolist() == [True, True, True, True, True, False]
+        depths, tods = model.walk_draws(np.asarray(
+            [SIG_NONE, SIG_DEPTH], dtype=np.int8), words[[1, 1]])
+        assert depths.tolist() == [0, 3]
+        assert not tods.any()
 
 
-class _WideDraws(BGLStackModel):
-    """A depth range so wide that a quarter of bounded draws reject."""
+def _words():
+    """10**6 words of a default-seeded session's walk key: 1,000 daemons
+    x 10 instants x 50 slots x 2 threads."""
+    key = SeedStream(208_000).child("walks").root_seed
+    return walk_words(key, np.arange(1000)[:, None, None, None],
+                      np.arange(10)[None, :, None, None],
+                      np.arange(50)[None, None, :, None],
+                      np.arange(2)[None, None, None, :])
 
-    DEPTH_RANGE = (0, 3 * 2**30 - 1)
+
+class _WideDepths(BGLStackModel):
+    """A hundred depths, so uniformity is tested over many cells."""
+
+    DEPTH_RANGE = (0, 99)
 
 
-class TestBatchDecode:
-    """``draw_walks`` decodes the scalar draw sequence bit for bit."""
+class TestDrawDistribution:
+    """Chi-square tests of the keyed draws at 10**6 walks.
 
-    @pytest.mark.parametrize("carry", [False, True])
-    @pytest.mark.parametrize("count", [999, 1000])
-    def test_decoder_replays_a_long_row(self, count, carry):
-        scalar_rng, batch_rng = _twin_rngs(208_000, carry)
+    Each critical value is the 0.1% upper tail of its chi-square law;
+    the words are a fixed function of the key, so the test is exact.
+    """
+
+    @staticmethod
+    def _chi2(counts):
+        expected = counts.sum() / counts.size
+        return float(((counts - expected) ** 2 / expected).sum())
+
+    @pytest.mark.parametrize("model,critical", [
+        (BGLStackModel(), 13.82),       # 3 depths, 2 dof
+        (LinuxStackModel(), 10.83),     # 2 depths, 1 dof
+        (_WideDepths(), 148.23),        # 100 depths, 99 dof
+    ])
+    def test_depths_are_uniform(self, model, critical):
+        words = _words().ravel()
+        assert words.size == 10**6
+        depths, _ = model.walk_draws(np.int8(SIG_DEPTH), words)
+        low, high = model.DEPTH_RANGE
+        counts = np.bincount(depths - low, minlength=high - low + 1)
+        assert counts.size == high - low + 1
+        assert self._chi2(counts) < critical
+
+    def test_tod_rate_is_the_threshold(self):
         model = BGLStackModel()
-        sigs = np.random.default_rng(count).integers(
-            0, 3, size=count).astype(np.int8)
-        drawing = sigs != SIG_NONE
-        decoded = _decode_pcg64(batch_rng.bit_generator,
-                                sigs[drawing] == SIG_DEPTH_TOD, 3)
-        assert decoded is not None
-        want_depths, want_tods = _scalar_draws(model, scalar_rng, sigs)
-        offsets, coins = decoded
-        assert (1 + offsets == want_depths[drawing]).all()
-        assert ((coins < model.TOD_THRESHOLD)
-                == want_tods[sigs == SIG_DEPTH_TOD]).all()
-        assert batch_rng.bit_generator.state == \
-            scalar_rng.bit_generator.state
+        p = model.TOD_THRESHOLD
+        # The declared bias of the coin: the exact rate is the cut.
+        assert abs(round(p * 2**32) / 2**32 - p) <= 2**-33
+        _, tods = model.walk_draws(np.int8(SIG_DEPTH_TOD), _words().ravel())
+        sigma = (p * (1 - p) / tods.size) ** 0.5
+        assert abs(tods.mean() - p) < 4 * sigma + 2**-33
 
-    def test_rejection_restores_state_and_replays(self):
-        model = _WideDraws()
-        sigs = np.asarray([SIG_DEPTH, SIG_DEPTH_TOD, SIG_NONE] * 6,
-                          dtype=np.int8)
-        tod_after = sigs[sigs != SIG_NONE] == SIG_DEPTH_TOD
-        rng = np.random.default_rng(11)
-        before = rng.bit_generator.state
-        assert _decode_pcg64(rng.bit_generator, tod_after,
-                             3 * 2**30) is None
-        assert rng.bit_generator.state == before
-        scalar_rng, batch_rng = _twin_rngs(11, False)
-        got = draw_walks(model, batch_rng, sigs)
-        want = _scalar_draws(model, scalar_rng, sigs)
-        assert all((g == w).all() for g, w in zip(got, want))
-        assert batch_rng.bit_generator.state == \
-            scalar_rng.bit_generator.state
-
-    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
-    def test_other_bit_generators_replay_the_scalar_calls(self, seed):
+    def test_depth_coin_and_neighbours_are_independent(self):
+        """Depth x coin, and thread 0's depth x thread 1's, fill their
+        contingency tables as independent draws would (4 dof each)."""
         model = BGLStackModel()
-        sigs = np.asarray([SIG_DEPTH_TOD, SIG_NONE, SIG_DEPTH] * 7,
-                          dtype=np.int8)
-        scalar_rng, batch_rng = (np.random.Generator(np.random.Philox(seed))
-                                 for _ in range(2))
-        got = draw_walks(model, batch_rng, sigs)
-        want = _scalar_draws(model, scalar_rng, sigs)
-        assert all((g == w).all() for g, w in zip(got, want))
-        # Philox's state holds arrays: compare their printed form.
-        assert repr(batch_rng.bit_generator.state) == \
-            repr(scalar_rng.bit_generator.state)
-        assert _next_draws(batch_rng) == _next_draws(scalar_rng)
+        words = _words()
+        depths, tods = model.walk_draws(np.int8(SIG_DEPTH_TOD), words)
+        for a, b, size in ((depths - 1, tods, 2),
+                           (depths[..., 0] - 1, depths[..., 1] - 1, 3)):
+            table = np.bincount((a * size + b).ravel(),
+                                minlength=3 * size).reshape(3, size)
+            expected = np.outer(table.sum(axis=1), table.sum(axis=0)) \
+                / table.sum()
+            dof = 2 * (size - 1)
+            assert float(((table - expected) ** 2 / expected).sum()) \
+                < {2: 13.82, 4: 18.47}[dof]
 
-    def test_forest_row_of_every_signature_matches_oracle(self):
-        kinds = ("stall", "barrier", "waitall")  # none, depth, depth+tod
-        model = BGLStackModel()
-        assert [model.state_signatures()[STATES.intern(k, "main")]
-                for k in kinds] == [SIG_NONE, SIG_DEPTH, SIG_DEPTH_TOD]
-        task_map = TaskMap.cyclic(4, 7)
 
-        def state_of(rank):
-            return RankState(kinds[rank % 3])
+class TestKeyedPurity:
+    """A daemon's trees depend on its id, never on its block mates."""
 
-        for scheme in (HierarchicalLabelScheme(), DenseLabelScheme(28)):
-            emulator = STATBenchEmulator(task_map, scheme, BGLStackModel(),
-                                         state_of, num_samples=9, seed=5)
-            for d, pair in enumerate(emulator.build_forest()):
-                want_2d, want_3d = reference_daemon_trees(
-                    d, task_map, scheme, BGLStackModel(), state_of,
-                    num_samples=9, seed=5)
-                assert pair.tree_2d.arrays_equal(want_2d)
-                assert pair.tree_3d.arrays_equal(want_3d)
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_alone_subset_and_block_splits_agree(self, threads,
+                                                 monkeypatch):
+        task_map = TaskMap.shuffled(9, 7, np.random.default_rng(3))
+        states = ring_hang_states(task_map.total_tasks)
+
+        def build(daemon_ids=None):
+            emulator = STATBenchEmulator(
+                task_map, HierarchicalLabelScheme(), BGLStackModel(),
+                states, num_samples=4, threads_per_process=threads, seed=21)
+            return emulator.build_forest(daemon_ids)
+
+        full = build()
+        per_daemon = 7 * threads * 4
+        for d in range(len(task_map)):
+            (alone,) = build([d])
+            assert alone.tree_3d.arrays_equal(full[d].tree_3d)
+            assert alone.tree_2d.arrays_equal(full[d].tree_2d)
+        subset = np.random.default_rng(threads).permutation(9)[:5].tolist()
+        for d, pair in zip(subset, build(subset)):
+            assert pair.tree_3d.arrays_equal(full[d].tree_3d)
+            assert pair.tree_2d.arrays_equal(full[d].tree_2d)
+        for elems in (per_daemon, 4 * per_daemon):  # 1 and 4 rows a block
+            monkeypatch.setattr("repro.core.forest.FOREST_CHUNK_ELEMS",
+                                elems)
+            for d, pair in enumerate(build()):
+                assert pair.tree_3d.arrays_equal(full[d].tree_3d)
+                assert pair.tree_2d.arrays_equal(full[d].tree_2d)
+
+    @pytest.mark.parametrize("scheme", ("hierarchical", "dense"))
+    def test_streamed_session_equals_batch(self, scheme):
+        spec = SessionSpec(machine="bgl", daemons=16, mode="vn",
+                           scheme=scheme, topology="bgl-3deep",
+                           num_samples=3, seed=5)
+        results = []
+        for stream in (False, True):
+            pipeline = SessionPipeline.from_spec(spec)
+            pipeline.ctx.stream = stream
+            results.append(pipeline.run())
+        batch, streamed = results
+        assert streamed.tree_2d.arrays_equal(batch.tree_2d)
+        assert streamed.tree_3d.arrays_equal(batch.tree_3d)
 
 
 class TestSTATDaemon:
@@ -236,7 +273,7 @@ class TestSTATDaemon:
     def daemon(self, bgl_stacks):
         tm = TaskMap.cyclic(4, 8)
         return STATDaemon(1, tm, HierarchicalLabelScheme(), bgl_stacks,
-                          rng=np.random.default_rng(3))
+                          key=3)
 
     def test_sample_once_counts_traces(self, daemon):
         n = daemon.sample_once(lambda r: RankState("barrier"))
@@ -287,7 +324,7 @@ class TestSTATDaemon:
         labels = {}
         for scheme in (DenseLabelScheme(8), HierarchicalLabelScheme()):
             d = STATDaemon(0, tm, scheme, bgl_stacks,
-                           rng=np.random.default_rng(1))
+                           key=1)
             d.sample_once(state_of)
             path, label = leaf_paths(d.trees_arrays()[0])[0]
             if scheme.name == "original":
@@ -299,7 +336,7 @@ class TestSTATDaemon:
     def test_threads_multiply_traces(self, bgl_stacks):
         tm = TaskMap.block(1, 4)
         d = STATDaemon(0, tm, HierarchicalLabelScheme(), bgl_stacks,
-                       rng=np.random.default_rng(1), threads_per_process=4)
+                       key=1, threads_per_process=4)
         assert d.sample_once(lambda r: RankState("barrier")) == 16
 
 

@@ -2,12 +2,13 @@
 
 import numpy as np
 
+from repro.core.sampling import walk_words
 from repro.mpi.runtime import RankState
 
 
 class TestBGLStackModel:
-    def test_barrier_has_figure1_frames(self, bgl_stacks, rng):
-        trace = bgl_stacks.trace_for(RankState("barrier"), rng)
+    def test_barrier_has_figure1_frames(self, bgl_stacks, word):
+        trace = bgl_stacks.trace_for(RankState("barrier"), word)
         names = [f.function for f in trace]
         assert names[:2] == ["_start_blrts", "main"]
         assert "PMPI_Barrier" in names
@@ -20,32 +21,30 @@ class TestBGLStackModel:
         assert trace.leaf.function == "do_SendOrStall"
         assert trace.depth == 3
 
-    def test_waitall_progress_frames(self, bgl_stacks, rng):
-        trace = bgl_stacks.trace_for(RankState("waitall"), rng)
+    def test_waitall_progress_frames(self, bgl_stacks, word):
+        trace = bgl_stacks.trace_for(RankState("waitall"), word)
         names = [f.function for f in trace]
         assert "PMPI_Waitall" in names
         assert "MPID_Progress_wait" in names
 
     def test_gettimeofday_leaf_appears_sometimes(self, bgl_stacks):
-        rng = np.random.default_rng(0)
-        leaves = {bgl_stacks.trace_for(RankState("waitall"), rng).leaf.function
-                  for _ in range(200)}
+        leaves = {bgl_stacks.trace_for(RankState("waitall"), w).leaf.function
+                  for w in walk_words(0, 0, np.arange(200), 0, 0).tolist()}
         assert "__gettimeofday" in leaves
         assert "BGLML_Messager_CMadvance" in leaves
 
     def test_depth_varies_over_samples(self, bgl_stacks):
-        rng = np.random.default_rng(1)
-        depths = {bgl_stacks.trace_for(RankState("barrier"), rng).depth
-                  for _ in range(100)}
+        depths = {bgl_stacks.trace_for(RankState("barrier"), w).depth
+                  for w in walk_words(1, 0, np.arange(100), 0, 0).tolist()}
         assert len(depths) >= 2  # the 3D-over-time variation
 
-    def test_no_rng_gives_fixed_depth(self, bgl_stacks):
+    def test_no_word_gives_fixed_depth(self, bgl_stacks):
         a = bgl_stacks.trace_for(RankState("barrier"))
         b = bgl_stacks.trace_for(RankState("barrier"))
         assert a == b
 
-    def test_worker_thread_stack(self, bgl_stacks, rng):
-        trace = bgl_stacks.trace_for(RankState("barrier"), rng, thread_id=2)
+    def test_worker_thread_stack(self, bgl_stacks, word):
+        trace = bgl_stacks.trace_for(RankState("barrier"), word, thread_id=2)
         names = [f.function for f in trace]
         assert "omp_worker_loop" in names
         assert "PMPI_Barrier" not in names
@@ -56,25 +55,25 @@ class TestBGLStackModel:
         b = bgl_stacks.trace_for(RankState("stall", "f"))
         assert a is b  # memoized
 
-    def test_static_binary_single_module(self, bgl_stacks, rng):
-        trace = bgl_stacks.trace_for(RankState("barrier"), rng)
+    def test_static_binary_single_module(self, bgl_stacks, word):
+        trace = bgl_stacks.trace_for(RankState("barrier"), word)
         assert {f.module for f in trace} == {bgl_stacks.app_module}
 
 
 class TestLinuxStackModel:
-    def test_base_frames(self, linux_stacks, rng):
-        trace = linux_stacks.trace_for(RankState("barrier"), rng)
+    def test_base_frames(self, linux_stacks, word):
+        trace = linux_stacks.trace_for(RankState("barrier"), word)
         names = [f.function for f in trace]
         assert names[:3] == ["_start", "__libc_start_main", "main"]
 
-    def test_mpi_frames_in_mpi_module(self, linux_stacks, rng):
-        trace = linux_stacks.trace_for(RankState("waitall"), rng)
+    def test_mpi_frames_in_mpi_module(self, linux_stacks, word):
+        trace = linux_stacks.trace_for(RankState("waitall"), word)
         modules = {f.function: f.module for f in trace}
         assert modules["main"] == linux_stacks.app_module
         assert modules["PMPI_Waitall"] == linux_stacks.mpi_module
 
-    def test_recv_wait_uses_recv_entry(self, linux_stacks, rng):
-        trace = linux_stacks.trace_for(RankState("recv_wait"), rng)
+    def test_recv_wait_uses_recv_entry(self, linux_stacks, word):
+        trace = linux_stacks.trace_for(RankState("recv_wait"), word)
         assert "PMPI_Recv" in [f.function for f in trace]
 
     def test_compute_state_shows_user_frame(self, linux_stacks):
