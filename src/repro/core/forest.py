@@ -402,18 +402,20 @@ def _sample_elements(key: int, daemons: np.ndarray,
     words = walk_words(key, daemons[:, None, None],
                        np.arange(num_samples)[None, :, None],
                        column // threads, column % threads)
-    ukeys, tods = model.walk_draws(model.state_signatures()[sids],
-                                   words.reshape(rows, n))
+    depths, tods = model.walk_draws(model.state_signatures()[sids],
+                                    words.reshape(rows, n))
     del words
     depth_base = model.DEPTH_RANGE[1] + 1
+    ukeys = depths  # the composite keys, built in place
     ukeys += sids * depth_base
     ukeys *= 2
     ukeys += tods
-    threads_seen, top = model.ukey_lut.shape
-    if threads_seen < threads or top <= ukeys.max():
+    need = int(ukeys.max()) + 1
+    have_threads, have_keys = model.ukey_lut.shape
+    if have_threads < threads or have_keys < need:
         model.ukey_lut = np.pad(model.ukey_lut, (
-            (0, max(threads - threads_seen, 0)),
-            (0, max(int(ukeys.max()) + 1 - top, 64))), constant_values=-1)
+            (0, max(threads - have_threads, 0)),
+            (0, max(need - have_keys, 64))), constant_values=-1)
     lut = model.ukey_lut
     ids = np.empty_like(ukeys)
     for tid in range(threads):  # per thread id: one gather of its columns

@@ -140,11 +140,14 @@ class StackModel:
         n = len(STATES)
         sigs = self._sig_cache
         if sigs is None or sigs.size < n:
-            kinds = [STATES.key_of(sid)[0] for sid in range(n)]
-            sigs = self._sig_cache = np.asarray(
-                [SIG_DEPTH_TOD if k in self.TOD_KINDS else SIG_DEPTH
-                 if k in self.DEPTH_KINDS else SIG_NONE for k in kinds],
-                dtype=np.int8)
+            out = np.zeros(n, dtype=np.int8)
+            for sid in range(n):
+                kind = STATES.key_of(sid)[0]
+                if kind in self.TOD_KINDS:
+                    out[sid] = SIG_DEPTH_TOD
+                elif kind in self.DEPTH_KINDS:
+                    out[sid] = SIG_DEPTH
+            self._sig_cache = sigs = out
         return sigs
 
     def trace_id(self, sid: int, depth: int, tod: bool,

@@ -141,9 +141,9 @@ SPECS = {
         "atlas", 16, topology="balanced:2", workload="uniform:8",
         sampling=SamplingConfig(num_samples=3, threads_per_process=3),
         stream=True),
-    # The batch-decoded draws: Linux depth range 2 over an odd count of
-    # walks per row, and BG/L depth + time-of-day pairs through the
-    # streamed fold.
+    # The keyed draws: Linux depth range 2 over an odd count of walks
+    # per row, and BG/L depth + time-of-day pairs through the streamed
+    # fold.
     "atlas32-hier-flat-uniform64-batch": _spec(
         "atlas", 32, topology="flat", workload="uniform:64",
         sampling=SamplingConfig(num_samples=7)),
