@@ -418,6 +418,7 @@ def _sample_elements(key: int, daemons: np.ndarray,
             (0, max(need - have_keys, 64))), constant_values=-1)
     lut = model.ukey_lut
     ids = np.empty_like(ukeys)
+    # mode="clip" writes ``out`` unbuffered; every key is below ``need``.
     for tid in range(threads):  # per thread id: one gather of its columns
         keys, got = ukeys[:, tid::threads], ids[:, tid::threads]
         np.take(lut[tid], keys, out=got, mode="clip")
